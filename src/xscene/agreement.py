@@ -18,31 +18,6 @@ ALPHA_LIMIT = 1.0 - 1e-6
 
 
 @dataclass
-class GradState:
-    """Per-run state for the agreement loop: the two flattened
-    shared-encoder gradients, the EMA cosine target, its rate, and the
-    step counter."""
-
-    g_s: np.ndarray
-    g_t: np.ndarray
-    alpha: float = 0.0
-    beta: float = 0.1
-    step: int = 0
-
-    def __post_init__(self):
-        self.g_s = np.asarray(self.g_s, dtype=np.float64)
-        self.g_t = np.asarray(self.g_t, dtype=np.float64)
-        if self.g_s.shape != self.g_t.shape or self.g_s.ndim != 1:
-            raise DimensionError(
-                f"gradient vectors must be 1-D and equal length, "
-                f"got {self.g_s.shape} and {self.g_t.shape}"
-            )
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
-        self.alpha = float(np.clip(self.alpha, -ALPHA_LIMIT, ALPHA_LIMIT))
-
-
-@dataclass
 class LogitNormConfig:
     tau: float = 2.0
     epsilon: float = 1e-12

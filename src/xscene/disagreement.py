@@ -1,6 +1,6 @@
 """Disagreement machinery: distance-correlation restriction between the
-shared and private feature batches, and symmetric-KL distillation losses
-for the ensemble student.
+shared and private feature batches, and the symmetric-KL distillation
+loss for the ensemble student.
 
 Distance correlation here is the biased (V-statistic) sample estimator:
 double-center the pairwise Euclidean distance matrices A and B, then
@@ -11,8 +11,6 @@ which lies in [0, 1] and is 0 only when the batches carry no detectable
 dependence.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SampleCountError
@@ -20,17 +18,6 @@ from .errors import ConfigError, DimensionError, SampleCountError
 DVAR_FLOOR = 1e-15
 # smoothing inside sqrt keeps the penalty differentiable at coincident rows
 DIST_SMOOTHING = 1e-12
-
-
-@dataclass
-class DistillConfig:
-    temp_agree: float = 1.0
-    temp_disagree: float = 0.05
-    temp_scaled: bool = True
-
-    def __post_init__(self):
-        if self.temp_agree <= 0.0 or self.temp_disagree <= 0.0:
-            raise ConfigError("distillation temperatures must be positive")
 
 
 def _as_batch(x, name="batch"):
@@ -138,26 +125,6 @@ def _log_softmax_rows(z):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def kl_divergence(p_logits, q_logits, temp, temp_scaled=True):
-    """KL(softmax(p/T) || softmax(q/T)), scaled by T^2 when temp_scaled
-    so the gradient magnitude stays comparable across temperatures."""
-    if temp <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {temp}")
-    p_logits = np.asarray(p_logits, dtype=np.float64)
-    q_logits = np.asarray(q_logits, dtype=np.float64)
-    if p_logits.shape != q_logits.shape or p_logits.ndim != 1:
-        raise DimensionError(
-            f"expected equal-length logit vectors, got {p_logits.shape} "
-            f"and {q_logits.shape}"
-        )
-    if p_logits.shape[0] < 2:
-        raise DimensionError("need at least 2 classes of logits")
-    lp = _log_softmax_rows(p_logits[None, :] / temp)[0]
-    lq = _log_softmax_rows(q_logits[None, :] / temp)[0]
-    kl = float((np.exp(lp) * (lp - lq)).sum())
-    return kl * temp * temp if temp_scaled else kl
-
-
 def symmetric_kl(student_logits, teacher_logits, temp, temp_scaled=True):
     """Batch mean of KL(student||teacher) + KL(teacher||student) at
     temperature T, with the gradient w.r.t. the student logits.
@@ -190,22 +157,3 @@ def symmetric_kl(student_logits, teacher_logits, temp, temp_scaled=True):
         grad *= temp * temp
     return loss, grad
 
-
-def ensemble_loss_agree(ens_logits, agree_logits, temp, temp_scaled=True):
-    """Symmetric-KL distillation of the ensemble against the agreement
-    teacher (teacher logits held constant)."""
-    return symmetric_kl(ens_logits, agree_logits, temp, temp_scaled)[0]
-
-
-def ensemble_loss_disagree(ens_logits, disagree_logits, temp, temp_scaled=True):
-    """Symmetric-KL distillation of the ensemble against the private
-    (disagreement) teacher."""
-    return symmetric_kl(ens_logits, disagree_logits, temp, temp_scaled)[0]
-
-
-def ensemble_total(e_agree, e_disagree):
-    """Plain sum of the two distillation terms."""
-    total = float(e_agree) + float(e_disagree)
-    if not np.isfinite(total):
-        raise ValueError("ensemble loss terms must be finite")
-    return total

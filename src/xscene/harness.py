@@ -17,15 +17,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .agreement import (GradState, LogitNormConfig, cosine_similarity,
-                        ema_update, gradvac_update, logitnorm,
-                        magnitude_similarity)
+from .agreement import (LogitNormConfig, cosine_similarity, ema_update,
+                        gradvac_update, logitnorm, magnitude_similarity)
 from .data import SynthConfig, generate_pair, sample_k_per_class
 from .disagreement import dcor_loss, symmetric_kl
 from .errors import ConfigError, DataError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
-from .model import (AGREEMENT_COMPONENTS, ENSEMBLE_COMPONENTS,
+from .model import (AGREEMENT_COMPONENTS, COMPONENT_ORDER, ENSEMBLE_COMPONENTS,
                     PRIVATE_COMPONENTS, ModelBundle, agreement_backward,
                     forward_ensemble, forward_target_agree,
                     forward_target_disagree)
@@ -171,10 +170,9 @@ def _adam_components(bundle, names, cfg, t):
 
 
 def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
-    n_shared = bundle.shared_encoder.params.n_params
-    state = GradState(np.zeros(n_shared), np.zeros(n_shared),
-                      alpha=0.0, beta=cfg.beta)
+    alpha = 0.0
     mag_prev = 0.0
+    step = 0
     for _ in range(cfg.epochs_agree):
         order = batch_rng.permutation(source.n)
         for start in range(0, source.n, cfg.batch_size):
@@ -185,28 +183,27 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             ln_cfg = LogitNormConfig(tau=cfg.tau) if ln_active else None
             res = agreement_backward(bundle, batch_s, batch_t, ln_cfg,
                                      cfg.source_weight, cfg.target_weight)
-            state.g_s, state.g_t = res.g_s, res.g_t
-            phi_raw = cosine_similarity(state.g_s, state.g_t)
-            gt_norm = float(np.linalg.norm(state.g_t))
-            applied = bool(cfg.use_gradvac and phi_raw < state.alpha
+            g_s, g_t = res.g_s, res.g_t
+            phi_raw = cosine_similarity(g_s, g_t)
+            gt_norm = float(np.linalg.norm(g_t))
+            applied = bool(cfg.use_gradvac and phi_raw < alpha
                            and gt_norm >= 1e-12)
-            g_post = (gradvac_update(state.g_s, state.g_t, phi_raw, state.alpha)
-                      if applied else state.g_s)
-            phi_post = cosine_similarity(g_post, state.g_t)
-            mag = magnitude_similarity(state.g_s, state.g_t)
-            bundle.shared_encoder.params.set_flat_grads(g_post + state.g_t)
-            state.step += 1
-            _adam_components(bundle, AGREEMENT_COMPONENTS, cfg, state.step)
+            g_post = gradvac_update(g_s, g_t, phi_raw, alpha) if applied else g_s
+            phi_post = cosine_similarity(g_post, g_t)
+            mag = magnitude_similarity(g_s, g_t)
+            bundle.shared_encoder.params.set_flat_grads(g_post + g_t)
+            step += 1
+            _adam_components(bundle, AGREEMENT_COMPONENTS, cfg, step)
             steps.append({
-                "phase": "agree", "step": state.step,
+                "phase": "agree", "step": step,
                 "phi_raw": float(phi_raw), "phi_post": float(phi_post),
-                "alpha": float(state.alpha), "mag_sim": float(mag),
+                "alpha": float(alpha), "mag_sim": float(mag),
                 "loss_s": float(res.loss_s), "loss_t": float(res.loss_t),
-                "gs_norm": float(np.linalg.norm(state.g_s)), "gt_norm": gt_norm,
+                "gs_norm": float(np.linalg.norm(g_s)), "gt_norm": gt_norm,
                 "gradvac_applied": applied, "logitnorm_active": bool(ln_active),
                 "ln_err_s": res.ln_err_s, "ln_err_t": res.ln_err_t,
             })
-            state.alpha = ema_update(state.alpha, phi_raw, cfg.beta)
+            alpha = ema_update(alpha, phi_raw, cfg.beta)
             mag_prev = mag
 
 
@@ -353,14 +350,10 @@ def save_checkpoint(path, bundle, meta=None):
     little-endian float64, weights before biases, in component order."""
     header = {"format": CHECKPOINT_MAGIC, "layout": bundle.layout(),
               "meta": meta or {}}
-    blobs = []
-    for mlp in bundle.components().values():
-        for layer in mlp.params:
-            blobs.append(layer.weight.astype("<f8").tobytes())
-            blobs.append(layer.bias.astype("<f8").tobytes())
     with open(path, "wb") as f:
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        f.write(b"".join(blobs))
+        for mlp in bundle.components().values():
+            f.write(mlp.params.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -373,9 +366,19 @@ def load_checkpoint(path):
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
-    if header.get("format") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} file")
-    bundle = ModelBundle.from_layout(header["layout"])
+    layout = header.get("layout")
+    if not isinstance(layout, dict) or set(layout) != set(COMPONENT_ORDER):
+        raise ParseError(f"{path}: checkpoint layout must name exactly the "
+                         f"components {', '.join(COMPONENT_ORDER)}")
+    if not all(isinstance(dims, list) and all(type(d) is int for d in dims)
+               for dims in layout.values()):
+        raise ParseError(f"{path}: checkpoint layout dims must be lists of ints")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: checkpoint meta must be an object")
+    bundle = ModelBundle.from_layout(layout)
     values = np.frombuffer(raw[newline + 1:], dtype="<f8")
     expected = sum(mlp.params.n_params for mlp in bundle.components().values())
     if values.size != expected:
@@ -383,7 +386,6 @@ def load_checkpoint(path):
             f"{path}: checkpoint holds {values.size} floats, expected {expected}")
     offset = 0
     for mlp in bundle.components().values():
-        flat = values[offset:offset + mlp.params.n_params]
-        mlp.params.set_flat_params(flat)
+        mlp.params.set_flat_params(values[offset:offset + mlp.params.n_params])
         offset += mlp.params.n_params
-    return bundle, header.get("meta", {})
+    return bundle, meta

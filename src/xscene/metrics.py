@@ -30,22 +30,20 @@ class ConfusionMatrix:
     def total(self):
         return int(self.counts.sum())
 
-    def accumulate(self, true_label, pred_label):
-        c = self.num_classes
-        if not (0 <= true_label < c and 0 <= pred_label < c):
-            raise IndexError(f"label out of range [0, {c})")
-        self.counts[true_label, pred_label] += 1
-        return self
-
     @classmethod
     def from_predictions(cls, num_classes, true_labels, pred_labels):
         cm = cls(num_classes)
-        true_labels = np.asarray(true_labels)
-        pred_labels = np.asarray(pred_labels)
+        true_labels = np.asarray(true_labels, dtype=np.int64)
+        pred_labels = np.asarray(pred_labels, dtype=np.int64)
         if true_labels.shape != pred_labels.shape:
             raise DimensionError("label arrays must have equal length")
-        for t, p in zip(true_labels.tolist(), pred_labels.tolist()):
-            cm.accumulate(t, p)
+        c = cm.num_classes
+        if true_labels.size and (
+                min(true_labels.min(), pred_labels.min()) < 0
+                or max(true_labels.max(), pred_labels.max()) >= c):
+            raise IndexError(f"label out of range [0, {c})")
+        cells = (true_labels * c + pred_labels).ravel()
+        cm.counts += np.bincount(cells, minlength=c * c).reshape(c, c)
         return cm
 
 

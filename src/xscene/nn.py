@@ -25,30 +25,15 @@ def glorot_uniform(fan_in, fan_out, rng):
 
 
 class Layer:
-    """One affine layer: weight (fan_in, fan_out) and bias (fan_out,),
-    plus gradient accumulators and Adam moment buffers of the same shape."""
+    """One affine layer: weight (fan_in, fan_out) and bias (fan_out,), with
+    their gradient accumulators of the same shapes. All four are views into
+    the owning ParamSet's flat buffers."""
 
-    def __init__(self, weight, bias):
-        weight = np.array(weight, dtype=np.float64)
-        bias = np.array(bias, dtype=np.float64)
-        if weight.ndim != 2:
-            raise DimensionError("layer weight must be 2-D")
-        if bias.shape != (weight.shape[1],):
-            raise DimensionError(
-                f"bias shape {bias.shape} does not match weight {weight.shape}"
-            )
+    def __init__(self, weight, bias, grad_weight, grad_bias):
         self.weight = weight
         self.bias = bias
-        self.grad_weight = np.zeros_like(weight)
-        self.grad_bias = np.zeros_like(bias)
-        self.m_weight = np.zeros_like(weight)
-        self.v_weight = np.zeros_like(weight)
-        self.m_bias = np.zeros_like(bias)
-        self.v_bias = np.zeros_like(bias)
-
-    @classmethod
-    def init(cls, fan_in, fan_out, rng):
-        return cls(glorot_uniform(fan_in, fan_out, rng), np.zeros(fan_out))
+        self.grad_weight = grad_weight
+        self.grad_bias = grad_bias
 
     @property
     def fan_in(self):
@@ -58,82 +43,65 @@ class Layer:
     def fan_out(self):
         return self.weight.shape[1]
 
-    def zero_grad(self):
-        self.grad_weight[:] = 0.0
-        self.grad_bias[:] = 0.0
-
 
 class ParamSet:
-    """Named, ordered collection of layers with bit-exact flatten/unflatten.
+    """The parameters of one MLP as a single float64 vector, with its
+    gradient and Adam moment vectors (m, v) of the same length.
 
-    Flattening order is the insertion order of layers, weight entries
-    (row-major) before bias entries for each layer.
+    Layer fc{i} views its weight (row-major) and then its bias, layer
+    after layer; this is also the flat and checkpoint order.
     """
 
-    def __init__(self):
+    def __init__(self, shapes):
+        n = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+        self.values = np.zeros(n)
+        self.grads = np.zeros(n)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
         self._layers = {}
-
-    def add(self, name, layer):
-        if name in self._layers:
-            raise ConfigError(f"duplicate layer name {name!r}")
-        self._layers[name] = layer
-        return layer
+        offset = 0
+        for i, (fan_in, fan_out) in enumerate(shapes):
+            mid = offset + fan_in * fan_out
+            end = mid + fan_out
+            self._layers[f"fc{i}"] = Layer(
+                self.values[offset:mid].reshape(fan_in, fan_out),
+                self.values[mid:end],
+                self.grads[offset:mid].reshape(fan_in, fan_out),
+                self.grads[mid:end])
+            offset = end
 
     def layer(self, name):
         return self._layers[name]
 
-    def items(self):
-        return self._layers.items()
-
     def __iter__(self):
         return iter(self._layers.values())
 
-    def __len__(self):
-        return len(self._layers)
-
     @property
     def n_params(self):
-        return sum(l.weight.size + l.bias.size for l in self)
+        return self.values.size
 
     def zero_grads(self):
-        for layer in self:
-            layer.zero_grad()
-
-    def _flatten(self, pick_w, pick_b):
-        parts = []
-        for layer in self:
-            parts.append(pick_w(layer).ravel())
-            parts.append(pick_b(layer))
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        self.grads.fill(0.0)
 
     def flatten_params(self):
-        return self._flatten(lambda l: l.weight, lambda l: l.bias)
+        return self.values.copy()
 
     def flatten_grads(self):
-        return self._flatten(lambda l: l.grad_weight, lambda l: l.grad_bias)
+        return self.grads.copy()
 
-    def _unflatten_into(self, vec, pick_w, pick_b):
+    def _copy_into(self, buf, vec):
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
+        if vec.shape != buf.shape:
             raise DimensionError(
-                f"flat vector has length {vec.shape}, expected ({self.n_params},)"
+                f"flat vector has length {vec.shape}, expected {buf.shape}"
             )
-        offset = 0
-        for layer in self:
-            w = pick_w(layer)
-            w[:] = vec[offset:offset + w.size].reshape(w.shape)
-            offset += w.size
-            b = pick_b(layer)
-            b[:] = vec[offset:offset + b.size]
-            offset += b.size
+        buf[:] = vec
 
     def set_flat_params(self, vec):
-        self._unflatten_into(vec, lambda l: l.weight, lambda l: l.bias)
+        self._copy_into(self.values, vec)
 
     def set_flat_grads(self, vec):
-        self._unflatten_into(vec, lambda l: l.grad_weight, lambda l: l.grad_bias)
+        self._copy_into(self.grads, vec)
 
 
 def linear_forward(x, layer):
@@ -210,14 +178,10 @@ class Mlp:
         if len(dims) < 2 or any(int(d) < 1 for d in dims):
             raise ConfigError(f"bad layer dims {dims!r}")
         self.dims = [int(d) for d in dims]
-        self.params = ParamSet()
-        for i in range(len(self.dims) - 1):
-            fan_in, fan_out = self.dims[i], self.dims[i + 1]
-            if rng is None:
-                layer = Layer(np.zeros((fan_in, fan_out)), np.zeros(fan_out))
-            else:
-                layer = Layer.init(fan_in, fan_out, rng)
-            self.params.add(f"fc{i}", layer)
+        self.params = ParamSet(list(zip(self.dims[:-1], self.dims[1:])))
+        if rng is not None:
+            for layer in self.params:
+                layer.weight[:] = glorot_uniform(layer.fan_in, layer.fan_out, rng)
 
     @property
     def in_dim(self):
@@ -268,16 +232,11 @@ def adam_step(params, lr, beta1=0.9, beta2=0.999, weight_decay=0.0,
         raise ConfigError("adam step counter starts at 1")
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for layer in params:
-        pairs = (
-            (layer.weight, layer.grad_weight, layer.m_weight, layer.v_weight),
-            (layer.bias, layer.grad_bias, layer.m_bias, layer.v_bias),
-        )
-        for w, g, m, v in pairs:
-            if weight_decay:
-                w -= lr * weight_decay * w
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    w, g, m, v = params.values, params.grads, params.m, params.v
+    if weight_decay:
+        w -= lr * weight_decay * w
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)

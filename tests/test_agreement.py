@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from xscene.agreement import (GradState, LogitNormConfig, cosine_similarity,
-                              ema_update, gradvac_update, logitnorm,
-                              logitnorm_ce, magnitude_similarity)
+from xscene.agreement import (LogitNormConfig, cosine_similarity, ema_update,
+                              gradvac_update, logitnorm, logitnorm_ce,
+                              magnitude_similarity)
 from xscene.errors import ConfigError, DimensionError
 from xscene.nn import make_rng
 
@@ -193,17 +193,3 @@ class TestLogitNormCe:
         base, _ = logitnorm_ce(z, labels, cfg)
         scaled, _ = logitnorm_ce(10.0 * z, labels, cfg)
         assert scaled == pytest.approx(base, abs=1e-10)
-
-
-class TestGradState:
-    def test_alpha_clamped(self):
-        st = GradState(np.zeros(3), np.zeros(3), alpha=1.0)
-        assert st.alpha <= 1.0 - 1e-6
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            GradState(np.zeros(3), np.zeros(4))
-
-    def test_beta_validated(self):
-        with pytest.raises(ConfigError):
-            GradState(np.zeros(2), np.zeros(2), beta=0.0)

@@ -88,6 +88,13 @@ class TestEval:
                      "--data", str(tmp_path / "nope.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_header_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        model.write_bytes(b'{"format":"xscene-checkpoint-v1","meta":{}}\n')
+        assert main(["eval", "--model", str(model),
+                     "--data", str(tmp_path / "nope.csv")]) == 2
+        assert "layout" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_five_row_table_and_log(self, tmp_path, capsys):

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xscene.disagreement import (DistillConfig, dcor_loss,
-                                 distance_correlation, double_center,
-                                 ensemble_loss_agree, ensemble_loss_disagree,
-                                 ensemble_total, kl_divergence,
-                                 pairwise_distances, symmetric_kl)
+from xscene.disagreement import (dcor_loss, distance_correlation,
+                                 double_center, pairwise_distances,
+                                 symmetric_kl)
 from xscene.errors import ConfigError, DimensionError, SampleCountError
 from xscene.nn import make_rng
 
@@ -47,6 +45,23 @@ def naive_dcor(x, y):
     if vxx < 1e-15 or vyy < 1e-15:
         return 0.0
     return math.sqrt(max(vxy / math.sqrt(vxx * vyy), 0.0))
+
+
+def kl_divergence(p_logits, q_logits, temp, temp_scaled=True):
+    """Reference KL(softmax(p/T) || softmax(q/T)) for one logit vector,
+    scaled by T^2 when temp_scaled."""
+    if temp <= 0.0:
+        raise ConfigError(f"temperature must be positive, got {temp}")
+
+    def log_softmax(v):
+        shifted = np.asarray(v, dtype=np.float64) / temp
+        shifted = shifted - shifted.max()
+        return shifted - np.log(np.exp(shifted).sum())
+
+    lp = log_softmax(p_logits)
+    lq = log_softmax(q_logits)
+    kl = float((np.exp(lp) * (lp - lq)).sum())
+    return kl * temp * temp if temp_scaled else kl
 
 
 class TestPairwiseDistances:
@@ -179,6 +194,18 @@ class TestDcorLoss:
                                     - dcor_loss(*args_m)[0]) / (2 * h)
                 np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
+    def test_equals_batch_mean_of_both_kl_directions(self):
+        rng = make_rng(59)
+        s = rng.normal(size=(5, 4)) * 2.0
+        t = rng.normal(size=(5, 4)) * 2.0
+        for temp in (1.0, 0.05):
+            for scaled in (True, False):
+                expected = np.mean([kl_divergence(a, b, temp, scaled)
+                                    + kl_divergence(b, a, temp, scaled)
+                                    for a, b in zip(s, t)])
+                loss, _ = symmetric_kl(s, t, temp, scaled)
+                assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_gradient_descent_decreases_dependence(self):
         rng = make_rng(29)
         x = rng.normal(size=(8, 3))
@@ -262,41 +289,44 @@ class TestSymmetricKl:
                                 - symmetric_kl(sm, t, temp)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
+    def test_equals_batch_mean_of_both_kl_directions(self):
+        rng = make_rng(59)
+        s = rng.normal(size=(5, 4)) * 2.0
+        t = rng.normal(size=(5, 4)) * 2.0
+        for temp in (1.0, 0.05):
+            for scaled in (True, False):
+                expected = np.mean([kl_divergence(a, b, temp, scaled)
+                                    + kl_divergence(b, a, temp, scaled)
+                                    for a, b in zip(s, t)])
+                loss, _ = symmetric_kl(s, t, temp, scaled)
+                assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 class TestEnsembleLosses:
     def test_zero_when_identical(self):
         rng = make_rng(43)
         z = rng.normal(size=(5, 4))
-        assert ensemble_loss_agree(z, z.copy(), 1.0) == pytest.approx(0.0)
-        assert ensemble_loss_disagree(z, z.copy(), 0.05) == pytest.approx(0.0, abs=1e-9)
+        assert symmetric_kl(z, z.copy(), 1.0)[0] == pytest.approx(0.0)
+        assert symmetric_kl(z, z.copy(), 0.05)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetric_in_roles(self):
         rng = make_rng(47)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=(6, 3))
-        assert ensemble_loss_agree(a, b, 1.0) == pytest.approx(
-            ensemble_loss_agree(b, a, 1.0))
+        assert symmetric_kl(a, b, 1.0)[0] == pytest.approx(
+            symmetric_kl(b, a, 1.0)[0])
 
     def test_nonnegative(self):
         rng = make_rng(53)
         for _ in range(50):
             a = rng.normal(size=(4, 5))
             b = rng.normal(size=(4, 5))
-            assert ensemble_loss_disagree(a, b, 0.05) >= 0.0
+            assert symmetric_kl(a, b, 0.05)[0] >= 0.0
 
     def test_sharp_teacher_hurts_uniform_student_more(self):
         student = np.zeros((1, 3))
         sharp_teacher = np.array([[8.0, 0.0, 0.0]])
         uniform_teacher = np.zeros((1, 3))
-        l_sharp = ensemble_loss_disagree(student, sharp_teacher, 0.05)
-        l_uniform = ensemble_loss_disagree(student, uniform_teacher, 0.05)
+        l_sharp = symmetric_kl(student, sharp_teacher, 0.05)[0]
+        l_uniform = symmetric_kl(student, uniform_teacher, 0.05)[0]
         assert l_sharp > l_uniform
-
-    def test_total_is_plain_sum(self):
-        assert ensemble_total(0.0, 0.0) == 0.0
-        assert ensemble_total(0.3, 0.7) == pytest.approx(1.0)
-        assert ensemble_total(0.7, 0.3) == ensemble_total(0.3, 0.7)
-
-    def test_distill_config_validated(self):
-        with pytest.raises(ConfigError):
-            DistillConfig(temp_agree=0.0)

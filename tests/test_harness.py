@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
-from xscene.errors import ConfigError, DataError
+from xscene.errors import ConfigError, DataError, ParseError
 from xscene.harness import (ABLATION_LADDER, TrainConfig, ablate,
                             config_from_dict, evaluate, load_checkpoint,
                             load_config, save_checkpoint, train, write_log)
@@ -55,6 +55,8 @@ class TestConfigIo:
             config_from_dict({"batch_size": 0})
         with pytest.raises(ConfigError):
             config_from_dict({"beta": 2.0})
+        with pytest.raises(ConfigError):
+            config_from_dict({"temp_agree": 0.0})
 
 
 class TestTrainDeterminism:
@@ -248,6 +250,25 @@ class TestCheckpoint:
         n_params = sum(m.params.n_params for m in bundle.components().values())
         assert len(raw) - raw.index(b"\n") - 1 == 8 * n_params
         assert set(header["layout"]) == set(bundle.components())
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "layout"},
+        lambda h: {**h, "layout": {k: v for k, v in h["layout"].items()
+                                   if k != "ensemble_head"}},
+        lambda h: [h],
+        lambda h: {**h, "meta": []},
+        lambda h: {**h, "layout": {**h["layout"], "source_extractor": "4x2"}},
+    ], ids=["no_layout", "layout_missing_component", "header_is_list",
+            "meta_not_object", "layout_dims_not_list"])
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0)))
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        header = edit(json.loads(raw[:newline]))
+        path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
 
     def test_truncated_blob_rejected(self, tmp_path):
         from xscene.errors import ParseError

@@ -11,27 +11,38 @@ def cm_from(counts):
     return ConfusionMatrix(counts.shape[0], counts)
 
 
+def loop_counts(num_classes, true_labels, pred_labels):
+    """Reference confusion counts, one Python increment per sample."""
+    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for t, p in zip(true_labels, pred_labels):
+        counts[t, p] += 1
+    return counts
+
+
 class TestAccumulate:
     def test_single_increment(self):
-        cm = ConfusionMatrix(3)
-        cm.accumulate(1, 2)
+        cm = ConfusionMatrix.from_predictions(3, [1], [2])
         assert cm.counts[1, 2] == 1
+        assert np.array_equal(cm.counts, loop_counts(3, [1], [2]))
 
     def test_total_grows_by_one(self):
-        cm = ConfusionMatrix(2)
-        before = cm.total
-        cm.accumulate(0, 0)
-        assert cm.total == before + 1
+        true, pred = [0, 1, 1, 0], [0, 1, 0, 0]
+        before = ConfusionMatrix.from_predictions(2, true, pred).total
+        after = ConfusionMatrix.from_predictions(2, true + [0], pred + [0]).total
+        assert after == before + 1
 
     def test_other_cells_untouched(self):
-        cm = cm_from([[1, 2], [3, 4]])
-        cm.accumulate(0, 1)
-        assert cm.counts.tolist() == [[1, 3], [3, 4]]
+        rng = np.random.default_rng(13)
+        true = rng.integers(0, 4, size=500)
+        pred = rng.integers(0, 4, size=500)
+        cm = ConfusionMatrix.from_predictions(4, true, pred)
+        assert cm.counts.dtype == np.int64
+        assert np.array_equal(cm.counts, loop_counts(4, true, pred))
 
     def test_out_of_range(self):
-        cm = ConfusionMatrix(2)
-        with pytest.raises(IndexError):
-            cm.accumulate(2, 0)
+        for true, pred in (([2], [0]), ([0], [2]), ([0, -1], [0, 0])):
+            with pytest.raises(IndexError):
+                ConfusionMatrix.from_predictions(2, true, pred)
 
 
 class TestOverallAccuracy:

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from xscene.errors import ConfigError, DimensionError
-from xscene.nn import (Layer, Mlp, ParamSet, adam_step, ce_logit_grad,
-                       cross_entropy, linear_forward, make_rng, relu_backward,
-                       relu_forward, softmax)
+from xscene.nn import (Mlp, adam_step, ce_logit_grad, cross_entropy,
+                       linear_forward, make_rng, relu_backward, relu_forward,
+                       softmax)
 
 
 def small_layer(w, b):
-    return Layer(np.array(w, dtype=float), np.array(b, dtype=float))
+    w = np.array(w, dtype=float)
+    layer = Mlp(list(w.shape)).params.layer("fc0")
+    layer.weight[:] = w
+    layer.bias[:] = b
+    return layer
 
 
 class TestLinear:
@@ -19,7 +23,7 @@ class TestLinear:
 
     def test_zero_input(self):
         rng = make_rng(0)
-        layer = Layer.init(4, 3, rng)
+        layer = Mlp([4, 3], rng).params.layer("fc0")
         layer.bias[:] = 0.0
         out = linear_forward(np.zeros((5, 4)), layer)
         assert np.all(out == 0.0)
@@ -119,9 +123,9 @@ class TestCeLogitGrad:
 
 class TestAdam:
     def one_param_set(self, value):
-        ps = ParamSet()
-        ps.add("fc0", small_layer([[value]], [0.0]))
-        return ps
+        mlp = Mlp([1, 1])
+        mlp.params.layer("fc0").weight[0, 0] = value
+        return mlp.params
 
     def test_zero_gradient_only_decays(self):
         ps = self.one_param_set(2.0)
