@@ -81,6 +81,8 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         counts = (self.bands_source, self.bands_target, self.classes_source,
                   self.classes_target, self.samples_per_class_source,
                   self.samples_per_class_target)

@@ -125,9 +125,9 @@ def _log_softmax_rows(z):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def symmetric_kl(student_logits, teacher_logits, temp, temp_scaled=True):
-    """Batch mean of KL(student||teacher) + KL(teacher||student) at
-    temperature T, with the gradient w.r.t. the student logits.
+def symmetric_kl(student_logits, teacher_logits, temp):
+    """T^2 times the batch mean of KL(student||teacher) + KL(teacher||student)
+    at temperature T, with the gradient w.r.t. the student logits.
 
     The teacher is a constant: no gradient flows into it. Returns
     (loss, grad_student).
@@ -152,8 +152,7 @@ def symmetric_kl(student_logits, teacher_logits, temp, temp_scaled=True):
     loss = float((kl_pq + kl_qp).mean())
     # d/ds KL(p||q) = p*(log_ratio - KL)/T ; d/ds KL(q||p) = (p - q)/T
     grad = (p * (log_ratio - kl_pq) + (p - q)) / (temp * n)
-    if temp_scaled:
-        loss *= temp * temp
-        grad *= temp * temp
+    loss *= temp * temp
+    grad *= temp * temp
     return loss, grad
 

@@ -13,6 +13,7 @@ the agreement target head otherwise.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,6 +32,9 @@ from .model import (AGREEMENT_COMPONENTS, COMPONENT_ORDER, ENSEMBLE_COMPONENTS,
 from .nn import adam_step, ce_logit_grad, cross_entropy, make_rng, softmax
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
+# larger-than-usual Adam eps: tiny late-phase gradients otherwise turn into
+# full-size Adam steps and random-walk the converged branches
+ADAM_EPS = 1e-4
 
 
 @dataclass
@@ -38,11 +42,6 @@ class TrainConfig:
     seed: int = 0
     lr: float = 5e-4
     weight_decay: float = 5e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    # larger-than-usual eps: tiny late-phase gradients otherwise turn into
-    # full-size Adam steps and random-walk the converged branches
-    adam_eps: float = 1e-4
     batch_size: int = 64
     epochs_agree: int = 40
     epochs_disagree: int = 20
@@ -52,12 +51,6 @@ class TrainConfig:
     tau: float = 2.0
     temp_agree: float = 1.0
     temp_disagree: float = 0.05
-    temp_scaled: bool = True
-    phi_mag_threshold: float = 1.0
-    dcor_weight: float = 1.0
-    ensemble_weight: float = 1.0
-    source_weight: float = 1.0
-    target_weight: float = 1.0
     use_gradvac: bool = False
     use_logitnorm: bool = False
     use_ensemble: bool = False
@@ -68,6 +61,8 @@ class TrainConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         positive = {
             "lr": self.lr, "beta": self.beta, "tau": self.tau,
             "temp_agree": self.temp_agree, "temp_disagree": self.temp_disagree,
@@ -91,11 +86,16 @@ class TrainConfig:
         return self
 
 
+# JSON value types each field annotation accepts (bool is not an int here)
+_JSON_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
+               float: ("a finite number", (int, float))}
+
+
 def config_from_dict(raw, _cls=None):
-    """Build a TrainConfig from a plain dict; unknown keys anywhere are a
-    config error (catches typos early)."""
+    """Build a TrainConfig from a plain dict; unknown keys anywhere, values
+    of the wrong JSON type and non-finite floats are config errors."""
     cls = _cls or TrainConfig
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
@@ -104,11 +104,13 @@ def config_from_dict(raw, _cls=None):
             if not isinstance(value, dict):
                 raise ConfigError("synth must be an object of SynthConfig keys")
             value = config_from_dict(value, _cls=SynthConfig)
+        else:
+            what, types = _JSON_TYPES[known[key]]
+            if type(value) not in types or (type(value) is float
+                                            and not math.isfinite(value)):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
         kwargs[key] = value
-    try:
-        cfg = cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = cls(**kwargs)
     if cls is TrainConfig:
         cfg.validate()
     return cfg
@@ -152,6 +154,9 @@ def evaluate(bundle, ds, head="agree"):
         logits = forward_target_disagree(bundle, ds.spectra)[1]
     else:
         raise ConfigError(f"unknown evaluation head {head!r}")
+    if logits.shape[1] != ds.classes:
+        raise DataError(f"dataset has {ds.classes} classes but the {head} "
+                        f"head predicts {logits.shape[1]}")
     preds = logits.argmax(axis=1)
     cm = ConfusionMatrix.from_predictions(ds.classes, ds.labels, preds)
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)
@@ -165,13 +170,13 @@ def _target_batch(rng, ds, batch_size):
 
 def _adam_components(bundle, names, cfg, t):
     for name in names:
-        adam_step(getattr(bundle, name).params, cfg.lr, cfg.adam_beta1,
-                  cfg.adam_beta2, cfg.weight_decay, cfg.adam_eps, t)
+        adam_step(getattr(bundle, name).params, cfg.lr,
+                  weight_decay=cfg.weight_decay, eps=ADAM_EPS, t=t)
 
 
 def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
+    ln_cfg = LogitNormConfig(tau=cfg.tau) if cfg.use_logitnorm else None
     alpha = 0.0
-    mag_prev = 0.0
     step = 0
     for _ in range(cfg.epochs_agree):
         order = batch_rng.permutation(source.n)
@@ -179,10 +184,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             chunk = order[start:start + cfg.batch_size]
             batch_s = (source.spectra[chunk], source.labels[chunk])
             batch_t = _target_batch(batch_rng, tgt_train, cfg.batch_size)
-            ln_active = cfg.use_logitnorm and mag_prev < cfg.phi_mag_threshold
-            ln_cfg = LogitNormConfig(tau=cfg.tau) if ln_active else None
-            res = agreement_backward(bundle, batch_s, batch_t, ln_cfg,
-                                     cfg.source_weight, cfg.target_weight)
+            res = agreement_backward(bundle, batch_s, batch_t, ln_cfg)
             g_s, g_t = res.g_s, res.g_t
             phi_raw = cosine_similarity(g_s, g_t)
             gt_norm = float(np.linalg.norm(g_t))
@@ -200,11 +202,10 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
                 "alpha": float(alpha), "mag_sim": float(mag),
                 "loss_s": float(res.loss_s), "loss_t": float(res.loss_t),
                 "gs_norm": float(np.linalg.norm(g_s)), "gt_norm": gt_norm,
-                "gradvac_applied": applied, "logitnorm_active": bool(ln_active),
+                "gradvac_applied": applied, "logitnorm_active": ln_cfg is not None,
                 "ln_err_s": res.ln_err_s, "ln_err_t": res.ln_err_t,
             })
             alpha = ema_update(alpha, phi_raw, cfg.beta)
-            mag_prev = mag
 
 
 def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
@@ -226,8 +227,8 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
                 shared_feats = bundle.shared_encoder.predict(
                     bundle.target_extractor.predict(x))
                 dcor_val, _, g_private = dcor_loss(shared_feats, enc)
-                d_enc = d_enc + cfg.dcor_weight * g_private
-                total = loss_ce + cfg.dcor_weight * dcor_val
+                d_enc = d_enc + g_private
+                total = loss_ce + dcor_val
             d_feats = bundle.private_encoder.backward(c_enc, d_enc)
             bundle.private_extractor.backward(c_ext, d_feats)
             t += 1
@@ -262,9 +263,9 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             probs = softmax(z)
             loss_ce = cross_entropy(probs, y)
             dz = ce_logit_grad(probs, y)
-            e1, g1 = symmetric_kl(z, agree_logits, cfg.temp_agree, cfg.temp_scaled)
-            e2, g2 = symmetric_kl(z, disagree_logits, cfg.temp_disagree, cfg.temp_scaled)
-            dz = dz + cfg.ensemble_weight * (g1 + g2)
+            e1, g1 = symmetric_kl(z, agree_logits, cfg.temp_agree)
+            e2, g2 = symmetric_kl(z, disagree_logits, cfg.temp_disagree)
+            dz = dz + (g1 + g2)
             d_enc = bundle.ensemble_head.backward(c_head, dz)
             bundle.ensemble_encoder.backward(c_enc, d_enc)
             t += 1
@@ -273,7 +274,7 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
                 "phase": "ensemble", "step": t,
                 "loss_ce": float(loss_ce), "e_en1": float(e1),
                 "e_en2": float(e2), "e_en": float(e1 + e2),
-                "loss": float(loss_ce + cfg.ensemble_weight * (e1 + e2)),
+                "loss": float(loss_ce + (e1 + e2)),
             })
 
 
@@ -378,12 +379,15 @@ def load_checkpoint(path):
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: checkpoint meta must be an object")
+    # size the blob against the layout before allocating anything for it
+    expected = sum(fan_in * fan_out + fan_out for dims in layout.values()
+                   for fan_in, fan_out in zip(dims, dims[1:]))
+    blob = raw[newline + 1:]
+    if len(blob) != 8 * expected:
+        raise ParseError(f"{path}: checkpoint holds {len(blob)} bytes of "
+                         f"parameters, expected {8 * expected}")
     bundle = ModelBundle.from_layout(layout)
-    values = np.frombuffer(raw[newline + 1:], dtype="<f8")
-    expected = sum(mlp.params.n_params for mlp in bundle.components().values())
-    if values.size != expected:
-        raise ParseError(
-            f"{path}: checkpoint holds {values.size} floats, expected {expected}")
+    values = np.frombuffer(blob, dtype="<f8")
     offset = 0
     for mlp in bundle.components().values():
         mlp.params.set_flat_params(values[offset:offset + mlp.params.n_params])

@@ -146,7 +146,7 @@ def _check_batch(x, y, bands, what):
     return x, y
 
 
-def _task_backward(extractor, encoder, head, x, y, ln_cfg, weight):
+def _task_backward(extractor, encoder, head, x, y, ln_cfg):
     """Forward + backward for one task path; accumulates gradients into
     the three components and returns (loss, logitnorm deviation)."""
     feats, c_ext = extractor.forward(x)
@@ -164,16 +164,13 @@ def _task_backward(extractor, encoder, head, x, y, ln_cfg, weight):
         live = np.linalg.norm(z, axis=1) >= ln_cfg.epsilon
         norms = np.linalg.norm(logitnorm(z[live], ln_cfg), axis=1)
         ln_err = float(np.abs(norms - 1.0 / ln_cfg.tau).max()) if live.any() else 0.0
-    if weight != 1.0:
-        dz = dz * weight
     d_enc = head.backward(c_head, dz)
     d_feats = encoder.backward(c_enc, d_enc)
     extractor.backward(c_ext, d_feats)
     return loss, ln_err
 
 
-def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None,
-                       source_weight=1.0, target_weight=1.0):
+def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None):
     """Compute both task losses and leave their gradients in the
     agreement components.
 
@@ -186,11 +183,11 @@ def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None,
     for name in AGREEMENT_COMPONENTS:
         getattr(bundle, name).params.zero_grads()
     loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
-                                  bundle.source_head, xs, ys, ln_cfg, source_weight)
+                                  bundle.source_head, xs, ys, ln_cfg)
     g_s = bundle.shared_encoder.params.flatten_grads()
     bundle.shared_encoder.params.zero_grads()
     loss_t, ln_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
-                                  bundle.target_head, xt, yt, ln_cfg, target_weight)
+                                  bundle.target_head, xt, yt, ln_cfg)
     g_t = bundle.shared_encoder.params.flatten_grads()
     return AgreementGrads(g_s, g_t, loss_s, loss_t, ln_s, ln_t)
 

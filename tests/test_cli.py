@@ -40,6 +40,12 @@ class TestGenData:
                      "--out-dir", str(tmp_path / "d")]) == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_wrongly_typed_value_is_clean_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, use_dir="no")
+        assert main(["gen-data", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "d")]) == 2
+        assert "error: use_dir must be a bool" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_log_and_checkpoint(self, tmp_path, capsys):

@@ -194,18 +194,6 @@ class TestDcorLoss:
                                     - dcor_loss(*args_m)[0]) / (2 * h)
                 np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
-    def test_equals_batch_mean_of_both_kl_directions(self):
-        rng = make_rng(59)
-        s = rng.normal(size=(5, 4)) * 2.0
-        t = rng.normal(size=(5, 4)) * 2.0
-        for temp in (1.0, 0.05):
-            for scaled in (True, False):
-                expected = np.mean([kl_divergence(a, b, temp, scaled)
-                                    + kl_divergence(b, a, temp, scaled)
-                                    for a, b in zip(s, t)])
-                loss, _ = symmetric_kl(s, t, temp, scaled)
-                assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
     def test_gradient_descent_decreases_dependence(self):
         rng = make_rng(29)
         x = rng.normal(size=(8, 3))
@@ -252,7 +240,7 @@ class TestKlDivergence:
 
 
 class TestSymmetricKl:
-    def brute_force(self, s, t, temp, temp_scaled=True):
+    def brute_force(self, s, t, temp):
         total = 0.0
         for i in range(s.shape[0]):
             es = np.exp(s[i] / temp - max(s[i] / temp))
@@ -262,7 +250,7 @@ class TestSymmetricKl:
             total += sum(p[k] * math.log(p[k] / q[k]) for k in range(len(p)))
             total += sum(q[k] * math.log(q[k] / p[k]) for k in range(len(p)))
         loss = total / s.shape[0]
-        return loss * temp * temp if temp_scaled else loss
+        return loss * temp * temp
 
     def test_matches_brute_force(self):
         rng = make_rng(37)
@@ -290,16 +278,15 @@ class TestSymmetricKl:
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_equals_batch_mean_of_both_kl_directions(self):
+        # symmetric_kl is the T^2-scaled batch mean of both KL directions
         rng = make_rng(59)
         s = rng.normal(size=(5, 4)) * 2.0
         t = rng.normal(size=(5, 4)) * 2.0
         for temp in (1.0, 0.05):
-            for scaled in (True, False):
-                expected = np.mean([kl_divergence(a, b, temp, scaled)
-                                    + kl_divergence(b, a, temp, scaled)
-                                    for a, b in zip(s, t)])
-                loss, _ = symmetric_kl(s, t, temp, scaled)
-                assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            expected = np.mean([kl_divergence(a, b, temp) + kl_divergence(b, a, temp)
+                                for a, b in zip(s, t)])
+            loss, _ = symmetric_kl(s, t, temp)
+            assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestEnsembleLosses:

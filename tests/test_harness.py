@@ -43,20 +43,34 @@ class TestConfigIo:
         path.write_text(json.dumps({"learning_rate": 1e-3}))
         with pytest.raises(ConfigError, match="learning_rate"):
             load_config(path)
+        # settings fixed in the code are not config keys
+        for key in ("adam_beta1", "adam_beta2", "adam_eps", "temp_scaled",
+                    "phi_mag_threshold", "dcor_weight", "ensemble_weight",
+                    "source_weight", "target_weight"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                config_from_dict({key: 1.0})
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="bands"):
             config_from_dict({"synth": {"bands": 10}})
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"tau": -1.0})
-        with pytest.raises(ConfigError):
-            config_from_dict({"batch_size": 0})
-        with pytest.raises(ConfigError):
-            config_from_dict({"beta": 2.0})
-        with pytest.raises(ConfigError):
-            config_from_dict({"temp_agree": 0.0})
+        for raw in ({"tau": -1.0}, {"batch_size": 0}, {"beta": 2.0},
+                    {"temp_agree": 0.0},
+                    # wrong JSON types and non-finite floats
+                    {"use_dir": "no"}, {"use_gradvac": 1}, {"lr": float("nan")},
+                    {"tau": float("inf")}, {"lr": True}, {"epochs_agree": "3"},
+                    {"batch_size": 64.0}, {"shots": False},
+                    {"synth": {"bands_source": 48.5}},
+                    {"synth": {"noise_sigma": None}},
+                    # negative seeds
+                    {"seed": -1}, {"synth": {"seed": -3}}):
+            with pytest.raises(ConfigError):
+                config_from_dict(raw)
+
+    def test_ints_accepted_for_float_fields(self):
+        cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})
+        assert cfg.lr == 1 and cfg.synth.noise_sigma == 0
 
 
 class TestTrainDeterminism:
@@ -182,6 +196,16 @@ class TestEvaluate:
         assert aa == pytest.approx(0.5)
         assert kappa == pytest.approx(0.0)
 
+    def test_class_count_must_match_head(self):
+        from xscene.data import SceneDataset
+        bundle = ModelBundle.build(4, 3, 2, 5, 2, 2, 2, make_rng(0))
+        for classes in (3, 7):
+            ds = SceneDataset("t", 3, classes, np.zeros((classes, 3)),
+                              np.arange(classes))
+            for head in ("agree", "disagree", "ensemble"):
+                with pytest.raises(DataError, match="classes"):
+                    evaluate(bundle, ds, head)
+
     def test_empty_split_rejected(self):
         from xscene.data import SceneDataset
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0))
@@ -258,8 +282,10 @@ class TestCheckpoint:
         lambda h: [h],
         lambda h: {**h, "meta": []},
         lambda h: {**h, "layout": {**h["layout"], "source_extractor": "4x2"}},
+        lambda h: {**h, "layout": {**h["layout"],
+                                   "source_extractor": [1000000, 1000000]}},
     ], ids=["no_layout", "layout_missing_component", "header_is_list",
-            "meta_not_object", "layout_dims_not_list"])
+            "meta_not_object", "layout_dims_not_list", "layout_too_big_for_blob"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.bin"
         save_checkpoint(path, ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0)))
@@ -276,6 +302,7 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(path, bundle)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ParseError):
-            load_checkpoint(path)
+        for cut in (8, 3):  # a whole float short, and a ragged float
+            path.write_bytes(raw[:-cut])
+            with pytest.raises(ParseError):
+                load_checkpoint(path)
