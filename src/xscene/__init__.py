@@ -17,7 +17,7 @@ from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
 from .model import (ModelBundle, forward_ensemble, forward_source,
                     forward_target_agree, forward_target_disagree,
                     shared_gradients)
-from .nn import (Layer, Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
-                 linear_forward, make_rng, relu_backward, relu_forward, softmax)
+from .nn import (Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
+                 make_rng, softmax)
 
 __version__ = "0.1.0"

@@ -23,3 +23,8 @@ class ParseError(ValueError):
 
 class MetricError(ValueError):
     """Metric is undefined for the given confusion matrix."""
+
+
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite value; the message names the phase,
+    the step and the quantity."""

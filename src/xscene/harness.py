@@ -22,7 +22,7 @@ from .agreement import (LogitNormConfig, cosine_similarity, ema_update,
                         gradvac_update, logitnorm, magnitude_similarity)
 from .data import SynthConfig, generate_pair, sample_k_per_class
 from .disagreement import dcor_loss, symmetric_kl
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
 from .model import (AGREEMENT_COMPONENTS, COMPONENT_ORDER, ENSEMBLE_COMPONENTS,
@@ -174,6 +174,16 @@ def _adam_components(bundle, names, cfg, t):
                   weight_decay=cfg.weight_decay, eps=ADAM_EPS, t=t)
 
 
+def _append_step(steps, record):
+    """Append one step's log record; a non-finite float in it means the
+    training diverged, and the error names the phase, step and key."""
+    for key, value in record.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DivergenceError(
+                f"{record['phase']} step {record['step']}: {key} is {value}")
+    steps.append(record)
+
+
 def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
     ln_cfg = LogitNormConfig(tau=cfg.tau) if cfg.use_logitnorm else None
     alpha = 0.0
@@ -196,7 +206,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             bundle.shared_encoder.params.set_flat_grads(g_post + g_t)
             step += 1
             _adam_components(bundle, AGREEMENT_COMPONENTS, cfg, step)
-            steps.append({
+            _append_step(steps, {
                 "phase": "agree", "step": step,
                 "phi_raw": float(phi_raw), "phi_post": float(phi_post),
                 "alpha": float(alpha), "mag_sim": float(mag),
@@ -233,7 +243,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
             bundle.private_extractor.backward(c_ext, d_feats)
             t += 1
             _adam_components(bundle, PRIVATE_COMPONENTS, cfg, t)
-            steps.append({
+            _append_step(steps, {
                 "phase": "disagree", "step": t,
                 "loss_ce": float(loss_ce),
                 "dcor": None if dcor_val is None else float(dcor_val),
@@ -270,7 +280,7 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             bundle.ensemble_encoder.backward(c_enc, d_enc)
             t += 1
             _adam_components(bundle, ENSEMBLE_COMPONENTS, cfg, t)
-            steps.append({
+            _append_step(steps, {
                 "phase": "ensemble", "step": t,
                 "loss_ce": float(loss_ce), "e_en1": float(e1),
                 "e_en2": float(e2), "e_en": float(e1 + e2),
@@ -327,13 +337,18 @@ def ablate(cfg):
     return rows
 
 
+def _json_line(record):
+    # strict JSON: NaN and Infinity are not JSON tokens
+    return json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def write_log(path, report):
     """JSON-lines metric log: one object per step, then the final metrics
     as percentages rounded to two decimals."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         for step in report.steps:
-            f.write(json.dumps(step, separators=(",", ":")) + "\n")
-        f.write(json.dumps(report.metrics_dict(), separators=(",", ":")) + "\n")
+            f.write(_json_line(step))
+        f.write(_json_line(report.metrics_dict()))
 
 
 def write_ablation_log(path, rows):
@@ -343,7 +358,7 @@ def write_ablation_log(path, rows):
             for key in ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir"):
                 record[key] = bool(toggles.get(key, False))
             record.update(report.metrics_dict())
-            f.write(json.dumps(record, separators=(",", ":")) + "\n")
+            f.write(_json_line(record))
 
 
 def save_checkpoint(path, bundle, meta=None):

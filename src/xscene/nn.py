@@ -24,57 +24,19 @@ def glorot_uniform(fan_in, fan_out, rng):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class Layer:
-    """One affine layer: weight (fan_in, fan_out) and bias (fan_out,), with
-    their gradient accumulators of the same shapes. All four are views into
-    the owning ParamSet's flat buffers."""
-
-    def __init__(self, weight, bias, grad_weight, grad_bias):
-        self.weight = weight
-        self.bias = bias
-        self.grad_weight = grad_weight
-        self.grad_bias = grad_bias
-
-    @property
-    def fan_in(self):
-        return self.weight.shape[0]
-
-    @property
-    def fan_out(self):
-        return self.weight.shape[1]
-
-
 class ParamSet:
-    """The parameters of one MLP as a single float64 vector, with its
-    gradient and Adam moment vectors (m, v) of the same length.
+    """The parameters of one MLP as a single float64 vector of length n,
+    with its gradient and Adam moment vectors (m, v) of the same length.
 
-    Layer fc{i} views its weight (row-major) and then its bias, layer
-    after layer; this is also the flat and checkpoint order.
+    The owning Mlp views each layer's weight (row-major) and then its
+    bias, layer after layer; this is also the checkpoint order.
     """
 
-    def __init__(self, shapes):
-        n = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    def __init__(self, n):
         self.values = np.zeros(n)
         self.grads = np.zeros(n)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
-        self._layers = {}
-        offset = 0
-        for i, (fan_in, fan_out) in enumerate(shapes):
-            mid = offset + fan_in * fan_out
-            end = mid + fan_out
-            self._layers[f"fc{i}"] = Layer(
-                self.values[offset:mid].reshape(fan_in, fan_out),
-                self.values[mid:end],
-                self.grads[offset:mid].reshape(fan_in, fan_out),
-                self.grads[mid:end])
-            offset = end
-
-    def layer(self, name):
-        return self._layers[name]
-
-    def __iter__(self):
-        return iter(self._layers.values())
 
     @property
     def n_params(self):
@@ -102,29 +64,6 @@ class ParamSet:
 
     def set_flat_grads(self, vec):
         self._copy_into(self.grads, vec)
-
-
-def linear_forward(x, layer):
-    """x @ W + b with the bias broadcast per row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layer.fan_in:
-        raise DimensionError(
-            f"input shape {x.shape} incompatible with layer of fan-in {layer.fan_in}"
-        )
-    return x @ layer.weight + layer.bias
-
-
-def relu_forward(x):
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(x, upstream):
-    """Masks upstream where x <= 0 (subgradient at 0 is 0)."""
-    x = np.asarray(x)
-    upstream = np.asarray(upstream)
-    if x.shape != upstream.shape:
-        raise DimensionError(f"shapes {x.shape} and {upstream.shape} differ")
-    return np.where(x > 0.0, upstream, 0.0)
 
 
 def softmax(z):
@@ -172,16 +111,31 @@ class Mlp:
 
     dims = [in, h1, ..., out]; a two-entry list is a bare affine map.
     rng=None builds zero-initialized layers (used when loading checkpoints).
+    Layer i's weights[i] (dims[i] x dims[i+1]) and biases[i], and their
+    grad_weights[i] and grad_biases[i], are views into params' buffers.
     """
 
     def __init__(self, dims, rng=None):
         if len(dims) < 2 or any(int(d) < 1 for d in dims):
             raise ConfigError(f"bad layer dims {dims!r}")
         self.dims = [int(d) for d in dims]
-        self.params = ParamSet(list(zip(self.dims[:-1], self.dims[1:])))
-        if rng is not None:
-            for layer in self.params:
-                layer.weight[:] = glorot_uniform(layer.fan_in, layer.fan_out, rng)
+        shapes = list(zip(self.dims[:-1], self.dims[1:]))
+        self.params = ParamSet(sum(fan_in * fan_out + fan_out
+                                   for fan_in, fan_out in shapes))
+        values, grads = self.params.values, self.params.grads
+        self.weights, self.biases = [], []
+        self.grad_weights, self.grad_biases = [], []
+        offset = 0
+        for fan_in, fan_out in shapes:
+            mid = offset + fan_in * fan_out
+            end = mid + fan_out
+            self.weights.append(values[offset:mid].reshape(fan_in, fan_out))
+            self.biases.append(values[mid:end])
+            self.grad_weights.append(grads[offset:mid].reshape(fan_in, fan_out))
+            self.grad_biases.append(grads[mid:end])
+            if rng is not None:
+                self.weights[-1][:] = glorot_uniform(fan_in, fan_out, rng)
+            offset = end
 
     @property
     def in_dim(self):
@@ -194,12 +148,15 @@ class Mlp:
     def forward(self, x):
         """Returns (output, cache); the cache feeds backward()."""
         a = np.asarray(x, dtype=np.float64)
-        layers = list(self.params)
+        if a.ndim != 2 or a.shape[1] != self.in_dim:
+            raise DimensionError(
+                f"input shape {a.shape} incompatible with fan-in {self.in_dim}")
         cache = []
-        for i, layer in enumerate(layers):
-            z = linear_forward(a, layer)
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w + b
             cache.append((a, z))
-            a = relu_forward(z) if i < len(layers) - 1 else z
+            a = np.maximum(z, 0.0) if i < last else z
         return a, cache
 
     def predict(self, x):
@@ -207,17 +164,14 @@ class Mlp:
 
     def backward(self, cache, upstream):
         """Accumulates parameter gradients; returns the gradient w.r.t.
-        the forward input."""
-        layers = list(self.params)
+        the forward input. The ReLU subgradient at 0 is 0."""
         g = np.asarray(upstream, dtype=np.float64)
-        for i in reversed(range(len(layers))):
-            a_in, _ = cache[i]
-            layer = layers[i]
-            layer.grad_weight += a_in.T @ g
-            layer.grad_bias += g.sum(axis=0)
-            g = g @ layer.weight.T
+        for i in reversed(range(len(self.weights))):
+            self.grad_weights[i] += cache[i][0].T @ g
+            self.grad_biases[i] += g.sum(axis=0)
+            g = g @ self.weights[i].T
             if i > 0:
-                g = relu_backward(cache[i - 1][1], g)
+                g = np.where(cache[i - 1][1] > 0.0, g, 0.0)
         return g
 
 

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from xscene.cli import main
 from xscene.data import load_csv
+from xscene.harness import save_checkpoint
+from xscene.model import COMPONENT_ORDER, ModelBundle
 
 
 def write_cfg(tmp_path, **extra):
@@ -64,6 +68,16 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "OA" in out and "kappa" in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exits_2_without_log(self, tmp_path, capsys):
+        # the default config with a finite but far too large learning rate
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1e6}))
+        log = tmp_path / "run.jsonl"
+        assert main(["train", "--config", str(cfg), "--log", str(log)]) == 2
+        assert "error: agree step " in capsys.readouterr().err
+        assert not log.exists()
+
     def test_log_deterministic_across_invocations(self, tmp_path):
         cfg = write_cfg(tmp_path)
         l1, l2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -100,6 +114,37 @@ class TestEval:
         assert main(["eval", "--model", str(model),
                      "--data", str(tmp_path / "nope.csv")]) == 2
         assert "layout" in capsys.readouterr().err
+
+
+    def _eval_crafted(self, tmp_path, capsys, name, dims):
+        """Exit code and stderr of `eval` on write_cfg's 8-band, 3-class
+        target.csv, with a zero checkpoint whose agreement path is
+        8 -> 8 -> 8 -> 3 except that component `name` has `dims`."""
+        cfg = write_cfg(tmp_path)
+        assert main(["gen-data", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "data")]) == 0
+        layout = {n: [8, 3] for n in COMPONENT_ORDER}
+        layout.update(target_extractor=[8, 8], shared_encoder=[8, 8])
+        layout[name] = dims
+        model = tmp_path / "model.bin"
+        save_checkpoint(model, ModelBundle.from_layout(layout))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data",
+                   str(tmp_path / "data" / "target.csv")])
+        return rc, capsys.readouterr().err
+
+    def test_band_count_mismatch_exits_2(self, tmp_path, capsys):
+        rc, err = self._eval_crafted(tmp_path, capsys, "target_extractor",
+                                     [9, 8])
+        assert rc == 2
+        assert err.startswith("error: ") and "fan-in 9" in err
+
+    def test_unchained_component_widths_exit_2(self, tmp_path, capsys):
+        # shared_encoder takes 7 features; target_extractor emits 8
+        rc, err = self._eval_crafted(tmp_path, capsys, "shared_encoder",
+                                     [7, 8])
+        assert rc == 2
+        assert err.startswith("error: ") and "fan-in 7" in err
 
 
 class TestAblateCommand:

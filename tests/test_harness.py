@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
-from xscene.errors import ConfigError, DataError, ParseError
-from xscene.harness import (ABLATION_LADDER, TrainConfig, ablate,
+from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
+from xscene.harness import (ABLATION_LADDER, RunReport, TrainConfig, ablate,
                             config_from_dict, evaluate, load_checkpoint,
-                            load_config, save_checkpoint, train, write_log)
+                            load_config, save_checkpoint, train,
+                            write_ablation_log, write_log)
 from xscene.model import ModelBundle
 from xscene.nn import make_rng
 
@@ -90,6 +91,23 @@ class TestTrainDeterminism:
         a = train(quick_cfg(seed=1))
         b = train(quick_cfg(seed=2))
         assert a.steps != b.steps
+
+
+class TestDivergence:
+    # lr=1e6 is a valid config value, but training overflows to NaN
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_raises_naming_phase_step_and_key(self):
+        with pytest.raises(DivergenceError,
+                           match=r"^agree step \d+: \w+ is (nan|inf|-inf)$"):
+            train(quick_cfg(lr=1e6))
+
+    def test_logs_refuse_non_finite_values(self, tmp_path):
+        report = RunReport(float("nan"), 0.0, 0.0, "agree", [])
+        with pytest.raises(ValueError):
+            write_log(tmp_path / "run.jsonl", report)
+        with pytest.raises(ValueError):
+            write_ablation_log(tmp_path / "ablate.jsonl",
+                               [("baseline", {}, report)])
 
 
 class TestPhaseStructure:
@@ -179,7 +197,7 @@ class TestEvaluate:
                    "ensemble_head")}
         bundle = ModelBundle.from_layout(layout)
         for mlp in bundle.components().values():
-            mlp.params.layer("fc0").weight[:] = np.eye(2)
+            mlp.weights[0][:] = np.eye(2)
         spectra = np.array([[2.0, 1.0], [3.0, 0.5], [0.1, 0.9], [1.0, 4.0]])
         ds = SceneDataset("t", 2, 2, spectra, np.array([0, 0, 1, 1]))
         assert evaluate(bundle, ds, "agree") == (1.0, 1.0, 1.0)

@@ -2,56 +2,67 @@ import numpy as np
 import pytest
 
 from xscene.errors import ConfigError, DimensionError
-from xscene.nn import (Mlp, adam_step, ce_logit_grad, cross_entropy,
-                       linear_forward, make_rng, relu_backward, relu_forward,
+from xscene.nn import (Mlp, adam_step, ce_logit_grad, cross_entropy, make_rng,
                        softmax)
 
 
-def small_layer(w, b):
-    w = np.array(w, dtype=float)
-    layer = Mlp(list(w.shape)).params.layer("fc0")
-    layer.weight[:] = w
-    layer.bias[:] = b
-    return layer
+def hand_mlp(*layers):
+    """Mlp whose layer i has the i-th given (weight, bias)."""
+    weights = [np.array(w, dtype=float) for w, _ in layers]
+    mlp = Mlp([weights[0].shape[0]] + [w.shape[1] for w in weights])
+    for i, (w, (_, b)) in enumerate(zip(weights, layers)):
+        mlp.weights[i][:] = w
+        mlp.biases[i][:] = b
+    return mlp
 
 
 class TestLinear:
     def test_hand_multiply(self):
-        layer = small_layer([[2.0], [3.0]], [1.0])
-        out = linear_forward(np.array([[1.0, 0.0]]), layer)
+        mlp = hand_mlp(([[2.0], [3.0]], [1.0]))
+        out = mlp.predict(np.array([[1.0, 0.0]]))
         assert out == pytest.approx(np.array([[3.0]]))
 
     def test_zero_input(self):
-        rng = make_rng(0)
-        layer = Mlp([4, 3], rng).params.layer("fc0")
-        layer.bias[:] = 0.0
-        out = linear_forward(np.zeros((5, 4)), layer)
+        mlp = Mlp([4, 3], make_rng(0))
+        mlp.biases[0][:] = 0.0
+        out = mlp.predict(np.zeros((5, 4)))
         assert np.all(out == 0.0)
 
     def test_identity_passthrough(self):
-        layer = small_layer([[1.0]], [0.0])
+        mlp = hand_mlp(([[1.0]], [0.0]))
         x = np.array([[2.5], [-1.25]])
-        assert np.array_equal(linear_forward(x, layer), x)
+        assert np.array_equal(mlp.predict(x), x)
 
     def test_shape_mismatch(self):
-        layer = small_layer([[1.0], [1.0]], [0.0])
+        mlp = hand_mlp(([[1.0], [1.0]], [0.0]))
         with pytest.raises(DimensionError):
-            linear_forward(np.ones((2, 3)), layer)
+            mlp.predict(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            mlp.predict(np.ones(2))
+
+
+# two identity layers: the output is relu(x), the input gradient relu'(x) * g
+IDENTITY_RELU = (([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),) * 2
 
 
 class TestRelu:
     def test_forward_sign_split(self):
-        out = relu_forward(np.array([[-1.0, 2.0]]))
+        out = hand_mlp(*IDENTITY_RELU).predict(np.array([[-1.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 2.0]])
 
     def test_backward_mask(self):
-        out = relu_backward(np.array([[-1.0, 2.0]]), np.array([[5.0, 5.0]]))
-        assert np.array_equal(out, [[0.0, 5.0]])
+        mlp = hand_mlp(*IDENTITY_RELU)
+        _, cache = mlp.forward(np.array([[-1.0, 2.0]]))
+        grad_x = mlp.backward(cache, np.array([[5.0, 5.0]]))
+        assert np.array_equal(grad_x, [[0.0, 5.0]])
 
     def test_zero_boundary_gives_zero_gradient(self):
-        x = np.array([[0.0]])
-        assert relu_forward(x)[0, 0] == 0.0
-        assert relu_backward(x, np.array([[7.0]]))[0, 0] == 0.0
+        mlp = hand_mlp(([[1.0]], [0.0]), ([[1.0]], [0.0]))
+        out, cache = mlp.forward(np.array([[0.0]]))
+        assert out[0, 0] == 0.0
+        assert mlp.backward(cache, np.array([[7.0]]))[0, 0] == 0.0
+        assert mlp.grad_weights[0][0, 0] == 0.0
+        assert mlp.grad_biases[0][0] == 0.0
 
 
 class TestSoftmax:
@@ -122,35 +133,36 @@ class TestCeLogitGrad:
 
 
 class TestAdam:
-    def one_param_set(self, value):
+    def one_param_mlp(self, value):
         mlp = Mlp([1, 1])
-        mlp.params.layer("fc0").weight[0, 0] = value
-        return mlp.params
+        mlp.weights[0][0, 0] = value
+        return mlp
 
     def test_zero_gradient_only_decays(self):
-        ps = self.one_param_set(2.0)
-        adam_step(ps, lr=0.1, weight_decay=0.5, t=1)
-        assert ps.layer("fc0").weight[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
+        mlp = self.one_param_mlp(2.0)
+        adam_step(mlp.params, lr=0.1, weight_decay=0.5, t=1)
+        assert mlp.weights[0][0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
     def test_first_step_is_minus_lr(self):
-        ps = self.one_param_set(0.0)
-        ps.layer("fc0").grad_weight[0, 0] = 1.0
-        adam_step(ps, lr=1e-3, beta1=0.9, beta2=0.999, weight_decay=0.0, t=1)
-        assert ps.layer("fc0").weight[0, 0] == pytest.approx(-1e-3, rel=1e-6)
+        mlp = self.one_param_mlp(0.0)
+        mlp.grad_weights[0][0, 0] = 1.0
+        adam_step(mlp.params, lr=1e-3, beta1=0.9, beta2=0.999,
+                  weight_decay=0.0, t=1)
+        assert mlp.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_determinism(self):
         results = []
         for _ in range(2):
-            ps = self.one_param_set(1.0)
-            ps.layer("fc0").grad_weight[0, 0] = 0.37
+            mlp = self.one_param_mlp(1.0)
+            mlp.grad_weights[0][0, 0] = 0.37
             for t in range(1, 6):
-                adam_step(ps, lr=1e-2, weight_decay=1e-2, t=t)
-            results.append(ps.layer("fc0").weight[0, 0])
+                adam_step(mlp.params, lr=1e-2, weight_decay=1e-2, t=t)
+            results.append(mlp.weights[0][0, 0])
         assert results[0] == results[1]
 
     def test_step_counter_validated(self):
         with pytest.raises(ConfigError):
-            adam_step(self.one_param_set(1.0), lr=1e-3, t=0)
+            adam_step(self.one_param_mlp(1.0).params, lr=1e-3, t=0)
 
 
 class TestParamSet:
@@ -163,6 +175,20 @@ class TestParamSet:
         assert np.array_equal(mlp.params.flatten_params(), probe)
         mlp.params.set_flat_grads(probe)
         assert np.array_equal(mlp.params.flatten_grads(), probe)
+
+    def test_layer_views_follow_flat_order(self):
+        # weight row-major, then bias, layer by layer: the checkpoint order
+        mlp = Mlp([2, 3, 2])
+        mlp.params.set_flat_params(np.arange(17.0))
+        mlp.params.set_flat_grads(-np.arange(17.0))
+        expected = [np.arange(6.0).reshape(2, 3), np.arange(6.0, 9.0),
+                    np.arange(9.0, 15.0).reshape(3, 2), np.arange(15.0, 17.0)]
+        views = [mlp.weights[0], mlp.biases[0], mlp.weights[1], mlp.biases[1]]
+        grads = [mlp.grad_weights[0], mlp.grad_biases[0],
+                 mlp.grad_weights[1], mlp.grad_biases[1]]
+        for view, grad, want in zip(views, grads, expected):
+            assert np.array_equal(view, want)
+            assert np.array_equal(grad, -want)
 
     def test_flatten_length_checked(self):
         mlp = Mlp([3, 2], make_rng(0))
