@@ -14,9 +14,8 @@ from .harness import (RunReport, TrainConfig, ablate, evaluate, load_checkpoint,
                       load_config, save_checkpoint, train, write_log)
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
-from .model import (ModelBundle, forward_ensemble, forward_source,
-                    forward_target_agree, forward_target_disagree,
-                    shared_gradients)
+from .model import (ModelBundle, forward_ensemble, forward_target_agree,
+                    forward_target_disagree, shared_gradients)
 from .nn import (Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
                  make_rng, softmax)
 

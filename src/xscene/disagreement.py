@@ -82,6 +82,34 @@ def _dcor_input_grad(d_loss_d_centered, dist, x):
     return 4.0 * (g.sum(axis=1, keepdims=True) * x - g @ x)
 
 
+def _dcor_private(a, dy, y):
+    """dCor penalty from the double-centred shared distance matrix `a`, the
+    smoothed private distance matrix `dy` and the private batch `y`.
+
+    Returns (loss, grad_private, d loss / dA); a degenerate batch or the
+    dCov <= 0 point gives (0.0, zeros, None). A caller whose shared side is
+    frozen builds `a` from precomputed distances and skips the shared-side
+    input gradient.
+    """
+    n = y.shape[0]
+    b = double_center(dy)
+    vxy = (a * b).mean()
+    vxx = (a * a).mean()
+    vyy = (b * b).mean()
+    zero = (0.0, np.zeros_like(y), None)
+    if vxx < DVAR_FLOOR or vyy < DVAR_FLOOR:
+        return zero
+    r2 = vxy / np.sqrt(vxx * vyy)
+    if r2 <= 0.0:
+        return zero
+    loss = float(np.sqrt(r2))
+    # d loss / dA = loss/(2 n^2) * (B/vxy - A/vxx), and symmetrically for B
+    scale = loss / (2.0 * n * n)
+    da = scale * (b / vxy - a / vxx)
+    db = scale * (a / vxy - b / vyy)
+    return loss, _dcor_input_grad(db, dy, y), da
+
+
 def dcor_loss(shared, private):
     """Distance-correlation penalty between two feature batches, with the
     exact analytic gradient w.r.t. both.
@@ -98,26 +126,11 @@ def dcor_loss(shared, private):
         raise SampleCountError(
             f"batches must have equal sample counts, got {x.shape[0]} and {y.shape[0]}"
         )
-    n = x.shape[0]
     dx = _smoothed_distances(x)
-    dy = _smoothed_distances(y)
-    a = double_center(dx)
-    b = double_center(dy)
-    vxy = (a * b).mean()
-    vxx = (a * a).mean()
-    vyy = (b * b).mean()
-    zero = (0.0, np.zeros_like(x), np.zeros_like(y))
-    if vxx < DVAR_FLOOR or vyy < DVAR_FLOOR:
-        return zero
-    r2 = vxy / np.sqrt(vxx * vyy)
-    if r2 <= 0.0:
-        return zero
-    loss = float(np.sqrt(r2))
-    # d loss / dA = loss/(2 n^2) * (B/vxy - A/vxx), and symmetrically for B
-    scale = loss / (2.0 * n * n)
-    da = scale * (b / vxy - a / vxx)
-    db = scale * (a / vxy - b / vyy)
-    return loss, _dcor_input_grad(da, dx, x), _dcor_input_grad(db, dy, y)
+    loss, g_private, da = _dcor_private(double_center(dx), _smoothed_distances(y), y)
+    if da is None:
+        return loss, np.zeros_like(x), g_private
+    return loss, _dcor_input_grad(da, dx, x), g_private
 
 
 def _log_softmax_rows(z):

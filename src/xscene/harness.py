@@ -21,7 +21,8 @@ import numpy as np
 from .agreement import (LogitNormConfig, cosine_similarity, ema_update,
                         gradvac_update, logitnorm, magnitude_similarity)
 from .data import SynthConfig, generate_pair, sample_k_per_class
-from .disagreement import dcor_loss, symmetric_kl
+from .disagreement import (_dcor_private, _smoothed_distances, double_center,
+                           symmetric_kl)
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
@@ -74,6 +75,9 @@ class TrainConfig:
             raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.use_dir and self.batch_size < 2:
+            raise ConfigError("use_dir needs batch_size >= 2: distance "
+                              "correlation compares the rows of a batch")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
         if min(self.epochs_agree, self.epochs_disagree, self.epochs_ensemble) < 0:
@@ -163,9 +167,9 @@ def evaluate(bundle, ds, head="agree"):
 
 
 def _target_batch(rng, ds, batch_size):
-    # resampled with replacement: the few-shot split is smaller than a batch
-    idx = rng.integers(0, ds.n, size=batch_size)
-    return ds.spectra[idx], ds.labels[idx]
+    # row indices, resampled with replacement: the few-shot split is smaller
+    # than a batch
+    return rng.integers(0, ds.n, size=batch_size)
 
 
 def _adam_components(bundle, names, cfg, t):
@@ -193,7 +197,8 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
         for start in range(0, source.n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
             batch_s = (source.spectra[chunk], source.labels[chunk])
-            batch_t = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+            idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+            batch_t = (tgt_train.spectra[idx], tgt_train.labels[idx])
             res = agreement_backward(bundle, batch_s, batch_t, ln_cfg)
             g_s, g_t = res.g_s, res.g_t
             phi_raw = cosine_similarity(g_s, g_t)
@@ -219,10 +224,16 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
 
 
 def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
+    # the shared side is frozen: its distances over the few-shot split are
+    # computed once, and each batch's rows and columns are gathered from them
+    if cfg.use_dir:
+        shared_dist = _smoothed_distances(bundle.shared_encoder.predict(
+            bundle.target_extractor.predict(tgt_train.spectra)))
     t = 0
     for _ in range(cfg.epochs_disagree):
         for _ in range(steps_per_epoch):
-            x, y = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+            idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+            x, y = tgt_train.spectra[idx], tgt_train.labels[idx]
             for name in PRIVATE_COMPONENTS:
                 getattr(bundle, name).params.zero_grads()
             feats, c_ext = bundle.private_extractor.forward(x)
@@ -234,9 +245,14 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
             dcor_val = None
             total = loss_ce
             if cfg.use_dir:
-                shared_feats = bundle.shared_encoder.predict(
-                    bundle.target_extractor.predict(x))
-                dcor_val, _, g_private = dcor_loss(shared_feats, enc)
+                # a repeated row has a repeated feature row: distances over
+                # the unique rows, gathered back to the batch, are exact
+                _, first, inverse = np.unique(idx, return_index=True,
+                                              return_inverse=True)
+                private_dist = _smoothed_distances(enc[first])
+                dcor_val, g_private, _ = _dcor_private(
+                    double_center(shared_dist[np.ix_(idx, idx)]),
+                    private_dist[np.ix_(inverse, inverse)], enc)
                 d_enc = d_enc + g_private
                 total = loss_ce + dcor_val
             d_feats = bundle.private_encoder.backward(c_enc, d_enc)
@@ -256,16 +272,19 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
     # is softmax of the *normalized* logits; distill from those, not from
     # the raw logits whose scale the normalized loss never controlled
     ln_cfg = LogitNormConfig(tau=cfg.tau) if cfg.use_logitnorm else None
+    # the extractor and both teachers are frozen: run them once over the
+    # few-shot split and gather each batch's rows
+    base_all = bundle.target_extractor.predict(tgt_train.spectra)
+    agree_all = bundle.target_head.predict(bundle.shared_encoder.predict(base_all))
+    if ln_cfg is not None:
+        agree_all = logitnorm(agree_all, ln_cfg)
+    disagree_all = forward_target_disagree(bundle, tgt_train.spectra)[1]
     t = 0
     for _ in range(cfg.epochs_ensemble):
         for _ in range(steps_per_epoch):
-            x, y = _target_batch(batch_rng, tgt_train, cfg.batch_size)
-            base_feats = bundle.target_extractor.predict(x)  # frozen
-            agree_logits = bundle.target_head.predict(
-                bundle.shared_encoder.predict(base_feats))
-            if ln_cfg is not None:
-                agree_logits = logitnorm(agree_logits, ln_cfg)
-            disagree_logits = forward_target_disagree(bundle, x)[1]
+            idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+            y = tgt_train.labels[idx]
+            base_feats = base_all[idx]
             for name in ENSEMBLE_COMPONENTS:
                 getattr(bundle, name).params.zero_grads()
             enc, c_enc = bundle.ensemble_encoder.forward(base_feats)
@@ -273,8 +292,8 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             probs = softmax(z)
             loss_ce = cross_entropy(probs, y)
             dz = ce_logit_grad(probs, y)
-            e1, g1 = symmetric_kl(z, agree_logits, cfg.temp_agree)
-            e2, g2 = symmetric_kl(z, disagree_logits, cfg.temp_disagree)
+            e1, g1 = symmetric_kl(z, agree_all[idx], cfg.temp_agree)
+            e2, g2 = symmetric_kl(z, disagree_all[idx], cfg.temp_disagree)
             dz = dz + (g1 + g2)
             d_enc = bundle.ensemble_head.backward(c_head, dz)
             bundle.ensemble_encoder.backward(c_enc, d_enc)
@@ -288,9 +307,23 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             })
 
 
+def _run_phase(steps, phase, run, *args):
+    """Run one training phase; a floating-point error inside it means the
+    training diverged, and the error names the phase and the step."""
+    start = len(steps)
+    try:
+        run(*args, steps)
+    except FloatingPointError as exc:
+        raise DivergenceError(
+            f"{phase} step {len(steps) - start + 1}: {exc}") from None
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def train(cfg):
     """Run the full pipeline for one config; returns a RunReport with the
-    final target-eval metrics (as percentages) and per-step diagnostics."""
+    final target-eval metrics (as percentages) and per-step diagnostics.
+    Overflow, invalid values and division by zero raise, so a diverging
+    run stops at the step where it first leaves the finite floats."""
     cfg.validate()
     init_ss, shot_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     source, target = generate_pair(cfg.synth)
@@ -303,11 +336,14 @@ def train(cfg):
     steps = []
     steps_per_epoch = -(-source.n // cfg.batch_size)
 
-    _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps)
+    _run_phase(steps, "agree", _run_agreement_phase,
+               bundle, source, tgt_train, cfg, batch_rng)
     if cfg.use_dir or cfg.use_ensemble:
-        _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps)
+        _run_phase(steps, "disagree", _run_private_phase,
+                   bundle, tgt_train, cfg, batch_rng, steps_per_epoch)
     if cfg.use_ensemble:
-        _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps)
+        _run_phase(steps, "ensemble", _run_ensemble_phase,
+                   bundle, tgt_train, cfg, batch_rng, steps_per_epoch)
 
     head = "ensemble" if cfg.use_ensemble else "agree"
     oa, aa, kappa = evaluate(bundle, tgt_eval, head)

@@ -97,12 +97,6 @@ class ModelBundle:
         return self.target_head.out_dim
 
 
-def forward_source(bundle, x):
-    """Source logits: source_head(shared_encoder(source_extractor(x)))."""
-    feats = bundle.source_extractor.predict(x)
-    return bundle.source_head.predict(bundle.shared_encoder.predict(feats))
-
-
 def forward_target_agree(bundle, x):
     """Target logits through the shared (agreement) branch."""
     feats = bundle.target_extractor.predict(x)

@@ -68,7 +68,7 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "OA" in out and "kappa" in out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_2_without_log(self, tmp_path, capsys):
         # the default config with a finite but far too large learning rate
         cfg = tmp_path / "cfg.json"

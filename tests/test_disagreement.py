@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xscene.disagreement import (dcor_loss, distance_correlation,
+from xscene.disagreement import (_dcor_private, _smoothed_distances,
+                                 dcor_loss, distance_correlation,
                                  double_center, pairwise_distances,
                                  symmetric_kl)
 from xscene.errors import ConfigError, DimensionError, SampleCountError
@@ -212,6 +213,43 @@ class TestDcorLoss:
         loss, gx, gy = dcor_loss(np.ones((5, 2)), np.ones((5, 2)))
         assert loss == 0.0
         assert np.all(gx == 0.0) and np.all(gy == 0.0)
+
+
+class TestDcorPrivate:
+    """The gathered path the private training phase takes: shared distances
+    from a table over the split, private distances over a batch's unique
+    rows, both gathered back to the batch."""
+
+    def gathered(self, shared_table, private, idx):
+        _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+        a = double_center(_smoothed_distances(shared_table)[np.ix_(idx, idx)])
+        dy = _smoothed_distances(private[first])[np.ix_(inverse, inverse)]
+        return _dcor_private(a, dy, private)
+
+    def test_repeated_rows_match_dcor_loss_bit_for_bit(self):
+        rng = make_rng(31)
+        for _ in range(5):
+            shared_table = rng.normal(size=(10, 4))
+            private_table = rng.normal(size=(10, 3))
+            idx = rng.integers(0, 10, size=16)
+            assert len(np.unique(idx)) < len(idx)
+            private = private_table[idx]
+            loss, g_private, _ = self.gathered(shared_table, private, idx)
+            ref_loss, _, ref_g_private = dcor_loss(shared_table[idx], private)
+            assert loss > 0.0
+            assert loss == ref_loss
+            assert np.array_equal(g_private, ref_g_private)
+
+    def test_constant_side_gives_zero(self):
+        rng = make_rng(37)
+        idx = rng.integers(0, 6, size=9)
+        varied = rng.normal(size=(6, 3))
+        for shared_table, private_table in ((np.ones((6, 3)), varied),
+                                            (varied, np.ones((6, 3)))):
+            loss, g_private, _ = self.gathered(shared_table,
+                                               private_table[idx], idx)
+            assert loss == 0.0
+            assert g_private.shape == (9, 3) and np.all(g_private == 0.0)
 
 
 class TestKlDivergence:

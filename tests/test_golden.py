@@ -1,9 +1,12 @@
-"""Golden-log oracle: acceptance check 7's three seed-0 configs must
-reproduce these exact bytes. A refactor that keeps every digest changed no
-logged or checkpointed number; a change that moves them must say why.
+"""Golden-log oracle: acceptance check 7's three seed-0 configs, and one
+config with small, duplicate-heavy target batches, must reproduce these
+exact bytes. A refactor that keeps every digest changed no logged or
+checkpointed number; a change that moves them must say why.
 
 The off config pins the plain softmax-CE agreement path, gradvac+logitnorm
 the agreement-only pipeline with both toggles, and full all three phases.
+dir+ensemble-ragged draws 37-row batches with replacement from a 15-row
+few-shot split, so most rows of every private and ensemble batch repeat.
 The digests depend on numpy's floating-point kernels, so they are pinned
 to the numpy version they were recorded with.
 """
@@ -32,6 +35,11 @@ GOLDEN = {
              use_dir=True),
         "fc2df6610f4aab4586c3fd9c14ae85d6a731f73dffee52cd515e5318767ee00c",
         "af7d09d74714bd3c0cc24c6e4919c7dd777ef1c6a37fa7c6c94b4e191df9e55c"),
+    "dir+ensemble-ragged": (
+        dict(use_dir=True, use_ensemble=True, batch_size=37, shots=3,
+             epochs_agree=8),
+        "557c76905517f8126b77669a7e8bd1698ad4c93b0110f1a46cebb1eeb8d29322",
+        "0905a45999e8bbc23662653f334681743e8ca1ce3f870f1f037a0a2c16a6434c"),
 }
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
-from xscene.harness import (ABLATION_LADDER, RunReport, TrainConfig, ablate,
-                            config_from_dict, evaluate, load_checkpoint,
-                            load_config, save_checkpoint, train,
-                            write_ablation_log, write_log)
+from xscene.harness import (ABLATION_LADDER, RunReport, TrainConfig,
+                            _run_phase, ablate, config_from_dict, evaluate,
+                            load_checkpoint, load_config, save_checkpoint,
+                            train, write_ablation_log, write_log)
 from xscene.model import ModelBundle
 from xscene.nn import make_rng
 
@@ -57,7 +57,7 @@ class TestConfigIo:
 
     def test_invalid_values_rejected(self):
         for raw in ({"tau": -1.0}, {"batch_size": 0}, {"beta": 2.0},
-                    {"temp_agree": 0.0},
+                    {"temp_agree": 0.0}, {"use_dir": True, "batch_size": 1},
                     # wrong JSON types and non-finite floats
                     {"use_dir": "no"}, {"use_gradvac": 1}, {"lr": float("nan")},
                     {"tau": float("inf")}, {"lr": True}, {"epochs_agree": "3"},
@@ -94,12 +94,26 @@ class TestTrainDeterminism:
 
 
 class TestDivergence:
-    # lr=1e6 is a valid config value, but training overflows to NaN
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # lr=1e6 is a valid config value, but training overflows; the run must
+    # stop at that step without printing a numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_raises_naming_phase_step_and_key(self):
         with pytest.raises(DivergenceError,
-                           match=r"^agree step \d+: \w+ is (nan|inf|-inf)$"):
+                           match=r"^agree step \d+: (\w+ is (nan|inf|-inf)|"
+                                 r"(overflow|invalid value) encountered in \w+)$"):
             train(quick_cfg(lr=1e6))
+
+    def test_floating_point_error_names_the_step_it_hit(self):
+        # two steps of this phase logged, the third overflows; the record
+        # of an earlier phase does not count
+        def phase(steps):
+            steps += [{"phase": "ensemble", "step": t} for t in (1, 2)]
+            np.float64(1e308) * 10.0
+
+        with pytest.raises(DivergenceError,
+                           match=r"^ensemble step 3: overflow encountered in "):
+            with np.errstate(over="raise"):
+                _run_phase([{"phase": "agree", "step": 1}], "ensemble", phase)
 
     def test_logs_refuse_non_finite_values(self, tmp_path):
         report = RunReport(float("nan"), 0.0, 0.0, "agree", [])

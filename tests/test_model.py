@@ -5,10 +5,15 @@ from xscene.agreement import LogitNormConfig, cosine_similarity
 from xscene.errors import DataError, DimensionError
 from xscene.model import (AGREEMENT_COMPONENTS, COMPONENT_ORDER,
                           ENSEMBLE_COMPONENTS, PRIVATE_COMPONENTS, ModelBundle,
-                          forward_ensemble, forward_source,
-                          forward_target_agree, forward_target_disagree,
-                          shared_gradients)
+                          forward_ensemble, forward_target_agree,
+                          forward_target_disagree, shared_gradients)
 from xscene.nn import cross_entropy, make_rng, softmax
+
+
+def forward_source(bundle, x):
+    """Reference source logits: source_head(shared_encoder(source_extractor(x)))."""
+    feats = bundle.source_extractor.predict(x)
+    return bundle.source_head.predict(bundle.shared_encoder.predict(feats))
 
 
 def tiny_bundle(seed=0, bands_source=6, bands_target=5, classes_source=3,
