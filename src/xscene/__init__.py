@@ -15,7 +15,7 @@ from .harness import (RunReport, TrainConfig, ablate, evaluate, load_checkpoint,
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
 from .model import (ModelBundle, forward_ensemble, forward_target_agree,
-                    forward_target_disagree, shared_gradients)
+                    forward_target_disagree)
 from .nn import (Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
                  make_rng, softmax)
 

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .nn import ce_logit_grad, cross_entropy, softmax
 
+# below this a gradient or logit vector's norm counts as zero
 NORM_EPS = 1e-12
 # keeps sqrt(1 - alpha^2) well-conditioned in the surgery step
 ALPHA_LIMIT = 1.0 - 1e-6
@@ -20,13 +21,10 @@ ALPHA_LIMIT = 1.0 - 1e-6
 @dataclass
 class LogitNormConfig:
     tau: float = 2.0
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if not 0.0 < self.epsilon <= 1e-6:
-            raise ConfigError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
 
 
 def _check_pair(g_s, g_t):
@@ -101,7 +99,7 @@ def logitnorm(z, cfg):
     if z.shape[-1] < 2:
         raise DimensionError("need at least 2 classes of logits")
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / (cfg.tau * np.maximum(norms, cfg.epsilon))
+    return z / (cfg.tau * np.maximum(norms, NORM_EPS))
 
 
 def logitnorm_ce(z, labels, cfg):
@@ -115,7 +113,7 @@ def logitnorm_ce(z, labels, cfg):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise DimensionError("logitnorm_ce expects an n x C matrix")
-    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), cfg.epsilon)
+    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), NORM_EPS)
     zh = z / (cfg.tau * norms)
     probs = softmax(zh)
     loss = cross_entropy(probs, labels)

@@ -26,16 +26,13 @@ from .disagreement import (_dcor_private, _smoothed_distances, double_center,
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
-from .model import (AGREEMENT_COMPONENTS, COMPONENT_ORDER, ENSEMBLE_COMPONENTS,
-                    PRIVATE_COMPONENTS, ModelBundle, agreement_backward,
+from .model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                     forward_ensemble, forward_target_agree,
                     forward_target_disagree)
-from .nn import adam_step, ce_logit_grad, cross_entropy, make_rng, softmax
+from .nn import (adam_step, ce_logit_grad, cross_entropy, make_rng, n_params,
+                 softmax)
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
-# larger-than-usual Adam eps: tiny late-phase gradients otherwise turn into
-# full-size Adam steps and random-walk the converged branches
-ADAM_EPS = 1e-4
 
 
 @dataclass
@@ -172,12 +169,6 @@ def _target_batch(rng, ds, batch_size):
     return rng.integers(0, ds.n, size=batch_size)
 
 
-def _adam_components(bundle, names, cfg, t):
-    for name in names:
-        adam_step(getattr(bundle, name).params, cfg.lr,
-                  weight_decay=cfg.weight_decay, eps=ADAM_EPS, t=t)
-
-
 def _append_step(steps, record):
     """Append one step's log record; a non-finite float in it means the
     training diverged, and the error names the phase, step and key."""
@@ -210,7 +201,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             mag = magnitude_similarity(g_s, g_t)
             bundle.shared_encoder.params.set_flat_grads(g_post + g_t)
             step += 1
-            _adam_components(bundle, AGREEMENT_COMPONENTS, cfg, step)
+            adam_step(bundle.agreement, cfg.lr, weight_decay=cfg.weight_decay, t=step)
             _append_step(steps, {
                 "phase": "agree", "step": step,
                 "phi_raw": float(phi_raw), "phi_post": float(phi_post),
@@ -234,8 +225,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
         for _ in range(steps_per_epoch):
             idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
             x, y = tgt_train.spectra[idx], tgt_train.labels[idx]
-            for name in PRIVATE_COMPONENTS:
-                getattr(bundle, name).params.zero_grads()
+            bundle.private.zero_grads()
             feats, c_ext = bundle.private_extractor.forward(x)
             enc, c_enc = bundle.private_encoder.forward(feats)
             z, c_head = bundle.private_head.forward(enc)
@@ -258,7 +248,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
             d_feats = bundle.private_encoder.backward(c_enc, d_enc)
             bundle.private_extractor.backward(c_ext, d_feats)
             t += 1
-            _adam_components(bundle, PRIVATE_COMPONENTS, cfg, t)
+            adam_step(bundle.private, cfg.lr, weight_decay=cfg.weight_decay, t=t)
             _append_step(steps, {
                 "phase": "disagree", "step": t,
                 "loss_ce": float(loss_ce),
@@ -285,8 +275,7 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
             y = tgt_train.labels[idx]
             base_feats = base_all[idx]
-            for name in ENSEMBLE_COMPONENTS:
-                getattr(bundle, name).params.zero_grads()
+            bundle.ensemble.zero_grads()
             enc, c_enc = bundle.ensemble_encoder.forward(base_feats)
             z, c_head = bundle.ensemble_head.forward(enc)
             probs = softmax(z)
@@ -298,7 +287,7 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             d_enc = bundle.ensemble_head.backward(c_head, dz)
             bundle.ensemble_encoder.backward(c_enc, d_enc)
             t += 1
-            _adam_components(bundle, ENSEMBLE_COMPONENTS, cfg, t)
+            adam_step(bundle.ensemble, cfg.lr, weight_decay=cfg.weight_decay, t=t)
             _append_step(steps, {
                 "phase": "ensemble", "step": t,
                 "loss_ce": float(loss_ce), "e_en1": float(e1),
@@ -398,14 +387,14 @@ def write_ablation_log(path, rows):
 
 
 def save_checkpoint(path, bundle, meta=None):
-    """JSON header line (layout + metadata), then every parameter as
-    little-endian float64, weights before biases, in component order."""
+    """JSON header line (layout + metadata), then the bundle's parameter
+    vector as little-endian float64: component by component in
+    COMPONENT_ORDER, each layer's weights before its biases."""
     header = {"format": CHECKPOINT_MAGIC, "layout": bundle.layout(),
               "meta": meta or {}}
     with open(path, "wb") as f:
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        for mlp in bundle.components().values():
-            f.write(mlp.params.values.astype("<f8").tobytes())
+        f.write(bundle.params.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -431,16 +420,14 @@ def load_checkpoint(path):
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: checkpoint meta must be an object")
     # size the blob against the layout before allocating anything for it
-    expected = sum(fan_in * fan_out + fan_out for dims in layout.values()
-                   for fan_in, fan_out in zip(dims, dims[1:]))
+    try:
+        expected = sum(n_params(dims) for dims in layout.values())
+    except ConfigError as exc:
+        raise ParseError(f"{path}: checkpoint layout has {exc}") from None
     blob = raw[newline + 1:]
     if len(blob) != 8 * expected:
         raise ParseError(f"{path}: checkpoint holds {len(blob)} bytes of "
                          f"parameters, expected {8 * expected}")
-    bundle = ModelBundle.from_layout(layout)
-    values = np.frombuffer(blob, dtype="<f8")
-    offset = 0
-    for mlp in bundle.components().values():
-        mlp.params.set_flat_params(values[offset:offset + mlp.params.n_params])
-        offset += mlp.params.n_params
+    bundle = ModelBundle(layout)
+    bundle.params.set_flat_params(np.frombuffer(blob, dtype="<f8"))
     return bundle, meta

@@ -9,17 +9,20 @@ Three branches over per-pixel spectra:
   ensemble:   ensemble_encoder -> ensemble_head, fed by the frozen
               target_extractor output
 
-`shared_gradients` produces the two flattened shared-encoder gradients
-(one per task loss) that drive the agreement machinery.
+All ten components view one ParamSet, laid out in COMPONENT_ORDER (also
+the checkpoint order). Each branch's components are a contiguous run of
+it, so a branch zeroes its gradients and takes its Adam step as one slice.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .agreement import logitnorm, logitnorm_ce
+from .agreement import NORM_EPS, logitnorm, logitnorm_ce
 from .errors import DataError, DimensionError
-from .nn import Mlp, ce_logit_grad, cross_entropy, make_rng, softmax
+from .nn import (Mlp, ParamSet, ce_logit_grad, cross_entropy, make_rng,
+                 n_params, softmax)
 
 COMPONENT_ORDER = (
     "source_extractor",
@@ -34,27 +37,32 @@ COMPONENT_ORDER = (
     "ensemble_head",
 )
 
-AGREEMENT_COMPONENTS = COMPONENT_ORDER[:5]
-PRIVATE_COMPONENTS = COMPONENT_ORDER[5:8]
-ENSEMBLE_COMPONENTS = COMPONENT_ORDER[8:]
-
 
 class ModelBundle:
-    """Holds every component network; construction order is fixed so a
-    single seed reproduces the full initialization."""
+    """Every component network, built from a {name: dims} layout over one
+    ParamSet. `params` is the whole vector; `agreement`, `private` and
+    `ensemble` view each branch's slice of it. rng draws the weights in
+    COMPONENT_ORDER, so a single seed reproduces the full initialization;
+    without one every parameter is zero (checkpoint loading)."""
 
-    def __init__(self, components):
-        missing = [n for n in COMPONENT_ORDER if n not in components]
+    def __init__(self, layout, rng=None):
+        missing = [n for n in COMPONENT_ORDER if n not in layout]
         if missing:
             raise DimensionError(f"missing components: {missing}")
-        for name in COMPONENT_ORDER:
-            setattr(self, name, components[name])
+        bounds = [0, *accumulate(n_params(layout[n]) for n in COMPONENT_ORDER)]
+        self.params = ParamSet(bounds[-1])
+        for name, lo, hi in zip(COMPONENT_ORDER, bounds, bounds[1:]):
+            setattr(self, name, Mlp(layout[name], self.params.view(lo, hi), rng))
+        start = dict(zip(COMPONENT_ORDER, bounds))
+        self.agreement = self.params.view(0, start["private_extractor"])
+        self.private = self.params.view(start["private_extractor"],
+                                        start["ensemble_encoder"])
+        self.ensemble = self.params.view(start["ensemble_encoder"], bounds[-1])
 
     @classmethod
     def build(cls, bands_source, bands_target, classes_source, classes_target,
               feat_dim=32, hidden_dim=64, enc_dim=32, rng=None):
-        rng = make_rng(rng)
-        dims = {
+        return cls({
             "source_extractor": [bands_source, hidden_dim, feat_dim],
             "target_extractor": [bands_target, hidden_dim, feat_dim],
             "shared_encoder": [feat_dim, hidden_dim, enc_dim],
@@ -65,20 +73,10 @@ class ModelBundle:
             "private_head": [enc_dim, classes_target],
             "ensemble_encoder": [feat_dim, hidden_dim, enc_dim],
             "ensemble_head": [enc_dim, classes_target],
-        }
-        return cls({name: Mlp(dims[name], rng) for name in COMPONENT_ORDER})
-
-    @classmethod
-    def from_layout(cls, layout):
-        """Zero-initialized bundle from a {name: dims} layout (checkpoint
-        loading)."""
-        return cls({name: Mlp(layout[name]) for name in COMPONENT_ORDER})
+        }, make_rng(rng))
 
     def layout(self):
         return {name: list(getattr(self, name).dims) for name in COMPONENT_ORDER}
-
-    def components(self):
-        return {name: getattr(self, name) for name in COMPONENT_ORDER}
 
     @property
     def bands_source(self):
@@ -155,7 +153,7 @@ def _task_backward(extractor, encoder, head, x, y, ln_cfg):
         loss, dz = logitnorm_ce(z, y, ln_cfg)
         # degenerate rows (all-dead paths give exactly zero logits) fall
         # back to the epsilon floor and carry no norm guarantee
-        live = np.linalg.norm(z, axis=1) >= ln_cfg.epsilon
+        live = np.linalg.norm(z, axis=1) >= NORM_EPS
         norms = np.linalg.norm(logitnorm(z[live], ln_cfg), axis=1)
         ln_err = float(np.abs(norms - 1.0 / ln_cfg.tau).max()) if live.any() else 0.0
     d_enc = head.backward(c_head, dz)
@@ -174,8 +172,7 @@ def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None):
     """
     xs, ys = _check_batch(batch_s[0], batch_s[1], bundle.bands_source, "source")
     xt, yt = _check_batch(batch_t[0], batch_t[1], bundle.bands_target, "target")
-    for name in AGREEMENT_COMPONENTS:
-        getattr(bundle, name).params.zero_grads()
+    bundle.agreement.zero_grads()
     loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
                                   bundle.source_head, xs, ys, ln_cfg)
     g_s = bundle.shared_encoder.params.flatten_grads()
@@ -184,10 +181,3 @@ def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None):
                                   bundle.target_head, xt, yt, ln_cfg)
     g_t = bundle.shared_encoder.params.flatten_grads()
     return AgreementGrads(g_s, g_t, loss_s, loss_t, ln_s, ln_t)
-
-
-def shared_gradients(bundle, batch_s, batch_t, ln_cfg=None):
-    """Flattened shared-encoder gradients (g_s, g_t), one per task loss,
-    in identical parameter order."""
-    res = agreement_backward(bundle, batch_s, batch_t, ln_cfg)
-    return res.g_s, res.g_t

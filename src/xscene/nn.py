@@ -12,6 +12,11 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+# larger-than-usual Adam eps: tiny late-phase gradients otherwise turn into
+# full-size Adam steps and random-walk the converged branches
+ADAM_EPS = 1e-4
 
 
 def make_rng(seed):
@@ -24,19 +29,31 @@ def glorot_uniform(fan_in, fan_out, rng):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class ParamSet:
-    """The parameters of one MLP as a single float64 vector of length n,
-    with its gradient and Adam moment vectors (m, v) of the same length.
+def n_params(dims):
+    """Parameter count of an MLP with layer dims [in, h1, ..., out]."""
+    if len(dims) < 2 or any(int(d) < 1 for d in dims):
+        raise ConfigError(f"bad layer dims {dims!r}")
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
-    The owning Mlp views each layer's weight (row-major) and then its
-    bias, layer after layer; this is also the checkpoint order.
+
+class ParamSet:
+    """Parameters as a single float64 vector of length n, with their
+    gradient and Adam moment vectors (m, v) of the same length.
+
+    A ModelBundle allocates one for all its components; each Mlp and each
+    training branch works on a view of a contiguous slice of it.
     """
 
     def __init__(self, n):
-        self.values = np.zeros(n)
-        self.grads = np.zeros(n)
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.values, self.grads, self.m, self.v = np.zeros((4, n))
+
+    def view(self, start, stop):
+        """ParamSet over entries [start, stop) that shares this one's
+        memory."""
+        part = object.__new__(ParamSet)
+        part.values, part.grads, part.m, part.v = (
+            buf[start:stop] for buf in (self.values, self.grads, self.m, self.v))
+        return part
 
     @property
     def n_params(self):
@@ -110,23 +127,23 @@ class Mlp:
     """Stack of affine layers with ReLU between them (none after the last).
 
     dims = [in, h1, ..., out]; a two-entry list is a bare affine map.
-    rng=None builds zero-initialized layers (used when loading checkpoints).
-    Layer i's weights[i] (dims[i] x dims[i+1]) and biases[i], and their
-    grad_weights[i] and grad_biases[i], are views into params' buffers.
+    Layer i's weights[i] (dims[i] x dims[i+1], row-major), then biases[i],
+    and their grad_weights[i] and grad_biases[i], view the given ParamSet
+    of length n_params(dims). rng, if given, draws the weights (Glorot).
     """
 
-    def __init__(self, dims, rng=None):
-        if len(dims) < 2 or any(int(d) < 1 for d in dims):
-            raise ConfigError(f"bad layer dims {dims!r}")
+    def __init__(self, dims, params, rng=None):
+        n = n_params(dims)
+        if params.n_params != n:
+            raise DimensionError(f"layer dims {dims!r} need {n} parameters, "
+                                 f"got a ParamSet of {params.n_params}")
         self.dims = [int(d) for d in dims]
-        shapes = list(zip(self.dims[:-1], self.dims[1:]))
-        self.params = ParamSet(sum(fan_in * fan_out + fan_out
-                                   for fan_in, fan_out in shapes))
-        values, grads = self.params.values, self.params.grads
+        self.params = params
+        values, grads = params.values, params.grads
         self.weights, self.biases = [], []
         self.grad_weights, self.grad_biases = [], []
         offset = 0
-        for fan_in, fan_out in shapes:
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
             mid = offset + fan_in * fan_out
             end = mid + fan_out
             self.weights.append(values[offset:mid].reshape(fan_in, fan_out))
@@ -175,22 +192,22 @@ class Mlp:
         return g
 
 
-def adam_step(params, lr, beta1=0.9, beta2=0.999, weight_decay=0.0,
-              eps=1e-8, t=1):
+def adam_step(params, lr, weight_decay=0.0, t=1):
     """One Adam update from the accumulated gradients.
 
     Decoupled weight decay shrinks parameters by lr*weight_decay before the
-    bias-corrected Adam delta is applied.
+    bias-corrected Adam delta is applied. Every operation is elementwise,
+    so one call over a slice equals one call per part of it, bit for bit.
     """
     if t < 1:
         raise ConfigError("adam step counter starts at 1")
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     w, g, m, v = params.values, params.grads, params.m, params.v
     if weight_decay:
         w -= lr * weight_decay * w
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    w -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    w -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

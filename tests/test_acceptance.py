@@ -28,7 +28,7 @@ from xscene.disagreement import dcor_loss, distance_correlation, symmetric_kl
 from xscene.harness import TrainConfig, train, write_log
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
-from xscene.model import ModelBundle, shared_gradients
+from xscene.model import ModelBundle, agreement_backward
 from xscene.nn import cross_entropy, make_rng, softmax
 
 
@@ -150,7 +150,8 @@ def test_03_gradient_oracles():
         if kink:
             continue
         done += 1
-        g_s, g_t = shared_gradients(bundle, (xs, ys), (xt, yt))
+        res = agreement_backward(bundle, (xs, ys), (xt, yt))
+        g_s, g_t = res.g_s, res.g_t
         flat = bundle.shared_encoder.params.flatten_params()
 
         def loss_through(vec, extractor, head, x, y):

@@ -154,8 +154,6 @@ class TestLogitNorm:
     def test_config_validated(self):
         with pytest.raises(ConfigError):
             LogitNormConfig(tau=0.0)
-        with pytest.raises(ConfigError):
-            LogitNormConfig(tau=1.0, epsilon=1e-3)
 
 
 class TestLogitNormCe:

@@ -127,7 +127,7 @@ class TestEval:
         layout.update(target_extractor=[8, 8], shared_encoder=[8, 8])
         layout[name] = dims
         model = tmp_path / "model.bin"
-        save_checkpoint(model, ModelBundle.from_layout(layout))
+        save_checkpoint(model, ModelBundle(layout))
         capsys.readouterr()
         rc = main(["eval", "--model", str(model), "--data",
                    str(tmp_path / "data" / "target.csv")])

@@ -52,7 +52,7 @@ class TestGeneratePair:
     def test_conflict_knob_induces_gradient_conflict(self):
         # measured through a bundle whose target branch is a copy of the
         # source branch, so only the data differs between the two tasks
-        from xscene.model import ModelBundle, shared_gradients
+        from xscene.model import ModelBundle, agreement_backward
         from xscene.agreement import cosine_similarity
         from xscene.nn import make_rng
 
@@ -69,10 +69,10 @@ class TestGeneratePair:
                              ("target_head", "source_head")):
                     dst, srcc = (getattr(bundle, pair[0]), getattr(bundle, pair[1]))
                     dst.params.set_flat_params(srcc.params.flatten_params())
-                g_s, g_t = shared_gradients(bundle,
-                                            (src.spectra[:64], src.labels[:64]),
-                                            (tgt.spectra[:64], tgt.labels[:64]))
-                phis.append(cosine_similarity(g_s, g_t))
+                res = agreement_backward(bundle,
+                                         (src.spectra[:64], src.labels[:64]),
+                                         (tgt.spectra[:64], tgt.labels[:64]))
+                phis.append(cosine_similarity(res.g_s, res.g_t))
             return float(np.mean(phis))
 
         assert mean_phi(1.0, 0) < mean_phi(0.0, 4)

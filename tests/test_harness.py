@@ -10,7 +10,7 @@ from xscene.harness import (ABLATION_LADDER, RunReport, TrainConfig,
                             _run_phase, ablate, config_from_dict, evaluate,
                             load_checkpoint, load_config, save_checkpoint,
                             train, write_ablation_log, write_log)
-from xscene.model import ModelBundle
+from xscene.model import COMPONENT_ORDER, ModelBundle
 from xscene.nn import make_rng
 
 
@@ -204,14 +204,9 @@ class TestEvaluate:
         # identity weights end to end: logits == spectra, so labeling by
         # argmax of the spectra is classified perfectly
         from xscene.data import SceneDataset
-        layout = {name: [2, 2] for name in
-                  ("source_extractor", "target_extractor", "shared_encoder",
-                   "source_head", "target_head", "private_extractor",
-                   "private_encoder", "private_head", "ensemble_encoder",
-                   "ensemble_head")}
-        bundle = ModelBundle.from_layout(layout)
-        for mlp in bundle.components().values():
-            mlp.weights[0][:] = np.eye(2)
+        bundle = ModelBundle({name: [2, 2] for name in COMPONENT_ORDER})
+        for name in COMPONENT_ORDER:
+            getattr(bundle, name).weights[0][:] = np.eye(2)
         spectra = np.array([[2.0, 1.0], [3.0, 0.5], [0.1, 0.9], [1.0, 4.0]])
         ds = SceneDataset("t", 2, 2, spectra, np.array([0, 0, 1, 1]))
         assert evaluate(bundle, ds, "agree") == (1.0, 1.0, 1.0)
@@ -279,10 +274,8 @@ class TestCheckpoint:
         save_checkpoint(path, rep.bundle, meta={"eval_head": rep.eval_head})
         loaded, meta = load_checkpoint(path)
         assert meta["eval_head"] == "ensemble"
-        for name, mlp in rep.bundle.components().items():
-            orig = mlp.params.flatten_params()
-            new = getattr(loaded, name).params.flatten_params()
-            assert np.array_equal(orig, new)
+        assert loaded.layout() == rep.bundle.layout()
+        assert np.array_equal(loaded.params.values, rep.bundle.params.values)
 
     def test_loaded_model_evaluates_identically(self, tmp_path):
         cfg = quick_cfg(use_ensemble=True)
@@ -303,9 +296,8 @@ class TestCheckpoint:
         save_checkpoint(path, bundle)
         raw = path.read_bytes()
         header = json.loads(raw[:raw.index(b"\n")].decode())
-        n_params = sum(m.params.n_params for m in bundle.components().values())
-        assert len(raw) - raw.index(b"\n") - 1 == 8 * n_params
-        assert set(header["layout"]) == set(bundle.components())
+        assert raw[raw.index(b"\n") + 1:] == bundle.params.values.astype("<f8").tobytes()
+        assert list(header["layout"]) == list(COMPONENT_ORDER)
 
     @pytest.mark.parametrize("edit", [
         lambda h: {k: v for k, v in h.items() if k != "layout"},
@@ -316,8 +308,16 @@ class TestCheckpoint:
         lambda h: {**h, "layout": {**h["layout"], "source_extractor": "4x2"}},
         lambda h: {**h, "layout": {**h["layout"],
                                    "source_extractor": [1000000, 1000000]}},
+        # 30 parameters, as in the saved [4, 2, 2] and [3, 2, 2], but only
+        # because [-1, 5] counts -5 weights and 5 biases
+        lambda h: {**h, "layout": {**h["layout"], "source_extractor": [4, 4, 2],
+                                   "target_extractor": [-1, 5]}},
+        # 12 parameters, as in the saved two [2, 2] heads
+        lambda h: {**h, "layout": {**h["layout"], "source_head": [2],
+                                   "target_head": [2, 2, 2]}},
     ], ids=["no_layout", "layout_missing_component", "header_is_list",
-            "meta_not_object", "layout_dims_not_list", "layout_too_big_for_blob"])
+            "meta_not_object", "layout_dims_not_list", "layout_too_big_for_blob",
+            "layout_dims_cancel", "layout_dims_single_entry"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.bin"
         save_checkpoint(path, ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0)))

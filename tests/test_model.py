@@ -3,11 +3,14 @@ import pytest
 
 from xscene.agreement import LogitNormConfig, cosine_similarity
 from xscene.errors import DataError, DimensionError
-from xscene.model import (AGREEMENT_COMPONENTS, COMPONENT_ORDER,
-                          ENSEMBLE_COMPONENTS, PRIVATE_COMPONENTS, ModelBundle,
+from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           forward_ensemble, forward_target_agree,
-                          forward_target_disagree, shared_gradients)
-from xscene.nn import cross_entropy, make_rng, softmax
+                          forward_target_disagree)
+from xscene.nn import adam_step, cross_entropy, make_rng, softmax
+
+# each branch's contiguous run of components
+BRANCHES = {"agreement": COMPONENT_ORDER[:5], "private": COMPONENT_ORDER[5:8],
+            "ensemble": COMPONENT_ORDER[8:]}
 
 
 def forward_source(bundle, x):
@@ -25,15 +28,7 @@ def tiny_bundle(seed=0, bands_source=6, bands_target=5, classes_source=3,
 
 def hand_bundle():
     """All components single affine layers with hand-set weights."""
-    bundle = tiny_bundle()
-    dims = {
-        "source_extractor": [2, 2], "target_extractor": [2, 2],
-        "shared_encoder": [2, 2], "source_head": [2, 2],
-        "target_head": [2, 2], "private_extractor": [2, 2],
-        "private_encoder": [2, 2], "private_head": [2, 2],
-        "ensemble_encoder": [2, 2], "ensemble_head": [2, 2],
-    }
-    bundle = ModelBundle.from_layout(dims)
+    bundle = ModelBundle({name: [2, 2] for name in COMPONENT_ORDER})
     for name in COMPONENT_ORDER:
         mlp = getattr(bundle, name)
         mlp.weights[0][:] = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -88,7 +83,8 @@ class TestSharedGradients:
         rng = make_rng(11)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
-        g_s, g_t = shared_gradients(bundle, (x, y), (x.copy(), y.copy()))
+        res = agreement_backward(bundle, (x, y), (x.copy(), y.copy()))
+        g_s, g_t = res.g_s, res.g_t
         assert np.array_equal(g_s, g_t)
         assert cosine_similarity(g_s, g_t) == pytest.approx(1.0)
 
@@ -101,8 +97,8 @@ class TestSharedGradients:
         yt1 = rng.integers(0, 3, size=5)
         xt2 = rng.normal(size=(5, 5))
         yt2 = rng.integers(0, 3, size=5)
-        g_s1, _ = shared_gradients(bundle, (xs, ys), (xt1, yt1))
-        g_s2, _ = shared_gradients(bundle, (xs, ys), (xt2, yt2))
+        g_s1 = agreement_backward(bundle, (xs, ys), (xt1, yt1)).g_s
+        g_s2 = agreement_backward(bundle, (xs, ys), (xt2, yt2)).g_s
         assert np.array_equal(g_s1, g_s2)
 
     def _fd_shared(self, bundle, x, y, forward_parts, ln_cfg=None):
@@ -137,7 +133,8 @@ class TestSharedGradients:
         ys = rng.integers(0, 3, size=5)
         xt = rng.normal(size=(4, 5))
         yt = rng.integers(0, 3, size=4)
-        g_s, g_t = shared_gradients(bundle, (xs, ys), (xt, yt), ln_cfg)
+        res = agreement_backward(bundle, (xs, ys), (xt, yt), ln_cfg)
+        g_s, g_t = res.g_s, res.g_t
         fd_s = self._fd_shared(bundle, xs, ys,
                                (bundle.source_extractor, bundle.source_head), ln_cfg)
         fd_t = self._fd_shared(bundle, xt, yt,
@@ -148,7 +145,7 @@ class TestSharedGradients:
     def test_empty_batch_rejected(self):
         bundle = tiny_bundle()
         with pytest.raises(DataError):
-            shared_gradients(bundle, (np.zeros((0, 6)), np.zeros(0, dtype=int)),
+            agreement_backward(bundle, (np.zeros((0, 6)), np.zeros(0, dtype=int)),
                              (np.ones((2, 5)), np.zeros(2, dtype=int)))
 
 
@@ -168,18 +165,50 @@ class TestStructure:
                 mlp = getattr(bundle, name)
                 out += mlp.weights + mlp.biases + mlp.grad_weights + mlp.grad_biases
             return out
-        agree = views(AGREEMENT_COMPONENTS)
-        private = views(PRIVATE_COMPONENTS)
-        ens = views(ENSEMBLE_COMPONENTS)
+        agree, private, ens = (views(names) for names in BRANCHES.values())
         for a, b in ((agree, private), (agree, ens), (private, ens)):
             assert not any(np.shares_memory(x, y) for x in a for y in b)
 
     def test_layout_round_trip(self):
         bundle = tiny_bundle(seed=35)
-        rebuilt = ModelBundle.from_layout(bundle.layout())
+        rebuilt = ModelBundle(bundle.layout())
         assert rebuilt.layout() == bundle.layout()
         assert rebuilt.bands_source == 6
         assert rebuilt.classes_target == 3
+        assert not rebuilt.params.values.any()
+
+    def test_branch_views_tile_the_bundle_vector(self):
+        # entry i of every buffer holds i: each branch view, and each of its
+        # components in COMPONENT_ORDER, must read back its own run of them
+        bundle = tiny_bundle(seed=41)
+        n = bundle.params.n_params
+        for buf in ("values", "grads", "m", "v"):
+            getattr(bundle.params, buf)[:] = np.arange(n)
+            tiles = [getattr(getattr(bundle, branch), buf) for branch in BRANCHES]
+            assert np.array_equal(np.concatenate(tiles), np.arange(n))
+            for branch, names in BRANCHES.items():
+                parts = [getattr(getattr(bundle, name).params, buf) for name in names]
+                assert np.array_equal(np.concatenate(parts),
+                                      getattr(getattr(bundle, branch), buf))
+                for part in parts:
+                    assert np.shares_memory(part, getattr(bundle.params, buf))
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_adam_on_one_branch_leaves_the_others_bit_identical(self, branch):
+        bundle = tiny_bundle(seed=43)
+        rng = make_rng(45)
+        n = bundle.params.n_params
+        bundle.params.grads[:] = rng.normal(size=n)
+        bundle.params.m[:] = rng.normal(size=n)
+        bundle.params.v[:] = rng.random(n)
+        before = {other: {buf: getattr(getattr(bundle, other), buf).tobytes()
+                          for buf in ("values", "m", "v")}
+                  for other in BRANCHES}
+        adam_step(getattr(bundle, branch), lr=1e-2, weight_decay=1e-2, t=3)
+        for other in BRANCHES:
+            for buf, saved in before[other].items():
+                now = getattr(getattr(bundle, other), buf).tobytes()
+                assert (now == saved) == (other != branch), (other, buf)
 
     def test_gradvac_only_touches_shared_encoder_grads(self):
         # surgery output is written into the shared encoder's buffers by
@@ -191,7 +220,7 @@ class TestStructure:
         ys = rng.integers(0, 3, size=4)
         xt = rng.normal(size=(4, 5))
         yt = rng.integers(0, 3, size=4)
-        shared_gradients(bundle, (xs, ys), (xt, yt))
+        agreement_backward(bundle, (xs, ys), (xt, yt))
         before = {name: getattr(bundle, name).params.flatten_grads()
                   for name in ("source_extractor", "target_extractor",
                                "source_head", "target_head")}

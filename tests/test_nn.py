@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from xscene.errors import ConfigError, DimensionError
-from xscene.nn import (Mlp, adam_step, ce_logit_grad, cross_entropy, make_rng,
-                       softmax)
+from xscene.nn import (Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
+                       make_rng, n_params, softmax)
+
+
+def make_mlp(dims, rng=None):
+    """Standalone Mlp over a ParamSet of its own."""
+    return Mlp(dims, ParamSet(n_params(dims)), rng)
 
 
 def hand_mlp(*layers):
     """Mlp whose layer i has the i-th given (weight, bias)."""
     weights = [np.array(w, dtype=float) for w, _ in layers]
-    mlp = Mlp([weights[0].shape[0]] + [w.shape[1] for w in weights])
+    mlp = make_mlp([weights[0].shape[0]] + [w.shape[1] for w in weights])
     for i, (w, (_, b)) in enumerate(zip(weights, layers)):
         mlp.weights[i][:] = w
         mlp.biases[i][:] = b
@@ -23,7 +28,7 @@ class TestLinear:
         assert out == pytest.approx(np.array([[3.0]]))
 
     def test_zero_input(self):
-        mlp = Mlp([4, 3], make_rng(0))
+        mlp = make_mlp([4, 3], make_rng(0))
         mlp.biases[0][:] = 0.0
         out = mlp.predict(np.zeros((5, 4)))
         assert np.all(out == 0.0)
@@ -134,7 +139,7 @@ class TestCeLogitGrad:
 
 class TestAdam:
     def one_param_mlp(self, value):
-        mlp = Mlp([1, 1])
+        mlp = make_mlp([1, 1])
         mlp.weights[0][0, 0] = value
         return mlp
 
@@ -144,11 +149,12 @@ class TestAdam:
         assert mlp.weights[0][0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
     def test_first_step_is_minus_lr(self):
+        # bias correction makes the first step lr * g / (|g| + eps), with
+        # the code's eps of 1e-4
         mlp = self.one_param_mlp(0.0)
         mlp.grad_weights[0][0, 0] = 1.0
-        adam_step(mlp.params, lr=1e-3, beta1=0.9, beta2=0.999,
-                  weight_decay=0.0, t=1)
-        assert mlp.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
+        adam_step(mlp.params, lr=1e-3, weight_decay=0.0, t=1)
+        assert mlp.weights[0][0, 0] == pytest.approx(-1e-3 / (1 + 1e-4), rel=1e-6)
 
     def test_determinism(self):
         results = []
@@ -168,7 +174,7 @@ class TestAdam:
 class TestParamSet:
     def test_flatten_round_trip_bit_exact(self):
         rng = make_rng(11)
-        mlp = Mlp([5, 4, 3], rng)
+        mlp = make_mlp([5, 4, 3], rng)
         flat = mlp.params.flatten_params()
         probe = rng.normal(size=flat.shape)
         mlp.params.set_flat_params(probe)
@@ -178,7 +184,7 @@ class TestParamSet:
 
     def test_layer_views_follow_flat_order(self):
         # weight row-major, then bias, layer by layer: the checkpoint order
-        mlp = Mlp([2, 3, 2])
+        mlp = make_mlp([2, 3, 2])
         mlp.params.set_flat_params(np.arange(17.0))
         mlp.params.set_flat_grads(-np.arange(17.0))
         expected = [np.arange(6.0).reshape(2, 3), np.arange(6.0, 9.0),
@@ -191,9 +197,39 @@ class TestParamSet:
             assert np.array_equal(grad, -want)
 
     def test_flatten_length_checked(self):
-        mlp = Mlp([3, 2], make_rng(0))
+        mlp = make_mlp([3, 2], make_rng(0))
         with pytest.raises(DimensionError):
             mlp.params.set_flat_params(np.zeros(5))
+
+    def test_view_shares_memory_with_its_slice(self):
+        whole = ParamSet(10)
+        part = whole.view(3, 7)
+        assert part.n_params == 4
+        for name in ("values", "grads", "m", "v"):
+            getattr(part, name)[:] = 1.0
+            assert np.array_equal(getattr(whole, name),
+                                  [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
+            getattr(whole, name)[:] = 0.0
+
+    def test_n_params_counts_weights_and_biases(self):
+        assert n_params([2, 3, 2]) == 17
+        assert n_params([5, 1]) == 6
+        for dims in ([4], [3, 0], [-1, 5], [4, -2, 3]):
+            with pytest.raises(ConfigError):
+                n_params(dims)
+
+    def test_mlp_rejects_param_set_of_wrong_length(self):
+        for n in (16, 18):
+            with pytest.raises(DimensionError):
+                Mlp([2, 3, 2], ParamSet(n))
+        assert Mlp([2, 3, 2], ParamSet(17)).params.n_params == 17
+
+    def test_mlp_views_the_param_set_it_is_given(self):
+        params = ParamSet(n_params([2, 3]))
+        mlp = Mlp([2, 3], params, make_rng(0))
+        assert mlp.params is params
+        assert np.shares_memory(mlp.weights[0], params.values)
+        assert np.array_equal(params.values[:6], mlp.weights[0].ravel())
 
 
 def mlp_loss(mlp, x, labels):
@@ -209,7 +245,7 @@ class TestMlpGradients:
             h = int(rng.integers(2, 9))
             c = int(rng.integers(2, 5))
             n = int(rng.integers(1, 17))
-            mlp = Mlp([d, h, c], rng)
+            mlp = make_mlp([d, h, c], rng)
             x = rng.normal(size=(n, d))
             labels = rng.integers(0, c, size=n)
 
@@ -235,7 +271,7 @@ class TestMlpGradients:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = make_rng(29)
-        mlp = Mlp([4, 6, 3], rng)
+        mlp = make_mlp([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
         out, cache = mlp.forward(x)
