@@ -16,7 +16,6 @@ from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
 from .model import (ModelBundle, forward_ensemble, forward_target_agree,
                     forward_target_disagree)
-from .nn import (Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
-                 make_rng, softmax)
+from .nn import Mlp, ParamSet, adam_step, make_rng, softmax, softmax_ce
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .nn import ce_logit_grad, cross_entropy, softmax
+from .nn import softmax_ce
 
 # below this a gradient or logit vector's norm counts as zero
 NORM_EPS = 1e-12
@@ -106,18 +106,23 @@ def logitnorm_ce(z, labels, cfg):
     """Cross-entropy on normalized logits, with the exact gradient back
     through the normalization.
 
-    Returns (loss, grad_z). Per row the normalization Jacobian is
-    (I - tau^2 * zh zh^T) / (tau * |z|), applied to the usual
-    (softmax - one_hot)/n logit gradient.
+    Returns (loss, grad_z, norm_err). Per row the normalization Jacobian
+    is (I - tau^2 * zh zh^T) / (tau * |z|), applied to the usual
+    (softmax - one_hot)/n logit gradient. norm_err is the largest
+    | |zh| - 1/tau | over the rows; rows of all-zero logits (all-dead
+    paths) fall back to the epsilon floor, carry no norm guarantee and
+    are left out (0.0 when no row is left).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise DimensionError("logitnorm_ce expects an n x C matrix")
-    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), NORM_EPS)
+    raw = np.linalg.norm(z, axis=1, keepdims=True)
+    norms = np.maximum(raw, NORM_EPS)
     zh = z / (cfg.tau * norms)
-    probs = softmax(zh)
-    loss = cross_entropy(probs, labels)
-    gh = ce_logit_grad(probs, labels)
+    loss, gh = softmax_ce(zh, labels)
     dot = np.sum(zh * gh, axis=1, keepdims=True)
     grad_z = (gh - zh * dot * cfg.tau ** 2) / (cfg.tau * norms)
-    return loss, grad_z
+    live = raw[:, 0] >= NORM_EPS
+    norm_err = (float(np.abs(np.linalg.norm(zh[live], axis=1) - 1.0 / cfg.tau).max())
+                if live.any() else 0.0)
+    return loss, grad_z, norm_err

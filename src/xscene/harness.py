@@ -29,8 +29,7 @@ from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
 from .model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                     forward_ensemble, forward_target_agree,
                     forward_target_disagree)
-from .nn import (adam_step, ce_logit_grad, cross_entropy, make_rng, n_params,
-                 softmax)
+from .nn import adam_step, make_rng, n_params, softmax_ce
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 
@@ -225,13 +224,11 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
         for _ in range(steps_per_epoch):
             idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
             x, y = tgt_train.spectra[idx], tgt_train.labels[idx]
-            bundle.private.zero_grads()
             feats, c_ext = bundle.private_extractor.forward(x)
             enc, c_enc = bundle.private_encoder.forward(feats)
             z, c_head = bundle.private_head.forward(enc)
-            probs = softmax(z)
-            loss_ce = cross_entropy(probs, y)
-            d_enc = bundle.private_head.backward(c_head, ce_logit_grad(probs, y))
+            loss_ce, dz = softmax_ce(z, y)
+            d_enc = bundle.private_head.backward(c_head, dz)
             dcor_val = None
             total = loss_ce
             if cfg.use_dir:
@@ -246,7 +243,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
                 d_enc = d_enc + g_private
                 total = loss_ce + dcor_val
             d_feats = bundle.private_encoder.backward(c_enc, d_enc)
-            bundle.private_extractor.backward(c_ext, d_feats)
+            bundle.private_extractor.backward(c_ext, d_feats, input_grad=False)
             t += 1
             adam_step(bundle.private, cfg.lr, weight_decay=cfg.weight_decay, t=t)
             _append_step(steps, {
@@ -275,17 +272,14 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
             idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
             y = tgt_train.labels[idx]
             base_feats = base_all[idx]
-            bundle.ensemble.zero_grads()
             enc, c_enc = bundle.ensemble_encoder.forward(base_feats)
             z, c_head = bundle.ensemble_head.forward(enc)
-            probs = softmax(z)
-            loss_ce = cross_entropy(probs, y)
-            dz = ce_logit_grad(probs, y)
+            loss_ce, dz = softmax_ce(z, y)
             e1, g1 = symmetric_kl(z, agree_all[idx], cfg.temp_agree)
             e2, g2 = symmetric_kl(z, disagree_all[idx], cfg.temp_disagree)
             dz = dz + (g1 + g2)
             d_enc = bundle.ensemble_head.backward(c_head, dz)
-            bundle.ensemble_encoder.backward(c_enc, d_enc)
+            bundle.ensemble_encoder.backward(c_enc, d_enc, input_grad=False)
             t += 1
             adam_step(bundle.ensemble, cfg.lr, weight_decay=cfg.weight_decay, t=t)
             _append_step(steps, {

@@ -11,7 +11,7 @@ Three branches over per-pixel spectra:
 
 All ten components view one ParamSet, laid out in COMPONENT_ORDER (also
 the checkpoint order). Each branch's components are a contiguous run of
-it, so a branch zeroes its gradients and takes its Adam step as one slice.
+it, so a branch takes its Adam step as one slice.
 """
 
 from dataclasses import dataclass
@@ -19,10 +19,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .agreement import NORM_EPS, logitnorm, logitnorm_ce
+from .agreement import logitnorm_ce
 from .errors import DataError, DimensionError
-from .nn import (Mlp, ParamSet, ce_logit_grad, cross_entropy, make_rng,
-                 n_params, softmax)
+from .nn import Mlp, ParamSet, make_rng, n_params, softmax_ce
 
 COMPONENT_ORDER = (
     "source_extractor",
@@ -139,44 +138,38 @@ def _check_batch(x, y, bands, what):
 
 
 def _task_backward(extractor, encoder, head, x, y, ln_cfg):
-    """Forward + backward for one task path; accumulates gradients into
-    the three components and returns (loss, logitnorm deviation)."""
+    """Forward + backward for one task path; writes the gradients of the
+    three components and returns (loss, logitnorm deviation)."""
     feats, c_ext = extractor.forward(x)
     enc, c_enc = encoder.forward(feats)
     z, c_head = head.forward(enc)
     if ln_cfg is None:
-        probs = softmax(z)
-        loss = cross_entropy(probs, y)
-        dz = ce_logit_grad(probs, y)
+        loss, dz = softmax_ce(z, y)
         ln_err = None
     else:
-        loss, dz = logitnorm_ce(z, y, ln_cfg)
-        # degenerate rows (all-dead paths give exactly zero logits) fall
-        # back to the epsilon floor and carry no norm guarantee
-        live = np.linalg.norm(z, axis=1) >= NORM_EPS
-        norms = np.linalg.norm(logitnorm(z[live], ln_cfg), axis=1)
-        ln_err = float(np.abs(norms - 1.0 / ln_cfg.tau).max()) if live.any() else 0.0
+        loss, dz, ln_err = logitnorm_ce(z, y, ln_cfg)
     d_enc = head.backward(c_head, dz)
     d_feats = encoder.backward(c_enc, d_enc)
-    extractor.backward(c_ext, d_feats)
+    extractor.backward(c_ext, d_feats, input_grad=False)
     return loss, ln_err
 
 
 def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None):
-    """Compute both task losses and leave their gradients in the
+    """Compute both task losses and write their gradients into the
     agreement components.
 
-    After the call the shared encoder's gradient buffers hold only the
-    target-task gradient; the caller combines g_s and g_t (possibly after
-    surgery) and writes the result back before stepping.
+    Each component's gradient is written by its own task's backward, so
+    nothing is zeroed first. The shared encoder is written twice: g_s is
+    copied out before the target task overwrites it, and after the call
+    its buffers hold only the target-task gradient; the caller combines
+    g_s and g_t (possibly after surgery) and writes the result back
+    before stepping.
     """
     xs, ys = _check_batch(batch_s[0], batch_s[1], bundle.bands_source, "source")
     xt, yt = _check_batch(batch_t[0], batch_t[1], bundle.bands_target, "target")
-    bundle.agreement.zero_grads()
     loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
                                   bundle.source_head, xs, ys, ln_cfg)
     g_s = bundle.shared_encoder.params.flatten_grads()
-    bundle.shared_encoder.params.zero_grads()
     loss_t, ln_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
                                   bundle.target_head, xt, yt, ln_cfg)
     g_t = bundle.shared_encoder.params.flatten_grads()

@@ -59,9 +59,6 @@ class ParamSet:
     def n_params(self):
         return self.values.size
 
-    def zero_grads(self):
-        self.grads.fill(0.0)
-
     def flatten_params(self):
         return self.values.copy()
 
@@ -104,23 +101,19 @@ def _check_labels(labels, num_classes):
     return labels.astype(np.int64)
 
 
-def cross_entropy(probs, labels):
-    """Mean over the batch of -log p[label], with p clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
+def softmax_ce(z, labels):
+    """Batch-mean cross-entropy of softmax(z), with p clamped at 1e-12,
+    and its gradient w.r.t. the logits, (softmax - one_hot) / n.
+
+    Returns (loss, dz) from one softmax and one label check.
+    """
+    probs = softmax(z)
     labels = _check_labels(labels, probs.shape[1])
-    picked = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-
-
-def ce_logit_grad(pred_probs, labels):
-    """Gradient of the batch-mean cross-entropy w.r.t. the logits:
-    (softmax - one_hot) / n."""
-    pred_probs = np.asarray(pred_probs, dtype=np.float64)
-    labels = _check_labels(labels, pred_probs.shape[1])
-    n = pred_probs.shape[0]
-    grad = pred_probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return grad / n
+    rows = np.arange(probs.shape[0])
+    loss = float(-np.log(np.maximum(probs[rows, labels], PROB_FLOOR)).mean())
+    probs[rows, labels] -= 1.0
+    probs /= probs.shape[0]
+    return loss, probs
 
 
 class Mlp:
@@ -171,7 +164,8 @@ class Mlp:
         cache = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
+            z = a @ w
+            z += b
             cache.append((a, z))
             a = np.maximum(z, 0.0) if i < last else z
         return a, cache
@@ -179,21 +173,25 @@ class Mlp:
     def predict(self, x):
         return self.forward(x)[0]
 
-    def backward(self, cache, upstream):
-        """Accumulates parameter gradients; returns the gradient w.r.t.
-        the forward input. The ReLU subgradient at 0 is 0."""
+    def backward(self, cache, upstream, input_grad=True):
+        """Writes (does not add to) the parameter gradients; returns the
+        gradient w.r.t. the forward input, or None when input_grad is
+        False and the first layer's input product is skipped. The ReLU
+        subgradient at 0 is 0."""
         g = np.asarray(upstream, dtype=np.float64)
         for i in reversed(range(len(self.weights))):
-            self.grad_weights[i] += cache[i][0].T @ g
-            self.grad_biases[i] += g.sum(axis=0)
+            np.matmul(cache[i][0].T, g, out=self.grad_weights[i])
+            g.sum(axis=0, out=self.grad_biases[i])
+            if i == 0 and not input_grad:
+                return None
             g = g @ self.weights[i].T
             if i > 0:
-                g = np.where(cache[i - 1][1] > 0.0, g, 0.0)
+                g *= cache[i - 1][1] > 0.0
         return g
 
 
 def adam_step(params, lr, weight_decay=0.0, t=1):
-    """One Adam update from the accumulated gradients.
+    """One Adam update from the gradients in params.grads.
 
     Decoupled weight decay shrinks parameters by lr*weight_decay before the
     bias-corrected Adam delta is applied. Every operation is elementwise,

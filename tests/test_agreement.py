@@ -165,7 +165,7 @@ class TestLogitNormCe:
             c = int(rng.integers(2, 6))
             z = rng.normal(size=(n, c))
             labels = rng.integers(0, c, size=n)
-            _, grad = logitnorm_ce(z, labels, cfg)
+            grad = logitnorm_ce(z, labels, cfg)[1]
             h = 1e-5
             fd = np.zeros_like(z)
             for i in range(n):
@@ -180,7 +180,7 @@ class TestLogitNormCe:
     def test_dominant_correct_class_beats_uniform(self):
         cfg = LogitNormConfig(tau=2.0)
         z = np.array([[4.0, -1.0, -1.0]])
-        loss, _ = logitnorm_ce(z, [0], cfg)
+        loss = logitnorm_ce(z, [0], cfg)[0]
         assert loss < np.log(3.0)
 
     def test_row_rescaling_leaves_loss_unchanged(self):
@@ -188,6 +188,20 @@ class TestLogitNormCe:
         rng = make_rng(37)
         z = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
-        base, _ = logitnorm_ce(z, labels, cfg)
-        scaled, _ = logitnorm_ce(10.0 * z, labels, cfg)
+        base = logitnorm_ce(z, labels, cfg)[0]
+        scaled = logitnorm_ce(10.0 * z, labels, cfg)[0]
         assert scaled == pytest.approx(base, abs=1e-10)
+
+    def test_norm_err_is_the_deviation_of_the_normalized_rows(self):
+        # bit for bit the max | |logitnorm(row)| - 1/tau | over the rows of
+        # non-zero logits; all-zero rows are left out
+        cfg = LogitNormConfig(tau=2.0)
+        rng = make_rng(41)
+        z = rng.normal(size=(6, 4)) * np.array([[1e-3], [1.0], [50.0], [0.0],
+                                                [7.0], [1e3]])
+        labels = rng.integers(0, 4, size=6)
+        live = np.linalg.norm(z, axis=1) > 0.0
+        want = float(np.abs(np.linalg.norm(logitnorm(z[live], cfg), axis=1)
+                            - 1.0 / cfg.tau).max())
+        assert logitnorm_ce(z, labels, cfg)[2] == want
+        assert logitnorm_ce(np.zeros((3, 4)), [0, 1, 2], cfg)[2] == 0.0

@@ -78,6 +78,17 @@ class TestTrain:
         assert "error: agree step " in capsys.readouterr().err
         assert not log.exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        monkeypatch.setattr("xscene.cli.train", no_memory)
+        cfg = write_cfg(tmp_path)
+        log = tmp_path / "run.jsonl"
+        assert main(["train", "--config", str(cfg), "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB\n"
+        assert not log.exists()
+
     def test_log_deterministic_across_invocations(self, tmp_path):
         cfg = write_cfg(tmp_path)
         l1, l2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -6,7 +6,7 @@ from xscene.errors import DataError, DimensionError
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           forward_ensemble, forward_target_agree,
                           forward_target_disagree)
-from xscene.nn import adam_step, cross_entropy, make_rng, softmax
+from xscene.nn import adam_step, make_rng, softmax_ce
 
 # each branch's contiguous run of components
 BRANCHES = {"agreement": COMPONENT_ORDER[:5], "private": COMPONENT_ORDER[5:8],
@@ -111,7 +111,7 @@ class TestSharedGradients:
             feats = extractor.predict(x)
             z = head.predict(bundle.shared_encoder.predict(feats))
             if ln_cfg is None:
-                return cross_entropy(softmax(z), y)
+                return softmax_ce(z, y)[0]
             from xscene.agreement import logitnorm_ce
             return logitnorm_ce(z, y, ln_cfg)[0]
 
@@ -141,6 +141,25 @@ class TestSharedGradients:
                                (bundle.target_extractor, bundle.target_head), ln_cfg)
         np.testing.assert_allclose(g_s, fd_s, rtol=1e-4, atol=1e-8)
         np.testing.assert_allclose(g_t, fd_t, rtol=1e-4, atol=1e-8)
+
+    def test_writes_every_agreement_gradient(self):
+        # stale gradients left in the bundle by an earlier step change
+        # nothing: each agreement component's gradient is written, and the
+        # other branches' buffers are not touched
+        rng = make_rng(25)
+        xs, ys = rng.normal(size=(7, 6)), rng.integers(0, 3, size=7)
+        xt, yt = rng.normal(size=(5, 5)), rng.integers(0, 3, size=5)
+        clean = tiny_bundle(seed=27)
+        want = agreement_backward(clean, (xs, ys), (xt, yt))
+        stale = tiny_bundle(seed=27)
+        stale.params.grads[:] = rng.normal(size=stale.params.n_params)
+        others = np.concatenate([stale.private.grads, stale.ensemble.grads])
+        res = agreement_backward(stale, (xs, ys), (xt, yt))
+        assert np.array_equal(res.g_s, want.g_s)
+        assert np.array_equal(res.g_t, want.g_t)
+        assert np.array_equal(stale.agreement.grads, clean.agreement.grads)
+        assert np.array_equal(
+            np.concatenate([stale.private.grads, stale.ensemble.grads]), others)
 
     def test_empty_batch_rejected(self):
         bundle = tiny_bundle()

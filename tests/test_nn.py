@@ -2,8 +2,26 @@ import numpy as np
 import pytest
 
 from xscene.errors import ConfigError, DimensionError
-from xscene.nn import (Mlp, ParamSet, adam_step, ce_logit_grad, cross_entropy,
-                       make_rng, n_params, softmax)
+from xscene.nn import (PROB_FLOOR, Mlp, ParamSet, adam_step, make_rng, n_params,
+                       softmax, softmax_ce)
+
+
+def cross_entropy(probs, labels):
+    """Reference batch-mean -log p[label], with p clamped at PROB_FLOOR."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.int64)
+    picked = probs[np.arange(probs.shape[0]), labels]
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+
+
+def ce_logit_grad(pred_probs, labels):
+    """Reference gradient of the batch-mean cross-entropy w.r.t. the
+    logits: (softmax - one_hot) / n."""
+    pred_probs = np.asarray(pred_probs, dtype=np.float64)
+    n = pred_probs.shape[0]
+    grad = pred_probs.copy()
+    grad[np.arange(n), np.asarray(labels).astype(np.int64)] -= 1.0
+    return grad / n
 
 
 def make_mlp(dims, rng=None):
@@ -94,37 +112,56 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert cross_entropy(np.array([[1.0, 0.0]]), [0]) == pytest.approx(0.0)
+        assert softmax_ce(np.array([[1000.0, 0.0]]), [0])[0] == pytest.approx(0.0)
 
     def test_uniform(self):
-        loss = cross_entropy(np.array([[0.5, 0.5]]), [1])
+        loss, _ = softmax_ce(np.array([[0.0, 0.0]]), [1])
         assert loss == pytest.approx(np.log(2.0))
 
     def test_mean_invariance_for_identical_rows(self):
-        row = np.array([[0.3, 0.7]])
-        single = cross_entropy(row, [1])
-        double = cross_entropy(np.vstack([row, row]), [1, 1])
+        row = np.log(np.array([[0.3, 0.7]]))
+        single, _ = softmax_ce(row, [1])
+        double, _ = softmax_ce(np.vstack([row, row]), [1, 1])
         assert double == pytest.approx(single)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(np.array([[0.5, 0.5]]), [2])
+            softmax_ce(np.array([[0.0, 0.0]]), [2])
+
+    def test_equals_reference_bit_for_bit(self):
+        # one softmax shared by the loss and the gradient gives exactly the
+        # separate reference loss and gradient
+        rng = make_rng(5)
+        for _ in range(20):
+            n, c = int(rng.integers(1, 65)), int(rng.integers(2, 9))
+            z = rng.normal(size=(n, c)) * float(rng.uniform(0.1, 30.0))
+            labels = rng.integers(0, min(c, 3), size=n)   # labels repeat
+            loss, dz = softmax_ce(z, labels)
+            probs = softmax(z)
+            assert loss == cross_entropy(probs, labels)
+            assert np.array_equal(dz, ce_logit_grad(probs, labels))
+
+    def test_input_left_unchanged(self):
+        z = make_rng(6).normal(size=(4, 3))
+        before = z.copy()
+        softmax_ce(z, [0, 1, 2, 0])
+        assert np.array_equal(z, before)
 
 
 class TestCeLogitGrad:
     def test_hand_case(self):
-        grad = ce_logit_grad(np.array([[0.5, 0.5]]), [0])
+        _, grad = softmax_ce(np.array([[0.0, 0.0]]), [0])
         assert grad == pytest.approx(np.array([[-0.5, 0.5]]))
 
     def test_perfect_prediction_zero_grad(self):
-        grad = ce_logit_grad(np.array([[0.0, 1.0]]), [1])
+        _, grad = softmax_ce(np.array([[0.0, 1000.0]]), [1])
         assert grad == pytest.approx(np.array([[0.0, 0.0]]))
 
     def test_matches_finite_differences(self):
         rng = make_rng(7)
         z = rng.normal(size=(4, 3))
         labels = rng.integers(0, 3, size=4)
-        analytic = ce_logit_grad(softmax(z), labels)
+        _, analytic = softmax_ce(z, labels)
         h = 1e-5
         fd = np.zeros_like(z)
         for i in range(z.shape[0]):
@@ -132,8 +169,8 @@ class TestCeLogitGrad:
                 zp, zm = z.copy(), z.copy()
                 zp[i, j] += h
                 zm[i, j] -= h
-                fd[i, j] = (cross_entropy(softmax(zp), labels)
-                            - cross_entropy(softmax(zm), labels)) / (2 * h)
+                fd[i, j] = (softmax_ce(zp, labels)[0]
+                            - softmax_ce(zm, labels)[0]) / (2 * h)
         np.testing.assert_allclose(analytic, fd, atol=1e-6)
 
 
@@ -234,7 +271,7 @@ class TestParamSet:
 
 def mlp_loss(mlp, x, labels):
     out, _ = mlp.forward(x)
-    return cross_entropy(softmax(out), labels)
+    return softmax_ce(out, labels)[0]
 
 
 class TestMlpGradients:
@@ -250,8 +287,7 @@ class TestMlpGradients:
             labels = rng.integers(0, c, size=n)
 
             out, cache = mlp.forward(x)
-            mlp.params.zero_grads()
-            mlp.backward(cache, ce_logit_grad(softmax(out), labels))
+            mlp.backward(cache, softmax_ce(out, labels)[1])
             analytic = mlp.params.flatten_grads()
 
             flat = mlp.params.flatten_params()
@@ -275,8 +311,7 @@ class TestMlpGradients:
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
         out, cache = mlp.forward(x)
-        mlp.params.zero_grads()
-        grad_x = mlp.backward(cache, ce_logit_grad(softmax(out), labels))
+        grad_x = mlp.backward(cache, softmax_ce(out, labels)[1])
         step = 1e-5
         fd = np.zeros_like(x)
         for i in range(x.shape[0]):
@@ -286,3 +321,45 @@ class TestMlpGradients:
                 xm[i, j] -= step
                 fd[i, j] = (mlp_loss(mlp, xp, labels) - mlp_loss(mlp, xm, labels)) / (2 * step)
         np.testing.assert_allclose(grad_x, fd, rtol=1e-4, atol=1e-8)
+
+    def test_backward_writes_gradients_instead_of_adding(self):
+        # stale values in the buffers and a second call leave exactly what
+        # one call on a fresh ParamSet writes
+        rng = make_rng(31)
+        mlp = make_mlp([5, 7, 6, 3], rng)
+        x = rng.normal(size=(9, 5))
+        upstream = rng.normal(size=(9, 3))
+        fresh = make_mlp([5, 7, 6, 3])
+        fresh.params.set_flat_params(mlp.params.flatten_params())
+        fresh.backward(fresh.forward(x)[1], upstream)
+        want = fresh.params.flatten_grads()
+        assert want.any()
+        mlp.params.set_flat_grads(rng.normal(size=mlp.params.n_params))
+        _, cache = mlp.forward(x)
+        for _ in range(2):
+            mlp.backward(cache, upstream)
+            assert np.array_equal(mlp.params.flatten_grads(), want)
+
+    def test_input_grad_false_skips_only_the_input_gradient(self):
+        rng = make_rng(37)
+        for dims in ([4, 3], [4, 6, 5, 3]):
+            mlp = make_mlp(dims, rng)
+            x = rng.normal(size=(8, 4))
+            upstream = rng.normal(size=(8, 3))
+            _, cache = mlp.forward(x)
+            grad_x = mlp.backward(cache, upstream)
+            assert grad_x.shape == x.shape
+            full = mlp.params.flatten_grads()
+            mlp.params.set_flat_grads(np.zeros(mlp.params.n_params))
+            assert mlp.backward(cache, upstream, input_grad=False) is None
+            assert mlp.params.flatten_grads().tobytes() == full.tobytes()
+
+    def test_backward_leaves_upstream_and_cache_unchanged(self):
+        rng = make_rng(41)
+        mlp = make_mlp([3, 5, 4], rng)
+        _, cache = mlp.forward(rng.normal(size=(6, 3)))
+        upstream = rng.normal(size=(6, 4))
+        saved = [upstream.copy()] + [a.copy() for pair in cache for a in pair]
+        mlp.backward(cache, upstream)
+        now = [upstream] + [a for pair in cache for a in pair]
+        assert all(np.array_equal(a, b) for a, b in zip(now, saved))
