@@ -3,13 +3,12 @@ target, logit normalization, distance-correlation restriction, and
 symmetric-KL ensemble distillation, exercised on synthetic spectral
 classification tasks."""
 
-from .agreement import (LogitNormConfig, cosine_similarity, ema_update,
-                        gradvac_update, logitnorm, logitnorm_ce,
-                        magnitude_similarity)
+from .agreement import (cosine_similarity, ema_update, gradvac_update,
+                        logitnorm, logitnorm_ce, magnitude_similarity)
 from .data import (SceneDataset, SynthConfig, generate_pair, load_csv,
                    sample_k_per_class, save_csv)
-from .disagreement import (dcor_loss, distance_correlation, double_center,
-                           pairwise_distances, symmetric_kl)
+from .disagreement import (dcor_penalty, distance_correlation, double_center,
+                           pairwise_distances, smoothed_distances, symmetric_kl)
 from .harness import (RunReport, TrainConfig, ablate, evaluate, load_checkpoint,
                       load_config, save_checkpoint, train, write_log)
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,

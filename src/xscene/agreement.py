@@ -5,8 +5,6 @@ Covers gradient-direction surgery toward an EMA-tracked cosine target
 (LogitNorm) folded into cross-entropy.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError
@@ -16,15 +14,6 @@ from .nn import softmax_ce
 NORM_EPS = 1e-12
 # keeps sqrt(1 - alpha^2) well-conditioned in the surgery step
 ALPHA_LIMIT = 1.0 - 1e-6
-
-
-@dataclass
-class LogitNormConfig:
-    tau: float = 2.0
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
 
 
 def _check_pair(g_s, g_t):
@@ -90,7 +79,7 @@ def magnitude_similarity(g_s, g_t):
     return float(2.0 * ns * nt / denom)
 
 
-def logitnorm(z, cfg):
+def logitnorm(z, tau):
     """Rescale logits to norm 1/tau: z / (tau * max(|z|, eps)).
 
     Accepts a single logit vector or an n x C batch (row-wise).
@@ -99,10 +88,10 @@ def logitnorm(z, cfg):
     if z.shape[-1] < 2:
         raise DimensionError("need at least 2 classes of logits")
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / (cfg.tau * np.maximum(norms, NORM_EPS))
+    return z / (tau * np.maximum(norms, NORM_EPS))
 
 
-def logitnorm_ce(z, labels, cfg):
+def logitnorm_ce(z, labels, tau):
     """Cross-entropy on normalized logits, with the exact gradient back
     through the normalization.
 
@@ -118,11 +107,11 @@ def logitnorm_ce(z, labels, cfg):
         raise DimensionError("logitnorm_ce expects an n x C matrix")
     raw = np.linalg.norm(z, axis=1, keepdims=True)
     norms = np.maximum(raw, NORM_EPS)
-    zh = z / (cfg.tau * norms)
+    zh = z / (tau * norms)
     loss, gh = softmax_ce(zh, labels)
     dot = np.sum(zh * gh, axis=1, keepdims=True)
-    grad_z = (gh - zh * dot * cfg.tau ** 2) / (cfg.tau * norms)
+    grad_z = (gh - zh * dot * tau ** 2) / (tau * norms)
     live = raw[:, 0] >= NORM_EPS
-    norm_err = (float(np.abs(np.linalg.norm(zh[live], axis=1) - 1.0 / cfg.tau).max())
+    norm_err = (float(np.abs(np.linalg.norm(zh[live], axis=1) - 1.0 / tau).max())
                 if live.any() else 0.0)
     return loss, grad_z, norm_err

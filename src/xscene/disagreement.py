@@ -1,6 +1,7 @@
-"""Disagreement machinery: distance-correlation restriction between the
-shared and private feature batches, and the symmetric-KL distillation
-loss for the ensemble student.
+"""Disagreement machinery: the distance-correlation statistic, the
+Disagreement Restriction (DiR) penalty it gives between the frozen shared
+and the private feature batches, and the symmetric-KL distillation loss
+for the ensemble student.
 
 Distance correlation here is the biased (V-statistic) sample estimator:
 double-center the pairwise Euclidean distance matrices A and B, then
@@ -70,67 +71,50 @@ def distance_correlation(x, y):
     return float(np.sqrt(max(r2, 0.0)))
 
 
-def _smoothed_distances(x):
+def smoothed_distances(x):
+    """n x n Euclidean distances between rows, computed as sqrt(d^2 + 1e-12):
+    the smoothing keeps the DiR penalty differentiable where rows coincide."""
     diff = x[:, None, :] - x[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1) + DIST_SMOOTHING)
 
 
-def _dcor_input_grad(d_loss_d_centered, dist, x):
-    # chain: centered matrix -> distances -> squared distances -> rows of x;
-    # double centering is symmetric, so it is its own adjoint
-    g = double_center(d_loss_d_centered) / (2.0 * dist)
-    return 4.0 * (g.sum(axis=1, keepdims=True) * x - g @ x)
+def dcor_penalty(shared_dist, idx, y):
+    """Disagreement Restriction: distance correlation between a batch of
+    frozen shared features and the private batch `y`, with its gradient
+    w.r.t. `y`.
 
-
-def _dcor_private(a, dy, y):
-    """dCor penalty from the double-centred shared distance matrix `a`, the
-    smoothed private distance matrix `dy` and the private batch `y`.
-
-    Returns (loss, grad_private, d loss / dA); a degenerate batch or the
-    dCov <= 0 point gives (0.0, zeros, None). A caller whose shared side is
-    frozen builds `a` from precomputed distances and skips the shared-side
-    input gradient.
+    `shared_dist` is the smoothed distance table of the shared features
+    over the rows the batch is drawn from, and `idx` the batch's row
+    indices into it; `y[k]` is the private feature row of row `idx[k]`.
+    A repeated row has a repeated feature row, so the private distances
+    are built over the batch's unique rows and gathered back, exactly.
+    Returns (loss, grad_y); a degenerate batch or the dCov <= 0 point
+    gives (0.0, zeros).
     """
+    y = _as_batch(y, "private")
+    if len(idx) != y.shape[0]:
+        raise SampleCountError(
+            f"batch has {len(idx)} row indices but {y.shape[0]} private rows")
     n = y.shape[0]
+    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    a = double_center(shared_dist[np.ix_(idx, idx)])
+    dy = smoothed_distances(y[first])[np.ix_(inverse, inverse)]
     b = double_center(dy)
     vxy = (a * b).mean()
     vxx = (a * a).mean()
     vyy = (b * b).mean()
-    zero = (0.0, np.zeros_like(y), None)
     if vxx < DVAR_FLOOR or vyy < DVAR_FLOOR:
-        return zero
+        return 0.0, np.zeros_like(y)
     r2 = vxy / np.sqrt(vxx * vyy)
     if r2 <= 0.0:
-        return zero
+        return 0.0, np.zeros_like(y)
     loss = float(np.sqrt(r2))
-    # d loss / dA = loss/(2 n^2) * (B/vxy - A/vxx), and symmetrically for B
-    scale = loss / (2.0 * n * n)
-    da = scale * (b / vxy - a / vxx)
-    db = scale * (a / vxy - b / vyy)
-    return loss, _dcor_input_grad(db, dy, y), da
-
-
-def dcor_loss(shared, private):
-    """Distance-correlation penalty between two feature batches, with the
-    exact analytic gradient w.r.t. both.
-
-    Returns (loss, grad_shared, grad_private). The loss is the sample
-    distance correlation computed on smoothed pairwise distances
-    sqrt(d^2 + 1e-12), which keeps it differentiable when two rows
-    coincide. Degenerate (constant) batches give loss 0 with zero
-    gradients, as does the non-differentiable dCov = 0 point.
-    """
-    x = _as_batch(shared, "shared")
-    y = _as_batch(private, "private")
-    if x.shape[0] != y.shape[0]:
-        raise SampleCountError(
-            f"batches must have equal sample counts, got {x.shape[0]} and {y.shape[0]}"
-        )
-    dx = _smoothed_distances(x)
-    loss, g_private, da = _dcor_private(double_center(dx), _smoothed_distances(y), y)
-    if da is None:
-        return loss, np.zeros_like(x), g_private
-    return loss, _dcor_input_grad(da, dx, x), g_private
+    # d loss / dB = loss/(2 n^2) * (A/vxy - B/vyy); then chain through the
+    # centring (symmetric, so its own adjoint), the distances and the
+    # squared distances to the rows of y
+    db = loss / (2.0 * n * n) * (a / vxy - b / vyy)
+    g = double_center(db) / (2.0 * dy)
+    return loss, 4.0 * (g.sum(axis=1, keepdims=True) * y - g @ y)
 
 
 def _log_softmax_rows(z):

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .agreement import (LogitNormConfig, cosine_similarity, ema_update,
+from .agreement import (NORM_EPS, cosine_similarity, ema_update,
                         gradvac_update, logitnorm, magnitude_similarity)
 from .data import SynthConfig, generate_pair, sample_k_per_class
-from .disagreement import (_dcor_private, _smoothed_distances, double_center,
-                           symmetric_kl)
+from .disagreement import dcor_penalty, smoothed_distances, symmetric_kl
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
@@ -151,7 +150,7 @@ def evaluate(bundle, ds, head="agree"):
     elif head == "ensemble":
         logits = forward_ensemble(bundle, ds.spectra)
     elif head == "disagree":
-        logits = forward_target_disagree(bundle, ds.spectra)[1]
+        logits = forward_target_disagree(bundle, ds.spectra)
     else:
         raise ConfigError(f"unknown evaluation head {head!r}")
     if logits.shape[1] != ds.classes:
@@ -179,7 +178,7 @@ def _append_step(steps, record):
 
 
 def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
-    ln_cfg = LogitNormConfig(tau=cfg.tau) if cfg.use_logitnorm else None
+    tau = cfg.tau if cfg.use_logitnorm else None
     alpha = 0.0
     step = 0
     for _ in range(cfg.epochs_agree):
@@ -189,12 +188,12 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             batch_s = (source.spectra[chunk], source.labels[chunk])
             idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
             batch_t = (tgt_train.spectra[idx], tgt_train.labels[idx])
-            res = agreement_backward(bundle, batch_s, batch_t, ln_cfg)
+            res = agreement_backward(bundle, batch_s, batch_t, tau)
             g_s, g_t = res.g_s, res.g_t
             phi_raw = cosine_similarity(g_s, g_t)
             gt_norm = float(np.linalg.norm(g_t))
             applied = bool(cfg.use_gradvac and phi_raw < alpha
-                           and gt_norm >= 1e-12)
+                           and gt_norm >= NORM_EPS)
             g_post = gradvac_update(g_s, g_t, phi_raw, alpha) if applied else g_s
             phi_post = cosine_similarity(g_post, g_t)
             mag = magnitude_similarity(g_s, g_t)
@@ -207,7 +206,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
                 "alpha": float(alpha), "mag_sim": float(mag),
                 "loss_s": float(res.loss_s), "loss_t": float(res.loss_t),
                 "gs_norm": float(np.linalg.norm(g_s)), "gt_norm": gt_norm,
-                "gradvac_applied": applied, "logitnorm_active": ln_cfg is not None,
+                "gradvac_applied": applied, "logitnorm_active": tau is not None,
                 "ln_err_s": res.ln_err_s, "ln_err_t": res.ln_err_t,
             })
             alpha = ema_update(alpha, phi_raw, cfg.beta)
@@ -217,7 +216,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
     # the shared side is frozen: its distances over the few-shot split are
     # computed once, and each batch's rows and columns are gathered from them
     if cfg.use_dir:
-        shared_dist = _smoothed_distances(bundle.shared_encoder.predict(
+        shared_dist = smoothed_distances(bundle.shared_encoder.predict(
             bundle.target_extractor.predict(tgt_train.spectra)))
     t = 0
     for _ in range(cfg.epochs_disagree):
@@ -232,14 +231,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
             dcor_val = None
             total = loss_ce
             if cfg.use_dir:
-                # a repeated row has a repeated feature row: distances over
-                # the unique rows, gathered back to the batch, are exact
-                _, first, inverse = np.unique(idx, return_index=True,
-                                              return_inverse=True)
-                private_dist = _smoothed_distances(enc[first])
-                dcor_val, g_private, _ = _dcor_private(
-                    double_center(shared_dist[np.ix_(idx, idx)]),
-                    private_dist[np.ix_(inverse, inverse)], enc)
+                dcor_val, g_private = dcor_penalty(shared_dist, idx, enc)
                 d_enc = d_enc + g_private
                 total = loss_ce + dcor_val
             d_feats = bundle.private_encoder.backward(c_enc, d_enc)
@@ -255,17 +247,16 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
 
 
 def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
-    # under logit normalization the agreement head's trained distribution
-    # is softmax of the *normalized* logits; distill from those, not from
-    # the raw logits whose scale the normalized loss never controlled
-    ln_cfg = LogitNormConfig(tau=cfg.tau) if cfg.use_logitnorm else None
     # the extractor and both teachers are frozen: run them once over the
     # few-shot split and gather each batch's rows
     base_all = bundle.target_extractor.predict(tgt_train.spectra)
     agree_all = bundle.target_head.predict(bundle.shared_encoder.predict(base_all))
-    if ln_cfg is not None:
-        agree_all = logitnorm(agree_all, ln_cfg)
-    disagree_all = forward_target_disagree(bundle, tgt_train.spectra)[1]
+    # under logit normalization the agreement head's trained distribution
+    # is softmax of the *normalized* logits; distill from those, not from
+    # the raw logits whose scale the normalized loss never controlled
+    if cfg.use_logitnorm:
+        agree_all = logitnorm(agree_all, cfg.tau)
+    disagree_all = forward_target_disagree(bundle, tgt_train.spectra)
     t = 0
     for _ in range(cfg.epochs_ensemble):
         for _ in range(steps_per_epoch):
@@ -346,14 +337,16 @@ ABLATION_LADDER = (
 
 def ablate(cfg):
     """Run the cumulative five-row component ladder with a shared seed;
-    returns [(row_name, toggles, RunReport)]."""
-    rows = []
+    returns [(row_name, toggles, RunReport)]. Every row's config is
+    validated before the first row trains."""
+    ladder = []
     for name, toggles in ABLATION_LADDER:
         switches = dict(use_gradvac=False, use_logitnorm=False,
                         use_ensemble=False, use_dir=False)
         switches.update(toggles)
-        rows.append((name, toggles, train(dataclasses.replace(cfg, **switches))))
-    return rows
+        ladder.append((name, toggles,
+                       dataclasses.replace(cfg, **switches).validate()))
+    return [(name, toggles, train(row_cfg)) for name, toggles, row_cfg in ladder]
 
 
 def _json_line(record):

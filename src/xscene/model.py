@@ -101,9 +101,9 @@ def forward_target_agree(bundle, x):
 
 
 def forward_target_disagree(bundle, x):
-    """Private-branch features and logits for a target batch."""
-    feats = bundle.private_encoder.predict(bundle.private_extractor.predict(x))
-    return feats, bundle.private_head.predict(feats)
+    """Target logits through the private branch."""
+    feats = bundle.private_extractor.predict(x)
+    return bundle.private_head.predict(bundle.private_encoder.predict(feats))
 
 
 def forward_ensemble(bundle, x):
@@ -137,26 +137,27 @@ def _check_batch(x, y, bands, what):
     return x, y
 
 
-def _task_backward(extractor, encoder, head, x, y, ln_cfg):
+def _task_backward(extractor, encoder, head, x, y, tau):
     """Forward + backward for one task path; writes the gradients of the
     three components and returns (loss, logitnorm deviation)."""
     feats, c_ext = extractor.forward(x)
     enc, c_enc = encoder.forward(feats)
     z, c_head = head.forward(enc)
-    if ln_cfg is None:
+    if tau is None:
         loss, dz = softmax_ce(z, y)
         ln_err = None
     else:
-        loss, dz, ln_err = logitnorm_ce(z, y, ln_cfg)
+        loss, dz, ln_err = logitnorm_ce(z, y, tau)
     d_enc = head.backward(c_head, dz)
     d_feats = encoder.backward(c_enc, d_enc)
     extractor.backward(c_ext, d_feats, input_grad=False)
     return loss, ln_err
 
 
-def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None):
+def agreement_backward(bundle, batch_s, batch_t, tau=None):
     """Compute both task losses and write their gradients into the
-    agreement components.
+    agreement components; with `tau`, each task's cross-entropy runs on
+    logits normalized to norm 1/tau (LogitNorm).
 
     Each component's gradient is written by its own task's backward, so
     nothing is zeroed first. The shared encoder is written twice: g_s is
@@ -168,9 +169,9 @@ def agreement_backward(bundle, batch_s, batch_t, ln_cfg=None):
     xs, ys = _check_batch(batch_s[0], batch_s[1], bundle.bands_source, "source")
     xt, yt = _check_batch(batch_t[0], batch_t[1], bundle.bands_target, "target")
     loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
-                                  bundle.source_head, xs, ys, ln_cfg)
+                                  bundle.source_head, xs, ys, tau)
     g_s = bundle.shared_encoder.params.flatten_grads()
     loss_t, ln_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
-                                  bundle.target_head, xt, yt, ln_cfg)
+                                  bundle.target_head, xt, yt, tau)
     g_t = bundle.shared_encoder.params.flatten_grads()
     return AgreementGrads(g_s, g_t, loss_s, loss_t, ln_s, ln_t)

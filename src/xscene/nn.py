@@ -59,9 +59,6 @@ class ParamSet:
     def n_params(self):
         return self.values.size
 
-    def flatten_params(self):
-        return self.values.copy()
-
     def flatten_grads(self):
         return self.grads.copy()
 

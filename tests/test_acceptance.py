@@ -21,10 +21,11 @@ import time
 
 import numpy as np
 
-from xscene.agreement import (LogitNormConfig, cosine_similarity, ema_update,
-                              gradvac_update, logitnorm, logitnorm_ce)
+from xscene.agreement import (cosine_similarity, ema_update, gradvac_update,
+                              logitnorm, logitnorm_ce)
 from xscene.data import generate_pair, load_csv, sample_k_per_class, save_csv
-from xscene.disagreement import dcor_loss, distance_correlation, symmetric_kl
+from xscene.disagreement import (dcor_penalty, distance_correlation,
+                                 smoothed_distances, symmetric_kl)
 from xscene.harness import TrainConfig, train, write_log
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
@@ -59,14 +60,14 @@ def test_01_gradvac_alignment_guarantee():
 
 def test_02_logitnorm_contract():
     rng = make_rng(9002)
-    cfg = LogitNormConfig(tau=2.0)
+    tau = 2.0
     worst_norm = 0.0
     argmax_ok = True
     for _ in range(1000):
         c = int(rng.integers(2, 11))
         z = rng.normal(size=c) * float(rng.uniform(0.1, 20.0))
-        zh = logitnorm(z, cfg)
-        worst_norm = max(worst_norm, abs(np.linalg.norm(zh) - 1.0 / cfg.tau))
+        zh = logitnorm(z, tau)
+        worst_norm = max(worst_norm, abs(np.linalg.norm(zh) - 1.0 / tau))
         argmax_ok = argmax_ok and (np.argmax(zh) == np.argmax(z))
     worst_loss = 0.0
     for _ in range(200):
@@ -74,8 +75,8 @@ def test_02_logitnorm_contract():
         z = rng.normal(size=(n, c))
         labels = rng.integers(0, c, size=n)
         scale = float(rng.uniform(0.01, 100.0))
-        base = logitnorm_ce(z, labels, cfg)[0]
-        scaled = logitnorm_ce(scale * z, labels, cfg)[0]
+        base = logitnorm_ce(z, labels, tau)[0]
+        scaled = logitnorm_ce(scale * z, labels, tau)[0]
         worst_loss = max(worst_loss, abs(scaled - base))
     ok = worst_norm <= 1e-12 and argmax_ok and worst_loss <= 1e-10
     assert report(2, "logitnorm contract", ok,
@@ -97,23 +98,22 @@ def test_03_gradient_oracles():
     rng = make_rng(9003)
     start = time.perf_counter()
 
-    cfg = LogitNormConfig(tau=2.0)
+    tau = 2.0
     for _ in range(50):
         n, c = int(rng.integers(1, 9)), int(rng.integers(2, 6))
         z = rng.normal(size=(n, c))
         labels = rng.integers(0, c, size=n)
-        grad = logitnorm_ce(z, labels, cfg)[1]
-        fd = _fd_vector(lambda v: logitnorm_ce(v, labels, cfg)[0], z)
+        grad = logitnorm_ce(z, labels, tau)[1]
+        fd = _fd_vector(lambda v: logitnorm_ce(v, labels, tau)[0], z)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     for _ in range(50):
         n, d = int(rng.integers(3, 9)), int(rng.integers(1, 5))
         x = rng.normal(size=(n, d))
         y = rng.normal(size=(n, d))
-        _, gx, gy = dcor_loss(x, y)
-        fd_x = _fd_vector(lambda v: dcor_loss(v, y)[0], x)
-        fd_y = _fd_vector(lambda v: dcor_loss(x, v)[0], y)
-        np.testing.assert_allclose(gx, fd_x, rtol=1e-4, atol=1e-7)
+        shared_dist, rows = smoothed_distances(x), np.arange(n)
+        _, gy = dcor_penalty(shared_dist, rows, y)
+        fd_y = _fd_vector(lambda v: dcor_penalty(shared_dist, rows, v)[0], y)
         np.testing.assert_allclose(gy, fd_y, rtol=1e-4, atol=1e-7)
 
     for _ in range(50):
@@ -152,7 +152,7 @@ def test_03_gradient_oracles():
         done += 1
         res = agreement_backward(bundle, (xs, ys), (xt, yt))
         g_s, g_t = res.g_s, res.g_t
-        flat = bundle.shared_encoder.params.flatten_params()
+        flat = bundle.shared_encoder.params.values.copy()
 
         def loss_through(vec, extractor, head, x, y):
             bundle.shared_encoder.params.set_flat_params(vec)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from xscene.agreement import (LogitNormConfig, cosine_similarity, ema_update,
-                              gradvac_update, logitnorm, logitnorm_ce,
-                              magnitude_similarity)
+from xscene.agreement import (cosine_similarity, ema_update, gradvac_update,
+                              logitnorm, logitnorm_ce, magnitude_similarity)
 from xscene.errors import ConfigError, DimensionError
 from xscene.nn import make_rng
 
@@ -124,48 +123,42 @@ class TestMagnitudeSimilarity:
 
 class TestLogitNorm:
     def test_three_four_five(self):
-        cfg = LogitNormConfig(tau=2.0)
-        out = logitnorm(np.array([3.0, 4.0]), cfg)
+        out = logitnorm(np.array([3.0, 4.0]), 2.0)
         assert out == pytest.approx(np.array([0.3, 0.4]))
         assert np.linalg.norm(out) == pytest.approx(0.5)
 
     def test_zero_vector_guarded(self):
-        cfg = LogitNormConfig(tau=2.0)
-        out = logitnorm(np.zeros(3), cfg)
+        out = logitnorm(np.zeros(3), 2.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_scale_invariance(self):
-        cfg = LogitNormConfig(tau=1.5)
+        tau = 1.5
         rng = make_rng(23)
         z = rng.normal(size=7)
         for c in (0.5, 3.0, 1000.0):
-            np.testing.assert_allclose(logitnorm(c * z, cfg), logitnorm(z, cfg),
+            np.testing.assert_allclose(logitnorm(c * z, tau), logitnorm(z, tau),
                                        atol=1e-12)
 
     def test_norm_and_argmax_random(self):
-        cfg = LogitNormConfig(tau=2.0)
+        tau = 2.0
         rng = make_rng(29)
         for _ in range(100):
             z = rng.normal(size=int(rng.integers(2, 12)))
-            out = logitnorm(z, cfg)
-            assert np.linalg.norm(out) == pytest.approx(1.0 / cfg.tau, abs=1e-12)
+            out = logitnorm(z, tau)
+            assert np.linalg.norm(out) == pytest.approx(1.0 / tau, abs=1e-12)
             assert np.argmax(out) == np.argmax(z)
-
-    def test_config_validated(self):
-        with pytest.raises(ConfigError):
-            LogitNormConfig(tau=0.0)
 
 
 class TestLogitNormCe:
     def test_gradient_matches_finite_differences(self):
-        cfg = LogitNormConfig(tau=2.0)
+        tau = 2.0
         rng = make_rng(31)
         for _ in range(10):
             n = int(rng.integers(1, 9))
             c = int(rng.integers(2, 6))
             z = rng.normal(size=(n, c))
             labels = rng.integers(0, c, size=n)
-            grad = logitnorm_ce(z, labels, cfg)[1]
+            grad = logitnorm_ce(z, labels, tau)[1]
             h = 1e-5
             fd = np.zeros_like(z)
             for i in range(n):
@@ -173,35 +166,35 @@ class TestLogitNormCe:
                     zp, zm = z.copy(), z.copy()
                     zp[i, j] += h
                     zm[i, j] -= h
-                    fd[i, j] = (logitnorm_ce(zp, labels, cfg)[0]
-                                - logitnorm_ce(zm, labels, cfg)[0]) / (2 * h)
+                    fd[i, j] = (logitnorm_ce(zp, labels, tau)[0]
+                                - logitnorm_ce(zm, labels, tau)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, atol=1e-6)
 
     def test_dominant_correct_class_beats_uniform(self):
-        cfg = LogitNormConfig(tau=2.0)
+        tau = 2.0
         z = np.array([[4.0, -1.0, -1.0]])
-        loss = logitnorm_ce(z, [0], cfg)[0]
+        loss = logitnorm_ce(z, [0], tau)[0]
         assert loss < np.log(3.0)
 
     def test_row_rescaling_leaves_loss_unchanged(self):
-        cfg = LogitNormConfig(tau=2.0)
+        tau = 2.0
         rng = make_rng(37)
         z = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
-        base = logitnorm_ce(z, labels, cfg)[0]
-        scaled = logitnorm_ce(10.0 * z, labels, cfg)[0]
+        base = logitnorm_ce(z, labels, tau)[0]
+        scaled = logitnorm_ce(10.0 * z, labels, tau)[0]
         assert scaled == pytest.approx(base, abs=1e-10)
 
     def test_norm_err_is_the_deviation_of_the_normalized_rows(self):
         # bit for bit the max | |logitnorm(row)| - 1/tau | over the rows of
         # non-zero logits; all-zero rows are left out
-        cfg = LogitNormConfig(tau=2.0)
+        tau = 2.0
         rng = make_rng(41)
         z = rng.normal(size=(6, 4)) * np.array([[1e-3], [1.0], [50.0], [0.0],
                                                 [7.0], [1e3]])
         labels = rng.integers(0, 4, size=6)
         live = np.linalg.norm(z, axis=1) > 0.0
-        want = float(np.abs(np.linalg.norm(logitnorm(z[live], cfg), axis=1)
-                            - 1.0 / cfg.tau).max())
-        assert logitnorm_ce(z, labels, cfg)[2] == want
-        assert logitnorm_ce(np.zeros((3, 4)), [0, 1, 2], cfg)[2] == 0.0
+        want = float(np.abs(np.linalg.norm(logitnorm(z[live], tau), axis=1)
+                            - 1.0 / tau).max())
+        assert logitnorm_ce(z, labels, tau)[2] == want
+        assert logitnorm_ce(np.zeros((3, 4)), [0, 1, 2], tau)[2] == 0.0

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xscene.disagreement import (_dcor_private, _smoothed_distances,
-                                 dcor_loss, distance_correlation,
+from xscene.disagreement import (dcor_penalty, distance_correlation,
                                  double_center, pairwise_distances,
-                                 symmetric_kl)
+                                 smoothed_distances, symmetric_kl)
 from xscene.errors import ConfigError, DimensionError, SampleCountError
 from xscene.nn import make_rng
 
@@ -46,6 +45,44 @@ def naive_dcor(x, y):
     if vxx < 1e-15 or vyy < 1e-15:
         return 0.0
     return math.sqrt(max(vxy / math.sqrt(vxx * vyy), 0.0))
+
+
+def dcor_loss(shared, private):
+    """Reference two-sided DiR penalty: distance correlation on smoothed
+    distances sqrt(d^2 + 1e-12), with the analytic gradient w.r.t. both
+    batches. Returns (loss, grad_shared, grad_private); a degenerate batch
+    or the dCov <= 0 point gives loss 0 with zero gradients."""
+    def distances(v):
+        diff = v[:, None, :] - v[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1) + 1e-12)
+
+    def center(d):
+        row = d.mean(axis=1, keepdims=True)
+        col = d.mean(axis=0, keepdims=True)
+        return d - row - col + d.mean()
+
+    def input_grad(d_loss_d_centered, dist, v):
+        g = center(d_loss_d_centered) / (2.0 * dist)
+        return 4.0 * (g.sum(axis=1, keepdims=True) * v - g @ v)
+
+    n = shared.shape[0]
+    dx, dy = distances(shared), distances(private)
+    a, b = center(dx), center(dy)
+    vxy, vxx, vyy = (a * b).mean(), (a * a).mean(), (b * b).mean()
+    if vxx < 1e-15 or vyy < 1e-15 or vxy / np.sqrt(vxx * vyy) <= 0.0:
+        return 0.0, np.zeros_like(shared), np.zeros_like(private)
+    loss = float(np.sqrt(vxy / np.sqrt(vxx * vyy)))
+    # d loss / dA = loss/(2 n^2) * (B/vxy - A/vxx), and symmetrically for B
+    scale = loss / (2.0 * n * n)
+    return (loss, input_grad(scale * (b / vxy - a / vxx), dx, shared),
+            input_grad(scale * (a / vxy - b / vyy), dy, private))
+
+
+def penalty(shared, private):
+    """dcor_penalty on a batch whose rows are the shared table's rows in
+    order."""
+    return dcor_penalty(smoothed_distances(shared), np.arange(len(shared)),
+                        private)
 
 
 def kl_divergence(p_logits, q_logits, temp, temp_scaled=True):
@@ -167,11 +204,11 @@ class TestDistanceCorrelation:
             distance_correlation(np.ones((4, 2)), np.ones((5, 2)))
 
 
-class TestDcorLoss:
+class TestDcorPenalty:
     def test_identical_batches_max_penalty(self):
         rng = make_rng(19)
         x = rng.normal(size=(6, 3))
-        loss, _, _ = dcor_loss(x, x.copy())
+        loss, _ = penalty(x, x.copy())
         assert loss == pytest.approx(1.0)
 
     def test_gradients_match_finite_differences(self):
@@ -181,19 +218,16 @@ class TestDcorLoss:
             d = int(rng.integers(1, 5))
             x = rng.normal(size=(n, d))
             y = rng.normal(size=(n, d))
-            _, gx, gy = dcor_loss(x, y)
+            _, gy = penalty(x, y)
             h = 1e-5
-            for grad, which in ((gx, 0), (gy, 1)):
-                fd = np.zeros_like(grad)
-                for i in range(n):
-                    for j in range(grad.shape[1]):
-                        args_p = [x.copy(), y.copy()]
-                        args_m = [x.copy(), y.copy()]
-                        args_p[which][i, j] += h
-                        args_m[which][i, j] -= h
-                        fd[i, j] = (dcor_loss(*args_p)[0]
-                                    - dcor_loss(*args_m)[0]) / (2 * h)
-                np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+            fd = np.zeros_like(gy)
+            for i in range(n):
+                for j in range(d):
+                    yp, ym = y.copy(), y.copy()
+                    yp[i, j] += h
+                    ym[i, j] -= h
+                    fd[i, j] = (penalty(x, yp)[0] - penalty(x, ym)[0]) / (2 * h)
+            np.testing.assert_allclose(gy, fd, rtol=1e-4, atol=1e-7)
 
     def test_gradient_descent_decreases_dependence(self):
         rng = make_rng(29)
@@ -202,7 +236,7 @@ class TestDcorLoss:
         losses = []
         lr = 0.05
         for _ in range(50):
-            loss, _, gy = dcor_loss(x, y)
+            loss, gy = penalty(x, y)
             losses.append(loss)
             y = y - lr * gy
         assert losses[-1] < losses[0]
@@ -210,21 +244,20 @@ class TestDcorLoss:
         assert drops >= 45
 
     def test_degenerate_batch_zero_gradients(self):
-        loss, gx, gy = dcor_loss(np.ones((5, 2)), np.ones((5, 2)))
+        loss, gy = penalty(np.ones((5, 2)), np.ones((5, 2)))
         assert loss == 0.0
-        assert np.all(gx == 0.0) and np.all(gy == 0.0)
+        assert np.all(gy == 0.0)
+
+    def test_index_count_must_match_rows(self):
+        with pytest.raises(SampleCountError):
+            dcor_penalty(smoothed_distances(np.eye(4)), np.arange(3),
+                         np.ones((4, 2)))
 
 
 class TestDcorPrivate:
     """The gathered path the private training phase takes: shared distances
     from a table over the split, private distances over a batch's unique
     rows, both gathered back to the batch."""
-
-    def gathered(self, shared_table, private, idx):
-        _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
-        a = double_center(_smoothed_distances(shared_table)[np.ix_(idx, idx)])
-        dy = _smoothed_distances(private[first])[np.ix_(inverse, inverse)]
-        return _dcor_private(a, dy, private)
 
     def test_repeated_rows_match_dcor_loss_bit_for_bit(self):
         rng = make_rng(31)
@@ -234,7 +267,8 @@ class TestDcorPrivate:
             idx = rng.integers(0, 10, size=16)
             assert len(np.unique(idx)) < len(idx)
             private = private_table[idx]
-            loss, g_private, _ = self.gathered(shared_table, private, idx)
+            loss, g_private = dcor_penalty(smoothed_distances(shared_table),
+                                           idx, private)
             ref_loss, _, ref_g_private = dcor_loss(shared_table[idx], private)
             assert loss > 0.0
             assert loss == ref_loss
@@ -246,8 +280,8 @@ class TestDcorPrivate:
         varied = rng.normal(size=(6, 3))
         for shared_table, private_table in ((np.ones((6, 3)), varied),
                                             (varied, np.ones((6, 3)))):
-            loss, g_private, _ = self.gathered(shared_table,
-                                               private_table[idx], idx)
+            loss, g_private = dcor_penalty(smoothed_distances(shared_table),
+                                           idx, private_table[idx])
             assert loss == 0.0
             assert g_private.shape == (9, 3) and np.all(g_private == 0.0)
 

@@ -193,7 +193,7 @@ class TestEvaluate:
         bundle = rep.bundle
         # constant classifier: zero out the target head
         zeros = np.zeros(bundle.target_head.params.n_params)
-        saved = bundle.target_head.params.flatten_params()
+        saved = bundle.target_head.params.values.copy()
         bundle.target_head.params.set_flat_params(zeros)
         oa, aa, kappa = evaluate(bundle, heldout, "agree")
         assert aa == pytest.approx(1.0 / tgt.classes)
@@ -264,6 +264,14 @@ class TestAblate:
         assert rows[0][2].steps == lone_first.steps
         assert rows[4][2].oa == lone_last.oa
         assert rows[4][2].steps == lone_last.steps
+
+    def test_every_row_validated_before_any_trains(self, monkeypatch):
+        # batch_size 1 is valid for rows 1-4 but not for the +dir row
+        calls = []
+        monkeypatch.setattr("xscene.harness.train", calls.append)
+        with pytest.raises(ConfigError, match="use_dir needs batch_size >= 2"):
+            ablate(quick_cfg(batch_size=1))
+        assert len(calls) == 0
 
 
 class TestCheckpoint:

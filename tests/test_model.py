@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xscene.agreement import LogitNormConfig, cosine_similarity
+from xscene.agreement import cosine_similarity, logitnorm_ce
 from xscene.errors import DataError, DimensionError
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           forward_ensemble, forward_target_agree,
@@ -45,13 +45,12 @@ class TestForwards:
         np.testing.assert_allclose(forward_source(bundle, x), expected)
         np.testing.assert_allclose(forward_target_agree(bundle, x), expected)
 
-    def test_disagree_returns_features_and_logits(self):
-        bundle = hand_bundle()
-        x = np.array([[1.0, 1.0]])
-        step = lambda v: v @ np.array([[1.0, 2.0], [0.0, 1.0]]) + np.array([0.5, -0.5])
-        feats, logits = forward_target_disagree(bundle, x)
-        np.testing.assert_allclose(feats, step(step(x)))
-        np.testing.assert_allclose(logits, step(step(step(x))))
+    def test_disagree_returns_private_logits(self):
+        bundle = tiny_bundle(seed=3)
+        x = make_rng(1).normal(size=(4, 5))
+        feats = bundle.private_encoder.predict(bundle.private_extractor.predict(x))
+        expected = bundle.private_head.predict(feats)
+        np.testing.assert_allclose(forward_target_disagree(bundle, x), expected)
 
     def test_ensemble_uses_target_extractor_features(self):
         bundle = tiny_bundle(seed=3)
@@ -76,9 +75,9 @@ class TestForwards:
 class TestSharedGradients:
     def test_identical_tasks_give_identical_gradients(self):
         bundle = tiny_bundle(seed=7, bands_source=5, bands_target=5)
-        src = bundle.source_extractor.params.flatten_params()
+        src = bundle.source_extractor.params.values.copy()
         bundle.target_extractor.params.set_flat_params(src)
-        head = bundle.source_head.params.flatten_params()
+        head = bundle.source_head.params.values.copy()
         bundle.target_head.params.set_flat_params(head)
         rng = make_rng(11)
         x = rng.normal(size=(6, 5))
@@ -101,19 +100,18 @@ class TestSharedGradients:
         g_s2 = agreement_backward(bundle, (xs, ys), (xt2, yt2)).g_s
         assert np.array_equal(g_s1, g_s2)
 
-    def _fd_shared(self, bundle, x, y, forward_parts, ln_cfg=None):
+    def _fd_shared(self, bundle, x, y, forward_parts, tau=None):
         extractor, head = forward_parts
-        flat = bundle.shared_encoder.params.flatten_params()
+        flat = bundle.shared_encoder.params.values.copy()
         h = 1e-5
 
         def loss_at(vec):
             bundle.shared_encoder.params.set_flat_params(vec)
             feats = extractor.predict(x)
             z = head.predict(bundle.shared_encoder.predict(feats))
-            if ln_cfg is None:
+            if tau is None:
                 return softmax_ce(z, y)[0]
-            from xscene.agreement import logitnorm_ce
-            return logitnorm_ce(z, y, ln_cfg)[0]
+            return logitnorm_ce(z, y, tau)[0]
 
         fd = np.zeros_like(flat)
         for i in range(flat.size):
@@ -126,19 +124,19 @@ class TestSharedGradients:
 
     @pytest.mark.parametrize("use_ln", [False, True])
     def test_matches_finite_differences(self, use_ln):
-        ln_cfg = LogitNormConfig(tau=2.0) if use_ln else None
+        tau = 2.0 if use_ln else None
         bundle = tiny_bundle(seed=21)
         rng = make_rng(23)
         xs = rng.normal(size=(5, 6))
         ys = rng.integers(0, 3, size=5)
         xt = rng.normal(size=(4, 5))
         yt = rng.integers(0, 3, size=4)
-        res = agreement_backward(bundle, (xs, ys), (xt, yt), ln_cfg)
+        res = agreement_backward(bundle, (xs, ys), (xt, yt), tau)
         g_s, g_t = res.g_s, res.g_t
         fd_s = self._fd_shared(bundle, xs, ys,
-                               (bundle.source_extractor, bundle.source_head), ln_cfg)
+                               (bundle.source_extractor, bundle.source_head), tau)
         fd_t = self._fd_shared(bundle, xt, yt,
-                               (bundle.target_extractor, bundle.target_head), ln_cfg)
+                               (bundle.target_extractor, bundle.target_head), tau)
         np.testing.assert_allclose(g_s, fd_s, rtol=1e-4, atol=1e-8)
         np.testing.assert_allclose(g_t, fd_t, rtol=1e-4, atol=1e-8)
 
@@ -171,8 +169,8 @@ class TestSharedGradients:
 class TestStructure:
     def test_flatten_order_stable(self):
         bundle = tiny_bundle(seed=31)
-        a = bundle.shared_encoder.params.flatten_params()
-        b = bundle.shared_encoder.params.flatten_params()
+        a = bundle.shared_encoder.params.values.copy()
+        b = bundle.shared_encoder.params.values.copy()
         assert np.array_equal(a, b)
         assert a.tobytes() == b.tobytes()
 

@@ -212,10 +212,10 @@ class TestParamSet:
     def test_flatten_round_trip_bit_exact(self):
         rng = make_rng(11)
         mlp = make_mlp([5, 4, 3], rng)
-        flat = mlp.params.flatten_params()
+        flat = mlp.params.values.copy()
         probe = rng.normal(size=flat.shape)
         mlp.params.set_flat_params(probe)
-        assert np.array_equal(mlp.params.flatten_params(), probe)
+        assert np.array_equal(mlp.params.values.copy(), probe)
         mlp.params.set_flat_grads(probe)
         assert np.array_equal(mlp.params.flatten_grads(), probe)
 
@@ -290,7 +290,7 @@ class TestMlpGradients:
             mlp.backward(cache, softmax_ce(out, labels)[1])
             analytic = mlp.params.flatten_grads()
 
-            flat = mlp.params.flatten_params()
+            flat = mlp.params.values.copy()
             step = 1e-5
             fd = np.zeros_like(flat)
             for i in range(flat.size):
@@ -330,7 +330,7 @@ class TestMlpGradients:
         x = rng.normal(size=(9, 5))
         upstream = rng.normal(size=(9, 3))
         fresh = make_mlp([5, 7, 6, 3])
-        fresh.params.set_flat_params(mlp.params.flatten_params())
+        fresh.params.set_flat_params(mlp.params.values.copy())
         fresh.backward(fresh.forward(x)[1], upstream)
         want = fresh.params.flatten_grads()
         assert want.any()
