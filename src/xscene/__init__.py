@@ -3,8 +3,7 @@ target, logit normalization, distance-correlation restriction, and
 symmetric-KL ensemble distillation, exercised on synthetic spectral
 classification tasks."""
 
-from .agreement import (cosine_similarity, ema_update, gradvac_update,
-                        logitnorm, logitnorm_ce, magnitude_similarity)
+from .agreement import ema_update, gradvac_update, logitnorm, logitnorm_ce
 from .data import (SceneDataset, SynthConfig, generate_pair, load_csv,
                    sample_k_per_class, save_csv)
 from .disagreement import (dcor_penalty, distance_correlation, double_center,

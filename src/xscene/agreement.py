@@ -1,9 +1,11 @@
 """Agreement machinery for two-task training on a shared encoder.
 
 Covers gradient-direction surgery toward an EMA-tracked cosine target
-(GradVac), gradient magnitude similarity, and logit normalization
-(LogitNorm) folded into cross-entropy.
+(GradVac), which also measures the gradients' cosine and magnitude
+similarity, and logit normalization (LogitNorm) folded into cross-entropy.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,47 +18,52 @@ NORM_EPS = 1e-12
 ALPHA_LIMIT = 1.0 - 1e-6
 
 
-def _check_pair(g_s, g_t):
+@dataclass
+class GradVacStep:
+    """One agreement step's surgery: the source gradient to apply and the
+    figures the step logs."""
+
+    g: np.ndarray          # g_s after surgery; g_s itself when it did not fire
+    phi_raw: float         # cos(g_s, g_t)
+    phi_post: float        # cos(g, g_t)
+    mag_sim: float         # 2|g_s||g_t| / (|g_s|^2 + |g_t|^2)
+    gs_norm: float
+    gt_norm: float
+    gradvac_applied: bool
+
+
+def gradvac_update(g_s, g_t, alpha, enabled):
+    """GradVac on one step's shared-encoder gradients.
+
+    Surgery fires when `enabled`, cos(g_s, g_t) < alpha and |g_t| is at
+    least NORM_EPS: g = g_s + eta*g_t then has cosine alpha with g_t (up to
+    rounding), with eta fixed by the sine rule on the gradient triangle.
+    alpha must lie within +/-ALPHA_LIMIT, as ema_update returns it. A
+    cosine is 0 when either norm is below the floor (no direction means no
+    measurable conflict); mag_sim is 1 for equal magnitudes and 0 when one
+    gradient dominates or both vanish.
+    """
     g_s = np.asarray(g_s, dtype=np.float64)
     g_t = np.asarray(g_t, dtype=np.float64)
     if g_s.shape != g_t.shape or g_s.ndim != 1:
         raise DimensionError(
             f"expected equal-length 1-D vectors, got {g_s.shape} and {g_t.shape}"
         )
-    return g_s, g_t
-
-
-def cosine_similarity(g_s, g_t):
-    """Cosine of the angle between the two gradients; 0 when either norm
-    is below the floor (no direction means no measurable conflict)."""
-    g_s, g_t = _check_pair(g_s, g_t)
     ns = np.linalg.norm(g_s)
     nt = np.linalg.norm(g_t)
-    if ns < NORM_EPS or nt < NORM_EPS:
-        return 0.0
-    return float(g_s @ g_t / (ns * nt))
-
-
-def gradvac_update(g_s, g_t, phi, alpha):
-    """Rotate g_s toward g_t so their cosine similarity lands on alpha.
-
-    Applies only when phi < alpha; otherwise g_s is returned unchanged.
-    phi must be the cosine similarity of the inputs. The returned vector
-    g_s + eta*g_t satisfies cos(result, g_t) == alpha exactly (up to
-    rounding), with eta fixed by the sine rule on the gradient triangle.
-    """
-    g_s, g_t = _check_pair(g_s, g_t)
-    alpha = float(np.clip(alpha, -ALPHA_LIMIT, ALPHA_LIMIT))
-    if phi >= alpha:
-        return g_s
-    nt = np.linalg.norm(g_t)
-    if nt < NORM_EPS:
-        return g_s
-    ns = np.linalg.norm(g_s)
-    sin_alpha = np.sqrt(1.0 - alpha * alpha)
-    sin_phi = np.sqrt(max(1.0 - phi * phi, 0.0))
-    eta = ns * (alpha * sin_phi - phi * sin_alpha) / (nt * sin_alpha)
-    return g_s + eta * g_t
+    phi = 0.0 if ns < NORM_EPS or nt < NORM_EPS else float(g_s @ g_t / (ns * nt))
+    denom = ns * ns + nt * nt
+    mag = 0.0 if denom < NORM_EPS else float(2.0 * ns * nt / denom)
+    applied = bool(enabled and phi < alpha and nt >= NORM_EPS)
+    g, phi_post = g_s, phi
+    if applied:
+        sin_alpha = np.sqrt(1.0 - alpha * alpha)
+        sin_phi = np.sqrt(max(1.0 - phi * phi, 0.0))
+        eta = ns * (alpha * sin_phi - phi * sin_alpha) / (nt * sin_alpha)
+        g = g_s + eta * g_t
+        n_post = np.linalg.norm(g)
+        phi_post = 0.0 if n_post < NORM_EPS else float(g @ g_t / (n_post * nt))
+    return GradVacStep(g, phi, phi_post, mag, float(ns), float(nt), applied)
 
 
 def ema_update(alpha_prev, phi_prev, beta):
@@ -65,18 +72,6 @@ def ema_update(alpha_prev, phi_prev, beta):
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
     alpha = (1.0 - beta) * alpha_prev + beta * phi_prev
     return float(np.clip(alpha, -ALPHA_LIMIT, ALPHA_LIMIT))
-
-
-def magnitude_similarity(g_s, g_t):
-    """2|g_s||g_t| / (|g_s|^2 + |g_t|^2), in [0, 1]; 1 means equal
-    magnitudes, 0 means one gradient dominates (or both vanish)."""
-    g_s, g_t = _check_pair(g_s, g_t)
-    ns = np.linalg.norm(g_s)
-    nt = np.linalg.norm(g_t)
-    denom = ns * ns + nt * nt
-    if denom < NORM_EPS:
-        return 0.0
-    return float(2.0 * ns * nt / denom)
 
 
 def logitnorm(z, tau):

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .agreement import (NORM_EPS, cosine_similarity, ema_update,
-                        gradvac_update, logitnorm, magnitude_similarity)
+from .agreement import ema_update, gradvac_update, logitnorm
 from .data import SynthConfig, generate_pair, sample_k_per_class
 from .disagreement import dcor_penalty, smoothed_distances, symmetric_kl
 from .errors import ConfigError, DataError, DivergenceError, ParseError
@@ -82,6 +81,10 @@ class TrainConfig:
         if min(self.feat_dim, self.hidden_dim, self.enc_dim) < 1:
             raise ConfigError("architecture dims must be >= 1")
         self.synth.validate()
+        if self.shots >= self.synth.samples_per_class_target:
+            raise ConfigError(
+                f"shots={self.shots} leaves no evaluation rows: each target "
+                f"class has {self.synth.samples_per_class_target} samples")
         return self
 
 
@@ -189,27 +192,21 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
             batch_t = (tgt_train.spectra[idx], tgt_train.labels[idx])
             res = agreement_backward(bundle, batch_s, batch_t, tau)
-            g_s, g_t = res.g_s, res.g_t
-            phi_raw = cosine_similarity(g_s, g_t)
-            gt_norm = float(np.linalg.norm(g_t))
-            applied = bool(cfg.use_gradvac and phi_raw < alpha
-                           and gt_norm >= NORM_EPS)
-            g_post = gradvac_update(g_s, g_t, phi_raw, alpha) if applied else g_s
-            phi_post = cosine_similarity(g_post, g_t)
-            mag = magnitude_similarity(g_s, g_t)
-            bundle.shared_encoder.params.set_flat_grads(g_post + g_t)
+            surgery = gradvac_update(res.g_s, res.g_t, alpha, cfg.use_gradvac)
+            bundle.shared_encoder.params.set_flat_grads(surgery.g + res.g_t)
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=cfg.weight_decay, t=step)
             _append_step(steps, {
                 "phase": "agree", "step": step,
-                "phi_raw": float(phi_raw), "phi_post": float(phi_post),
-                "alpha": float(alpha), "mag_sim": float(mag),
+                "phi_raw": surgery.phi_raw, "phi_post": surgery.phi_post,
+                "alpha": alpha, "mag_sim": surgery.mag_sim,
                 "loss_s": float(res.loss_s), "loss_t": float(res.loss_t),
-                "gs_norm": float(np.linalg.norm(g_s)), "gt_norm": gt_norm,
-                "gradvac_applied": applied, "logitnorm_active": tau is not None,
+                "gs_norm": surgery.gs_norm, "gt_norm": surgery.gt_norm,
+                "gradvac_applied": surgery.gradvac_applied,
+                "logitnorm_active": tau is not None,
                 "ln_err_s": res.ln_err_s, "ln_err_t": res.ln_err_t,
             })
-            alpha = ema_update(alpha, phi_raw, cfg.beta)
+            alpha = ema_update(alpha, surgery.phi_raw, cfg.beta)
 
 
 def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .agreement import logitnorm_ce
 from .errors import DataError, DimensionError
-from .nn import Mlp, ParamSet, make_rng, n_params, softmax_ce
+from .nn import Mlp, ParamSet, n_params, softmax_ce
 
 COMPONENT_ORDER = (
     "source_extractor",
@@ -72,7 +72,7 @@ class ModelBundle:
             "private_head": [enc_dim, classes_target],
             "ensemble_encoder": [feat_dim, hidden_dim, enc_dim],
             "ensemble_head": [enc_dim, classes_target],
-        }, make_rng(rng))
+        }, rng)
 
     def layout(self):
         return {name: list(getattr(self, name).dims) for name in COMPONENT_ORDER}

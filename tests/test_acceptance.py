@@ -21,8 +21,7 @@ import time
 
 import numpy as np
 
-from xscene.agreement import (cosine_similarity, ema_update, gradvac_update,
-                              logitnorm, logitnorm_ce)
+from xscene.agreement import ema_update, gradvac_update, logitnorm, logitnorm_ce
 from xscene.data import generate_pair, load_csv, sample_k_per_class, save_csv
 from xscene.disagreement import (dcor_penalty, distance_correlation,
                                  smoothed_distances, symmetric_kl)
@@ -40,22 +39,30 @@ def report(num, name, ok, detail=""):
     return ok
 
 
+def cosine(a, b):
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def test_01_gradvac_alignment_guarantee():
+    # graded with the test's own cosine, not the call's phi_post
     rng = make_rng(9001)
     start = time.perf_counter()
     worst = 0.0
+    fired = 0
     for _ in range(1000):
         dim = int(rng.integers(2, 65))
         g_s = rng.normal(size=dim)
         g_t = rng.normal(size=dim)
-        phi = cosine_similarity(g_s, g_t)
+        phi = cosine(g_s, g_t)
         alpha = float(rng.uniform(phi + 1e-6, 1.0 - 1e-6))
-        out = gradvac_update(g_s, g_t, phi, alpha)
-        worst = max(worst, abs(cosine_similarity(out, g_t) - alpha))
+        res = gradvac_update(g_s, g_t, alpha, True)
+        fired += res.gradvac_applied
+        worst = max(worst, abs(cosine(res.g, g_t) - alpha))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 1.0
+    ok = worst <= 1e-9 and elapsed < 1.0 and fired == 1000
     assert report(1, "gradvac alignment", ok,
-                  f"worst |cos-alpha|={worst:.2e}, {elapsed:.2f}s")
+                  f"worst |cos-alpha|={worst:.2e}, fired {fired}/1000, "
+                  f"{elapsed:.2f}s")
 
 
 def test_02_logitnorm_contract():

@@ -1,54 +1,193 @@
 import numpy as np
 import pytest
 
-from xscene.agreement import (cosine_similarity, ema_update, gradvac_update,
-                              logitnorm, logitnorm_ce, magnitude_similarity)
+from xscene.agreement import (ALPHA_LIMIT, NORM_EPS, ema_update, gradvac_update,
+                              logitnorm, logitnorm_ce)
 from xscene.errors import ConfigError, DimensionError
 from xscene.nn import make_rng
 
 
+# Reference oracles: the three primitives the training step once called one
+# after another, and that sequence itself. gradvac_update must give every
+# field of it bit for bit.
+
+def check_pair(g_s, g_t):
+    g_s = np.asarray(g_s, dtype=np.float64)
+    g_t = np.asarray(g_t, dtype=np.float64)
+    if g_s.shape != g_t.shape or g_s.ndim != 1:
+        raise DimensionError(
+            f"expected equal-length 1-D vectors, got {g_s.shape} and {g_t.shape}"
+        )
+    return g_s, g_t
+
+
+def cosine_similarity(g_s, g_t):
+    g_s, g_t = check_pair(g_s, g_t)
+    ns = np.linalg.norm(g_s)
+    nt = np.linalg.norm(g_t)
+    if ns < NORM_EPS or nt < NORM_EPS:
+        return 0.0
+    return float(g_s @ g_t / (ns * nt))
+
+
+def rotate(g_s, g_t, phi, alpha):
+    """The old two-argument gradvac_update: phi is cos(g_s, g_t)."""
+    g_s, g_t = check_pair(g_s, g_t)
+    alpha = float(np.clip(alpha, -ALPHA_LIMIT, ALPHA_LIMIT))
+    if phi >= alpha:
+        return g_s
+    nt = np.linalg.norm(g_t)
+    if nt < NORM_EPS:
+        return g_s
+    ns = np.linalg.norm(g_s)
+    sin_alpha = np.sqrt(1.0 - alpha * alpha)
+    sin_phi = np.sqrt(max(1.0 - phi * phi, 0.0))
+    eta = ns * (alpha * sin_phi - phi * sin_alpha) / (nt * sin_alpha)
+    return g_s + eta * g_t
+
+
+def magnitude_similarity(g_s, g_t):
+    g_s, g_t = check_pair(g_s, g_t)
+    ns = np.linalg.norm(g_s)
+    nt = np.linalg.norm(g_t)
+    denom = ns * ns + nt * nt
+    if denom < NORM_EPS:
+        return 0.0
+    return float(2.0 * ns * nt / denom)
+
+
+def reference_step(g_s, g_t, alpha, enabled):
+    """(g, phi_raw, phi_post, mag_sim, gs_norm, gt_norm, gradvac_applied)
+    as the training step computed them from the three primitives."""
+    phi_raw = cosine_similarity(g_s, g_t)
+    gt_norm = float(np.linalg.norm(g_t))
+    applied = bool(enabled and phi_raw < alpha and gt_norm >= NORM_EPS)
+    g_post = rotate(g_s, g_t, phi_raw, alpha) if applied else g_s
+    return (g_post, float(phi_raw), float(cosine_similarity(g_post, g_t)),
+            float(magnitude_similarity(g_s, g_t)), float(np.linalg.norm(g_s)),
+            gt_norm, applied)
+
+
+def cosine(a, b):
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def assert_matches_reference(g_s, g_t, alpha, enabled):
+    res = gradvac_update(g_s, g_t, alpha, enabled)
+    want = reference_step(g_s, g_t, alpha, enabled)
+    got = (res.g, res.phi_raw, res.phi_post, res.mag_sim, res.gs_norm,
+           res.gt_norm, res.gradvac_applied)
+    assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+    for name, a, b in zip(("phi_raw", "phi_post", "mag_sim", "gs_norm",
+                           "gt_norm"), got[1:6], want[1:6]):
+        assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes(), name
+    assert got[6] is want[6]
+    return res
+
+
+class TestMatchesReference:
+    def test_random_pairs(self):
+        rng = make_rng(303)
+        fired = 0
+        for i in range(400):
+            dim = 4192 if i % 50 == 0 else int(rng.integers(2, 65))
+            g_s = rng.normal(size=dim) * 10.0 ** rng.uniform(-6, 3)
+            g_t = rng.normal(size=dim) * 10.0 ** rng.uniform(-6, 3)
+            if i % 3:
+                alpha = float(rng.uniform(-ALPHA_LIMIT, ALPHA_LIMIT))
+            else:  # close above or below the real cosine
+                alpha = float(np.clip(cosine(g_s, g_t) + rng.uniform(-1e-3, 1e-3),
+                                      -ALPHA_LIMIT, ALPHA_LIMIT))
+            enabled = i % 4 != 0
+            fired += assert_matches_reference(g_s, g_t, alpha, enabled).gradvac_applied
+        assert 50 < fired < 350
+
+    @pytest.mark.parametrize("g_s, g_t, alpha, enabled, fires", [
+        ([1.0, 0.0], [-1.0, 1.0], 0.5, False, False),   # GradVac off
+        ([3.0, 4.0], [4.0, 3.0], 0.5, True, False),     # phi = 0.96 >= alpha
+        ([3.0, 4.0], [4.0, 3.0], 0.96, True, False),    # phi == alpha
+        ([1.0, 0.0], [0.0, 1e-15], 0.5, True, False),   # |g_t| below NORM_EPS
+        ([0.0, 0.0], [1.0, 2.0], 0.5, True, True),      # g_s all zero
+        ([0.0, 0.0], [0.0, 0.0], 0.5, True, False),     # both zero
+        ([1.0, 0.0], [-1.0, 1.0], 0.5, True, True),
+    ])
+    def test_edge_cases(self, g_s, g_t, alpha, enabled, fires):
+        res = assert_matches_reference(np.array(g_s), np.array(g_t), alpha, enabled)
+        assert res.gradvac_applied is fires
+
+
 class TestCosineSimilarity:
     def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert gradvac_update([1.0, 0.0], [0.0, 1.0], 0.0, True).phi_raw == 0.0
 
     def test_parallel_scale_free(self):
-        assert cosine_similarity([2.0, 0.0], [5.0, 0.0]) == pytest.approx(1.0)
+        res = gradvac_update([2.0, 0.0], [5.0, 0.0], 0.5, True)
+        assert res.phi_raw == pytest.approx(1.0)
+        assert (res.gs_norm, res.gt_norm) == (2.0, 5.0)
 
     def test_hand_value(self):
-        phi = cosine_similarity([1.0, 0.0], [1.0, 1.0])
-        assert phi == pytest.approx(1.0 / np.sqrt(2.0))
+        res = gradvac_update([1.0, 0.0], [1.0, 1.0], 0.0, False)
+        assert res.phi_raw == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_zero_norm_returns_zero(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert gradvac_update([0.0, 0.0], [1.0, 2.0], 0.0, False).phi_raw == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+            gradvac_update([1.0, 2.0], [1.0, 2.0, 3.0], 0.0, True)
+        with pytest.raises(DimensionError):
+            gradvac_update([[1.0, 2.0]], [[1.0, 2.0]], 0.0, True)
 
 
 class TestGradvacUpdate:
     def test_hand_case(self):
         g_s = np.array([1.0, 0.0])
         g_t = np.array([0.0, 1.0])
-        out = gradvac_update(g_s, g_t, phi=0.0, alpha=0.5)
+        res = gradvac_update(g_s, g_t, 0.5, True)
         eta = 0.5 / np.sqrt(0.75)
-        assert out == pytest.approx(np.array([1.0, eta]))
-        assert cosine_similarity(out, g_t) == pytest.approx(0.5, abs=1e-12)
+        assert res.gradvac_applied is True
+        assert res.g == pytest.approx(np.array([1.0, eta]))
+        assert cosine(res.g, g_t) == pytest.approx(0.5, abs=1e-12)
+        assert res.phi_post == pytest.approx(0.5, abs=1e-12)
+        assert res.phi_raw == 0.0
 
+    # cos([3, 4], [4, 3]) is 24/25 = 0.96 exactly
     def test_guard_no_update_when_phi_at_least_alpha(self):
-        g_s = np.array([1.0, 2.0])
-        out = gradvac_update(g_s, np.array([3.0, 4.0]), phi=0.9, alpha=0.5)
-        assert np.array_equal(out, g_s)
+        g_s = np.array([3.0, 4.0])
+        res = gradvac_update(g_s, np.array([4.0, 3.0]), 0.5, True)
+        assert res.phi_raw == 0.96
+        assert res.gradvac_applied is False
+        assert np.array_equal(res.g, g_s)
+        assert res.phi_post == res.phi_raw
 
     def test_alpha_equals_phi_is_noop(self):
-        g_s = np.array([1.0, 0.0])
-        out = gradvac_update(g_s, np.array([0.0, 1.0]), phi=0.25, alpha=0.25)
-        assert np.array_equal(out, g_s)
+        g_s = np.array([3.0, 4.0])
+        res = gradvac_update(g_s, np.array([4.0, 3.0]), 0.96, True)
+        assert res.phi_raw == 0.96
+        assert res.gradvac_applied is False
+        assert np.array_equal(res.g, g_s)
 
     def test_tiny_target_norm_left_unchanged(self):
         g_s = np.array([1.0, 0.0])
-        out = gradvac_update(g_s, np.array([0.0, 1e-15]), phi=-0.5, alpha=0.5)
-        assert np.array_equal(out, g_s)
+        res = gradvac_update(g_s, np.array([0.0, 1e-15]), 0.5, True)
+        assert res.gradvac_applied is False
+        assert np.array_equal(res.g, g_s)
+
+    def test_disabled_measures_but_never_rotates(self):
+        g_s = np.array([1.0, 0.0])
+        g_t = np.array([-1.0, 1.0])
+        off = gradvac_update(g_s, g_t, 0.9, False)
+        on = gradvac_update(g_s, g_t, 0.9, True)
+        assert off.gradvac_applied is False and on.gradvac_applied is True
+        assert np.array_equal(off.g, g_s) and off.phi_post == off.phi_raw
+        assert (off.phi_raw, off.mag_sim, off.gs_norm, off.gt_norm) == (
+            on.phi_raw, on.mag_sim, on.gs_norm, on.gt_norm)
+
+    def test_zero_source_gradient_stays_zero(self):
+        res = gradvac_update(np.zeros(3), np.array([1.0, 2.0, 3.0]), 0.5, True)
+        assert res.gradvac_applied is True
+        assert not res.g.any()
+        assert res.phi_post == 0.0 and res.mag_sim == 0.0
 
     def test_alignment_guarantee_random(self):
         rng = make_rng(101)
@@ -56,20 +195,42 @@ class TestGradvacUpdate:
             dim = int(rng.integers(2, 65))
             g_s = rng.normal(size=dim)
             g_t = rng.normal(size=dim)
-            phi = cosine_similarity(g_s, g_t)
-            alpha = rng.uniform(phi + 1e-6, 1.0 - 1e-6)
-            out = gradvac_update(g_s, g_t, phi, alpha)
-            assert cosine_similarity(out, g_t) == pytest.approx(alpha, abs=1e-9)
+            alpha = rng.uniform(cosine(g_s, g_t) + 1e-6, 1.0 - 1e-6)
+            res = gradvac_update(g_s, g_t, alpha, True)
+            assert cosine(res.g, g_t) == pytest.approx(alpha, abs=1e-9)
+            assert res.phi_post == pytest.approx(alpha, abs=1e-9)
 
     def test_never_shrinks_agreement(self):
         rng = make_rng(202)
         for _ in range(100):
             g_s = rng.normal(size=8)
             g_t = rng.normal(size=8)
-            phi = cosine_similarity(g_s, g_t)
+            phi = cosine(g_s, g_t)
             alpha = rng.uniform(phi, 1.0 - 1e-6)
-            out = gradvac_update(g_s, g_t, phi, alpha)
-            assert cosine_similarity(out, g_t) >= phi - 1e-12
+            res = gradvac_update(g_s, g_t, alpha, True)
+            assert cosine(res.g, g_t) >= phi - 1e-12
+
+
+class TestMagnitudeSimilarity:
+    def test_equal_norms(self):
+        assert gradvac_update([3.0, 0.0], [0.0, 3.0], 0.0, False).mag_sim == pytest.approx(1.0)
+
+    def test_two_to_one(self):
+        assert gradvac_update([2.0, 0.0], [1.0, 0.0], 0.0, False).mag_sim == pytest.approx(0.8)
+
+    def test_zero_vector(self):
+        assert gradvac_update([1.0, 1.0], [0.0, 0.0], 0.0, False).mag_sim == 0.0
+
+    def test_symmetric_and_scale_invariant(self):
+        rng = make_rng(17)
+        for _ in range(50):
+            a = rng.normal(size=6)
+            b = rng.normal(size=6)
+            s = float(rng.uniform(0.1, 10.0))
+            mag = gradvac_update(a, b, 0.0, False).mag_sim
+            assert gradvac_update(b, a, 0.0, False).mag_sim == pytest.approx(mag)
+            assert gradvac_update(s * a, s * b, 0.0, False).mag_sim == pytest.approx(
+                mag, rel=1e-9)
 
 
 class TestEmaUpdate:

@@ -53,7 +53,7 @@ class TestGeneratePair:
         # measured through a bundle whose target branch is a copy of the
         # source branch, so only the data differs between the two tasks
         from xscene.model import ModelBundle, agreement_backward
-        from xscene.agreement import cosine_similarity
+        from xscene.agreement import gradvac_update
         from xscene.nn import make_rng
 
         def mean_phi(conflict, shared):
@@ -72,7 +72,7 @@ class TestGeneratePair:
                 res = agreement_backward(bundle,
                                          (src.spectra[:64], src.labels[:64]),
                                          (tgt.spectra[:64], tgt.labels[:64]))
-                phis.append(cosine_similarity(res.g_s, res.g_t))
+                phis.append(gradvac_update(res.g_s, res.g_t, 0.0, False).phi_raw)
             return float(np.mean(phis))
 
         assert mean_phi(1.0, 0) < mean_phi(0.0, 4)

@@ -58,6 +58,8 @@ class TestConfigIo:
     def test_invalid_values_rejected(self):
         for raw in ({"tau": -1.0}, {"batch_size": 0}, {"beta": 2.0},
                     {"temp_agree": 0.0}, {"use_dir": True, "batch_size": 1},
+                    # shots that leave the evaluation split empty
+                    {"shots": 60}, {"shots": 7, "synth": {"samples_per_class_target": 7}},
                     # wrong JSON types and non-finite floats
                     {"use_dir": "no"}, {"use_gradvac": 1}, {"lr": float("nan")},
                     {"tau": float("inf")}, {"lr": True}, {"epochs_agree": "3"},

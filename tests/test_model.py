@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xscene.agreement import cosine_similarity, logitnorm_ce
+from xscene.agreement import gradvac_update, logitnorm_ce
 from xscene.errors import DataError, DimensionError
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           forward_ensemble, forward_target_agree,
@@ -85,7 +85,7 @@ class TestSharedGradients:
         res = agreement_backward(bundle, (x, y), (x.copy(), y.copy()))
         g_s, g_t = res.g_s, res.g_t
         assert np.array_equal(g_s, g_t)
-        assert cosine_similarity(g_s, g_t) == pytest.approx(1.0)
+        assert gradvac_update(g_s, g_t, 0.0, False).phi_raw == pytest.approx(1.0)
 
     def test_source_gradient_ignores_target_batch(self):
         bundle = tiny_bundle(seed=9)
@@ -193,6 +193,12 @@ class TestStructure:
         assert rebuilt.bands_source == 6
         assert rebuilt.classes_target == 3
         assert not rebuilt.params.values.any()
+
+    def test_build_without_rng_gives_zero_parameters(self):
+        a = ModelBundle.build(6, 5, 3, 3, 4, 4, 4)
+        b = ModelBundle.build(6, 5, 3, 3, 4, 4, 4)
+        assert not a.params.values.any()
+        assert np.array_equal(a.params.values, b.params.values)
 
     def test_branch_views_tile_the_bundle_vector(self):
         # entry i of every buffer holds i: each branch view, and each of its
