@@ -88,6 +88,10 @@ class SynthConfig:
                   self.samples_per_class_target)
         if any(int(c) < 1 for c in counts):
             raise ConfigError("all band/class/sample counts must be >= 1")
+        for key in ("classes_source", "classes_target"):
+            if getattr(self, key) < 2:
+                raise ConfigError(f"{key} must be >= 2: a classifier needs "
+                                  f"two classes, got {getattr(self, key)}")
         if not 0 <= self.shared_classes <= min(self.classes_source, self.classes_target):
             raise ConfigError(
                 f"shared_classes={self.shared_classes} exceeds the class counts"

@@ -20,14 +20,14 @@ import numpy as np
 
 from .agreement import ema_update, gradvac_update, logitnorm
 from .data import SynthConfig, generate_pair, sample_k_per_class
-from .disagreement import dcor_penalty, smoothed_distances, symmetric_kl
+from .disagreement import smoothed_distances
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
 from .model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
-                    forward_ensemble, forward_target_agree,
-                    forward_target_disagree)
-from .nn import adam_step, make_rng, n_params, softmax_ce
+                    ensemble_backward, forward_ensemble, forward_target_agree,
+                    forward_target_disagree, private_backward)
+from .nn import adam_step, make_rng, n_params
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 
@@ -212,35 +212,19 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
 def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
     # the shared side is frozen: its distances over the few-shot split are
     # computed once, and each batch's rows and columns are gathered from them
+    shared_dist = None
     if cfg.use_dir:
         shared_dist = smoothed_distances(bundle.shared_encoder.predict(
             bundle.target_extractor.predict(tgt_train.spectra)))
-    t = 0
-    for _ in range(cfg.epochs_disagree):
-        for _ in range(steps_per_epoch):
-            idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
-            x, y = tgt_train.spectra[idx], tgt_train.labels[idx]
-            feats, c_ext = bundle.private_extractor.forward(x)
-            enc, c_enc = bundle.private_encoder.forward(feats)
-            z, c_head = bundle.private_head.forward(enc)
-            loss_ce, dz = softmax_ce(z, y)
-            d_enc = bundle.private_head.backward(c_head, dz)
-            dcor_val = None
-            total = loss_ce
-            if cfg.use_dir:
-                dcor_val, g_private = dcor_penalty(shared_dist, idx, enc)
-                d_enc = d_enc + g_private
-                total = loss_ce + dcor_val
-            d_feats = bundle.private_encoder.backward(c_enc, d_enc)
-            bundle.private_extractor.backward(c_ext, d_feats, input_grad=False)
-            t += 1
-            adam_step(bundle.private, cfg.lr, weight_decay=cfg.weight_decay, t=t)
-            _append_step(steps, {
-                "phase": "disagree", "step": t,
-                "loss_ce": float(loss_ce),
-                "dcor": None if dcor_val is None else float(dcor_val),
-                "loss": float(total),
-            })
+    for t in range(1, cfg.epochs_disagree * steps_per_epoch + 1):
+        idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+        loss_ce, dcor = private_backward(bundle, tgt_train.spectra[idx],
+                                         tgt_train.labels[idx], shared_dist, idx)
+        adam_step(bundle.private, cfg.lr, weight_decay=cfg.weight_decay, t=t)
+        _append_step(steps, {
+            "phase": "disagree", "step": t, "loss_ce": loss_ce, "dcor": dcor,
+            "loss": loss_ce if dcor is None else loss_ce + dcor,
+        })
 
 
 def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
@@ -254,28 +238,16 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
     if cfg.use_logitnorm:
         agree_all = logitnorm(agree_all, cfg.tau)
     disagree_all = forward_target_disagree(bundle, tgt_train.spectra)
-    t = 0
-    for _ in range(cfg.epochs_ensemble):
-        for _ in range(steps_per_epoch):
-            idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
-            y = tgt_train.labels[idx]
-            base_feats = base_all[idx]
-            enc, c_enc = bundle.ensemble_encoder.forward(base_feats)
-            z, c_head = bundle.ensemble_head.forward(enc)
-            loss_ce, dz = softmax_ce(z, y)
-            e1, g1 = symmetric_kl(z, agree_all[idx], cfg.temp_agree)
-            e2, g2 = symmetric_kl(z, disagree_all[idx], cfg.temp_disagree)
-            dz = dz + (g1 + g2)
-            d_enc = bundle.ensemble_head.backward(c_head, dz)
-            bundle.ensemble_encoder.backward(c_enc, d_enc, input_grad=False)
-            t += 1
-            adam_step(bundle.ensemble, cfg.lr, weight_decay=cfg.weight_decay, t=t)
-            _append_step(steps, {
-                "phase": "ensemble", "step": t,
-                "loss_ce": float(loss_ce), "e_en1": float(e1),
-                "e_en2": float(e2), "e_en": float(e1 + e2),
-                "loss": float(loss_ce + (e1 + e2)),
-            })
+    for t in range(1, cfg.epochs_ensemble * steps_per_epoch + 1):
+        idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+        loss_ce, e1, e2 = ensemble_backward(
+            bundle, base_all[idx], tgt_train.labels[idx],
+            (agree_all[idx], cfg.temp_agree), (disagree_all[idx], cfg.temp_disagree))
+        adam_step(bundle.ensemble, cfg.lr, weight_decay=cfg.weight_decay, t=t)
+        _append_step(steps, {
+            "phase": "ensemble", "step": t, "loss_ce": loss_ce, "e_en1": e1,
+            "e_en2": e2, "e_en": e1 + e2, "loss": loss_ce + (e1 + e2),
+        })
 
 
 def _run_phase(steps, phase, run, *args):

@@ -11,7 +11,9 @@ Three branches over per-pixel spectra:
 
 All ten components view one ParamSet, laid out in COMPONENT_ORDER (also
 the checkpoint order). Each branch's components are a contiguous run of
-it, so a branch takes its Adam step as one slice.
+it, so a branch takes its Adam step as one slice. Each branch's step
+gradient is built here, by agreement_backward, private_backward and
+ensemble_backward; the harness only draws batches, steps and logs.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,8 @@ from itertools import accumulate
 import numpy as np
 
 from .agreement import logitnorm_ce
-from .errors import DataError, DimensionError
+from .disagreement import dcor_penalty, symmetric_kl
+from .errors import DimensionError
 from .nn import Mlp, ParamSet, n_params, softmax_ce
 
 COMPONENT_ORDER = (
@@ -77,22 +80,6 @@ class ModelBundle:
     def layout(self):
         return {name: list(getattr(self, name).dims) for name in COMPONENT_ORDER}
 
-    @property
-    def bands_source(self):
-        return self.source_extractor.in_dim
-
-    @property
-    def bands_target(self):
-        return self.target_extractor.in_dim
-
-    @property
-    def classes_source(self):
-        return self.source_head.out_dim
-
-    @property
-    def classes_target(self):
-        return self.target_head.out_dim
-
 
 def forward_target_agree(bundle, x):
     """Target logits through the shared (agreement) branch."""
@@ -125,18 +112,6 @@ class AgreementGrads:
     ln_err_t: float | None = None
 
 
-def _check_batch(x, y, bands, what):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    if x.ndim != 2 or x.shape[1] != bands:
-        raise DimensionError(f"{what} batch shape {x.shape} does not match bands={bands}")
-    if x.shape[0] == 0:
-        raise DataError(f"{what} batch is empty")
-    if y.shape != (x.shape[0],):
-        raise DataError(f"{what} labels do not match batch size")
-    return x, y
-
-
 def _task_backward(extractor, encoder, head, x, y, tau):
     """Forward + backward for one task path; writes the gradients of the
     three components and returns (loss, logitnorm deviation)."""
@@ -166,12 +141,52 @@ def agreement_backward(bundle, batch_s, batch_t, tau=None):
     g_s and g_t (possibly after surgery) and writes the result back
     before stepping.
     """
-    xs, ys = _check_batch(batch_s[0], batch_s[1], bundle.bands_source, "source")
-    xt, yt = _check_batch(batch_t[0], batch_t[1], bundle.bands_target, "target")
     loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
-                                  bundle.source_head, xs, ys, tau)
+                                  bundle.source_head, *batch_s, tau)
     g_s = bundle.shared_encoder.params.flatten_grads()
     loss_t, ln_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
-                                  bundle.target_head, xt, yt, tau)
+                                  bundle.target_head, *batch_t, tau)
     g_t = bundle.shared_encoder.params.flatten_grads()
     return AgreementGrads(g_s, g_t, loss_s, loss_t, ln_s, ln_t)
+
+
+def private_backward(bundle, x, y, shared_dist=None, idx=None):
+    """Compute the private head's cross-entropy and write its gradient into
+    the private components. With `shared_dist`, the DiR penalty between
+    the frozen shared features (rows `idx` of that distance table, as
+    dcor_penalty takes them) and the private encoder's output joins the
+    loss, and its gradient joins at the encoder's output.
+
+    Returns (loss_ce, dcor), with dcor None when DiR is off.
+    """
+    feats, c_ext = bundle.private_extractor.forward(x)
+    enc, c_enc = bundle.private_encoder.forward(feats)
+    z, c_head = bundle.private_head.forward(enc)
+    loss_ce, dz = softmax_ce(z, y)
+    d_enc = bundle.private_head.backward(c_head, dz)
+    dcor = None
+    if shared_dist is not None:
+        dcor, g_private = dcor_penalty(shared_dist, idx, enc)
+        d_enc = d_enc + g_private
+    d_feats = bundle.private_encoder.backward(c_enc, d_enc)
+    bundle.private_extractor.backward(c_ext, d_feats, input_grad=False)
+    return loss_ce, dcor
+
+
+def ensemble_backward(bundle, base, y, agree, disagree):
+    """Compute the ensemble head's cross-entropy and its symmetric-KL
+    distances to two frozen teachers, and write the gradient of their sum
+    into the ensemble components.
+
+    `base` is the batch's frozen target-extractor features; `agree` and
+    `disagree` are (teacher logits, temperature) pairs. Returns (loss_ce,
+    e_agree, e_disagree).
+    """
+    enc, c_enc = bundle.ensemble_encoder.forward(base)
+    z, c_head = bundle.ensemble_head.forward(enc)
+    loss_ce, dz = softmax_ce(z, y)
+    e_agree, g_agree = symmetric_kl(z, *agree)
+    e_disagree, g_disagree = symmetric_kl(z, *disagree)
+    d_enc = bundle.ensemble_head.backward(c_head, dz + (g_agree + g_disagree))
+    bundle.ensemble_encoder.backward(c_enc, d_enc, input_grad=False)
+    return loss_ce, e_agree, e_disagree

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, SampleCountError
 
 PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
@@ -87,12 +87,14 @@ def softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_labels(labels, num_classes):
+def _check_labels(labels, n_rows, num_classes):
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionError("labels must be a 1-D array of class indices")
-    if labels.size == 0:
-        raise DimensionError("empty batch")
+    if n_rows == 0:
+        raise SampleCountError("empty batch")
+    if labels.size != n_rows:
+        raise SampleCountError(f"{labels.size} labels for a batch of {n_rows} rows")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise IndexError(f"label out of range [0, {num_classes})")
     return labels.astype(np.int64)
@@ -102,10 +104,11 @@ def softmax_ce(z, labels):
     """Batch-mean cross-entropy of softmax(z), with p clamped at 1e-12,
     and its gradient w.r.t. the logits, (softmax - one_hot) / n.
 
-    Returns (loss, dz) from one softmax and one label check.
+    Returns (loss, dz) from one softmax and one label check: one label per
+    row of z, each in [0, C).
     """
     probs = softmax(z)
-    labels = _check_labels(labels, probs.shape[1])
+    labels = _check_labels(labels, *probs.shape)
     rows = np.arange(probs.shape[0])
     loss = float(-np.log(np.maximum(probs[rows, labels], PROB_FLOOR)).mean())
     probs[rows, labels] -= 1.0

@@ -141,10 +141,10 @@ def test_03_gradient_oracles():
             classes_target=int(rng.integers(2, 4)),
             feat_dim=3, hidden_dim=4, enc_dim=3, rng=rng)
         n_s, n_t = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        xs = rng.normal(size=(n_s, bundle.bands_source))
-        ys = rng.integers(0, bundle.classes_source, size=n_s)
-        xt = rng.normal(size=(n_t, bundle.bands_target))
-        yt = rng.integers(0, bundle.classes_target, size=n_t)
+        xs = rng.normal(size=(n_s, bundle.source_extractor.in_dim))
+        ys = rng.integers(0, bundle.source_head.out_dim, size=n_s)
+        xt = rng.normal(size=(n_t, bundle.target_extractor.in_dim))
+        yt = rng.integers(0, bundle.target_head.out_dim, size=n_t)
         # central differences are only meaningful away from relu kinks:
         # redraw when an encoder pre-activation sits within the probe step
         margin = 1e-3

@@ -70,6 +70,10 @@ class TestConfigIo:
                     {"seed": -1}, {"synth": {"seed": -3}}):
             with pytest.raises(ConfigError):
                 config_from_dict(raw)
+        # a single-class scene has nothing to classify; the error names the key
+        for key in ("classes_source", "classes_target"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"synth": {key: 1, "shared_classes": 1}})
 
     def test_ints_accepted_for_float_fields(self):
         cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from xscene.agreement import gradvac_update, logitnorm_ce
+from xscene.disagreement import dcor_penalty, smoothed_distances, symmetric_kl
 from xscene.errors import DataError, DimensionError
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
-                          forward_ensemble, forward_target_agree,
-                          forward_target_disagree)
+                          ensemble_backward, forward_ensemble,
+                          forward_target_agree, forward_target_disagree,
+                          private_backward)
 from xscene.nn import adam_step, make_rng, softmax_ce
 
 # each branch's contiguous run of components
@@ -166,6 +168,137 @@ class TestSharedGradients:
                              (np.ones((2, 5)), np.zeros(2, dtype=int)))
 
 
+def relu_margin(mlp, x):
+    """Smallest |pre-activation| that feeds a ReLU in mlp over batch x."""
+    _, cache = mlp.forward(x)
+    return min(np.abs(z).min() for _, z in cache[:-1])
+
+
+def fd_grad(params, loss_at, h=1e-5):
+    """Central differences of loss_at() over every entry of params.values."""
+    fd = np.zeros(params.n_params)
+    for i in range(fd.size):
+        saved = params.values[i]
+        params.values[i] = saved + h
+        up = loss_at()
+        params.values[i] = saved - h
+        down = loss_at()
+        params.values[i] = saved
+        fd[i] = (up - down) / (2 * h)
+    return fd
+
+
+def private_loss(bundle, x, y, shared_dist=None, idx=None):
+    """Reference private-step loss: cross-entropy, plus dCor with DiR on."""
+    enc = bundle.private_encoder.predict(bundle.private_extractor.predict(x))
+    loss = softmax_ce(bundle.private_head.predict(enc), y)[0]
+    if shared_dist is not None:
+        loss += dcor_penalty(shared_dist, idx, enc)[0]
+    return loss
+
+
+def ensemble_loss(bundle, base, y, agree, disagree):
+    """Reference ensemble-step loss: cross-entropy plus both symmetric KLs."""
+    z = bundle.ensemble_head.predict(bundle.ensemble_encoder.predict(base))
+    return (softmax_ce(z, y)[0] + symmetric_kl(z, *agree)[0]
+            + symmetric_kl(z, *disagree)[0])
+
+
+def branch_draw(rng, shots=4, batch=7):
+    """A few-shot split and a batch of row indices into it; with more rows
+    than the split has, the batch repeats some of them."""
+    bundle = ModelBundle.build(5, 5, 3, 3, feat_dim=4, hidden_dim=4, enc_dim=3,
+                               rng=rng)
+    x_all = rng.normal(size=(shots, 5))
+    y_all = rng.integers(0, 3, size=shots)
+    idx = rng.integers(0, shots, size=batch)
+    return bundle, x_all, y_all, idx
+
+
+class TestBranchBackward:
+    """private_backward and ensemble_backward against finite differences
+    of their step loss, over every parameter of their branch."""
+
+    @pytest.mark.parametrize("use_dir", [False, True])
+    def test_private_matches_finite_differences(self, use_dir):
+        rng = make_rng(51 + use_dir)
+        done = 0
+        while done < 3:
+            bundle, x_all, y_all, idx = branch_draw(rng)
+            x, y = x_all[idx], y_all[idx]
+            # central differences are only meaningful away from relu kinks
+            feats = bundle.private_extractor.predict(x)
+            if min(relu_margin(bundle.private_extractor, x),
+                   relu_margin(bundle.private_encoder, feats)) < 1e-3:
+                continue
+            done += 1
+            shared_dist = None
+            if use_dir:
+                shared_dist = smoothed_distances(rng.normal(size=(len(x_all), 3)))
+            loss_ce, dcor = private_backward(bundle, x, y, shared_dist, idx)
+            assert (dcor is not None) == use_dir
+            if use_dir:
+                assert dcor > 0.0
+            assert loss_ce + (dcor or 0.0) == pytest.approx(
+                private_loss(bundle, x, y, shared_dist, idx), rel=1e-12)
+            fd = fd_grad(bundle.private,
+                         lambda: private_loss(bundle, x, y, shared_dist, idx))
+            np.testing.assert_allclose(bundle.private.grads, fd,
+                                       rtol=1e-4, atol=1e-8)
+
+    def test_ensemble_matches_finite_differences(self):
+        rng = make_rng(55)
+        done = 0
+        while done < 3:
+            bundle, x_all, y_all, idx = branch_draw(rng)
+            base = bundle.target_extractor.predict(x_all)[idx]
+            if relu_margin(bundle.ensemble_encoder, base) < 1e-3:
+                continue
+            done += 1
+            y = y_all[idx]
+            agree = (rng.normal(size=(len(x_all), 3))[idx], 1.0)
+            disagree = (3.0 * rng.normal(size=(len(x_all), 3))[idx], 0.05)
+            loss_ce, e_agree, e_disagree = ensemble_backward(
+                bundle, base, y, agree, disagree)
+            assert loss_ce + e_agree + e_disagree == pytest.approx(
+                ensemble_loss(bundle, base, y, agree, disagree), rel=1e-12)
+            fd = fd_grad(bundle.ensemble,
+                         lambda: ensemble_loss(bundle, base, y, agree, disagree))
+            np.testing.assert_allclose(bundle.ensemble.grads, fd,
+                                       rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("branch", ["private", "ensemble"])
+    def test_writes_every_branch_gradient(self, branch):
+        # stale gradients left in the bundle by an earlier step change
+        # nothing: each of the branch's gradients is written, and the other
+        # branches' buffers are not touched
+        rng = make_rng(57)
+        x_all, y_all = rng.normal(size=(4, 5)), rng.integers(0, 3, size=4)
+        idx = rng.integers(0, 4, size=7)
+        teachers = rng.normal(size=(2, 7, 3))
+
+        def step(bundle):
+            if branch == "private":
+                shared_dist = smoothed_distances(x_all)
+                private_backward(bundle, x_all[idx], y_all[idx], shared_dist, idx)
+            else:
+                base = bundle.target_extractor.predict(x_all)[idx]
+                ensemble_backward(bundle, base, y_all[idx], (teachers[0], 1.0),
+                                  (teachers[1], 0.05))
+
+        clean = branch_draw(make_rng(59))[0]
+        step(clean)
+        stale = branch_draw(make_rng(59))[0]
+        stale.params.grads[:] = rng.normal(size=stale.params.n_params)
+        others = [getattr(stale, b).grads.copy() for b in BRANCHES if b != branch]
+        step(stale)
+        assert np.array_equal(getattr(stale, branch).grads,
+                              getattr(clean, branch).grads)
+        for before, now in zip(others, (getattr(stale, b).grads
+                                        for b in BRANCHES if b != branch)):
+            assert np.array_equal(now, before)
+
+
 class TestStructure:
     def test_flatten_order_stable(self):
         bundle = tiny_bundle(seed=31)
@@ -190,8 +323,8 @@ class TestStructure:
         bundle = tiny_bundle(seed=35)
         rebuilt = ModelBundle(bundle.layout())
         assert rebuilt.layout() == bundle.layout()
-        assert rebuilt.bands_source == 6
-        assert rebuilt.classes_target == 3
+        assert rebuilt.source_extractor.in_dim == 6
+        assert rebuilt.target_head.out_dim == 3
         assert not rebuilt.params.values.any()
 
     def test_build_without_rng_gives_zero_parameters(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xscene.errors import ConfigError, DimensionError
+from xscene.errors import ConfigError, DimensionError, SampleCountError
 from xscene.nn import (PROB_FLOOR, Mlp, ParamSet, adam_step, make_rng, n_params,
                        softmax, softmax_ce)
 
@@ -127,6 +127,16 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
             softmax_ce(np.array([[0.0, 0.0]]), [2])
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2], [0, 1, 2, 0, 1]])
+    def test_label_count_must_match_rows(self, labels):
+        # one label for four rows must not broadcast to every row
+        with pytest.raises(SampleCountError, match="4 rows"):
+            softmax_ce(np.zeros((4, 3)), labels)
+
+    def test_empty_batch(self):
+        with pytest.raises(SampleCountError, match="empty batch"):
+            softmax_ce(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_equals_reference_bit_for_bit(self):
         # one softmax shared by the loss and the gradient gives exactly the
