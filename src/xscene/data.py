@@ -67,7 +67,7 @@ class SceneDataset:
                             self.labels[indices].copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     bands_source: int = 48
     bands_target: int = 32
@@ -80,7 +80,7 @@ class SynthConfig:
     conflict_strength: float = 0.6
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         counts = (self.bands_source, self.bands_target, self.classes_source,
@@ -100,7 +100,6 @@ class SynthConfig:
             raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.conflict_strength <= 1.0:
             raise ConfigError("conflict_strength must lie in [0, 1]")
-        return self
 
 
 def _band_resample(mix, bands_out):
@@ -127,7 +126,6 @@ def _random_rotation(n, rng):
 
 def generate_pair(cfg):
     """Build a (source, target) scene pair; pure function of cfg.seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     latent = LATENT_DIM
     n_protos = cfg.classes_source + cfg.classes_target - cfg.shared_classes
@@ -215,7 +213,10 @@ def save_csv(ds, path):
 
 def load_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as f:
-        lines = f.read().split("\n")
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

@@ -31,8 +31,12 @@ from .nn import adam_step, make_rng, n_params
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 
+# the four components under study; row k of the ablation ladder switches
+# on the first k of them
+TOGGLES = ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir")
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
     lr: float = 5e-4
@@ -55,7 +59,7 @@ class TrainConfig:
     enc_dim: int = 32
     synth: SynthConfig = field(default_factory=SynthConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         positive = {
@@ -80,12 +84,10 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if min(self.feat_dim, self.hidden_dim, self.enc_dim) < 1:
             raise ConfigError("architecture dims must be >= 1")
-        self.synth.validate()
         if self.shots >= self.synth.samples_per_class_target:
             raise ConfigError(
                 f"shots={self.shots} leaves no evaluation rows: each target "
                 f"class has {self.synth.samples_per_class_target} samples")
-        return self
 
 
 # JSON value types each field annotation accepts (bool is not an int here)
@@ -112,18 +114,23 @@ def config_from_dict(raw, _cls=None):
                                             and not math.isfinite(value)):
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
         kwargs[key] = value
-    cfg = cls(**kwargs)
-    if cls is TrainConfig:
-        cfg.validate()
-    return cfg
+    return cls(**kwargs)
+
+
+def _decode_json(data, error, context):
+    """Parse UTF-8 JSON bytes. Bytes that are not UTF-8, an integer past
+    Python's digit limit and nesting past the recursion limit raise
+    `error`, prefixed by `context`, like any other malformed JSON."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{context}: {exc}") from exc
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    with open(path, "rb") as f:
+        raw = _decode_json(f.read(), ConfigError, path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(raw)
@@ -267,7 +274,6 @@ def train(cfg):
     final target-eval metrics (as percentages) and per-step diagnostics.
     Overflow, invalid values and division by zero raise, so a diverging
     run stops at the step where it first leaves the finite floats."""
-    cfg.validate()
     init_ss, shot_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     source, target = generate_pair(cfg.synth)
     tgt_train, tgt_eval = sample_k_per_class(target, cfg.shots, shot_ss)
@@ -293,28 +299,19 @@ def train(cfg):
     return RunReport(oa * 100.0, aa * 100.0, kappa * 100.0, head, steps, bundle)
 
 
-ABLATION_LADDER = (
-    ("baseline", {}),
-    ("+gradvac", {"use_gradvac": True}),
-    ("+logitnorm", {"use_gradvac": True, "use_logitnorm": True}),
-    ("+ensemble", {"use_gradvac": True, "use_logitnorm": True,
-                   "use_ensemble": True}),
-    ("+dir", {"use_gradvac": True, "use_logitnorm": True,
-              "use_ensemble": True, "use_dir": True}),
-)
+ABLATION_LADDER = tuple(
+    ("+" + TOGGLES[k - 1].removeprefix("use_") if k else "baseline",
+     dict.fromkeys(TOGGLES[:k], True))
+    for k in range(len(TOGGLES) + 1))
 
 
 def ablate(cfg):
     """Run the cumulative five-row component ladder with a shared seed;
     returns [(row_name, toggles, RunReport)]. Every row's config is
-    validated before the first row trains."""
-    ladder = []
-    for name, toggles in ABLATION_LADDER:
-        switches = dict(use_gradvac=False, use_logitnorm=False,
-                        use_ensemble=False, use_dir=False)
-        switches.update(toggles)
-        ladder.append((name, toggles,
-                       dataclasses.replace(cfg, **switches).validate()))
+    built, and so checked, before the first row trains."""
+    ladder = [(name, toggles, dataclasses.replace(
+                   cfg, **{key: key in toggles for key in TOGGLES}))
+              for name, toggles in ABLATION_LADDER]
     return [(name, toggles, train(row_cfg)) for name, toggles, row_cfg in ladder]
 
 
@@ -335,10 +332,9 @@ def write_log(path, report):
 def write_ablation_log(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as f:
         for i, (name, toggles, report) in enumerate(rows, start=1):
-            record = {"row": i, "name": name}
-            for key in ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir"):
-                record[key] = bool(toggles.get(key, False))
-            record.update(report.metrics_dict())
+            record = {"row": i, "name": name,
+                      **{key: key in toggles for key in TOGGLES},
+                      **report.metrics_dict()}
             f.write(_json_line(record))
 
 
@@ -359,10 +355,8 @@ def load_checkpoint(path):
     newline = raw.find(b"\n")
     if newline < 0:
         raise ParseError(f"{path}: missing checkpoint header")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
+    header = _decode_json(raw[:newline], ParseError,
+                          f"{path}: bad checkpoint header")
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} file")
     layout = header.get("layout")

@@ -158,6 +158,36 @@ class TestEval:
         assert err.startswith("error: ") and "fan-in 7" in err
 
 
+class TestUndecodableInput:
+    # bytes that are not UTF-8, an integer past Python's 4300-digit limit,
+    # nesting past the recursion limit
+    BAD_UTF8 = b'{"seed": "\xff"}'
+    BIG_INT = b'{"seed": ' + b"1" * 5000 + b"}"
+    DEEP = b"[" * 100000
+
+    @pytest.mark.parametrize("kind, content", [
+        ("config", BAD_UTF8), ("config", BIG_INT), ("config", DEEP),
+        ("model", BIG_INT + b"\n"), ("model", DEEP + b"\n"),
+        ("data", b"# scene=target bands=8 classes=3\n0" + b",\xff" * 8 + b"\n"),
+    ], ids=["config-utf8", "config-int", "config-nesting", "model-int",
+            "model-nesting", "data-utf8"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, kind, content):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(content)
+        if kind == "config":
+            argv = ["train", "--config", str(bad), "--log", str(tmp_path / "l")]
+        else:
+            model = tmp_path / "model.bin"
+            layout = {n: [8, 3] for n in COMPONENT_ORDER}
+            layout.update(target_extractor=[8, 8], shared_encoder=[8, 8])
+            save_checkpoint(model, ModelBundle(layout))
+            paths = {"model": model, "data": tmp_path / "target.csv", kind: bad}
+            argv = ["eval", "--model", str(paths["model"]),
+                    "--data", str(paths["data"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 class TestAblateCommand:
     def test_five_row_table_and_log(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, epochs_agree=1)

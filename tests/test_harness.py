@@ -6,7 +6,7 @@ import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
-from xscene.harness import (ABLATION_LADDER, RunReport, TrainConfig,
+from xscene.harness import (ABLATION_LADDER, TOGGLES, RunReport, TrainConfig,
                             _run_phase, ablate, config_from_dict, evaluate,
                             load_checkpoint, load_config, save_checkpoint,
                             train, write_ablation_log, write_log)
@@ -78,6 +78,30 @@ class TestConfigIo:
     def test_ints_accepted_for_float_fields(self):
         cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})
         assert cfg.lr == 1 and cfg.synth.noise_sigma == 0
+
+    def test_checked_when_built(self):
+        # dataclasses.replace builds a new config, so it is checked too
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            dataclasses.replace(TrainConfig(), batch_size=0)
+        with pytest.raises(ConfigError, match="use_dir needs batch_size >= 2"):
+            dataclasses.replace(TrainConfig(), use_dir=True, batch_size=1)
+        with pytest.raises(ConfigError, match="classes_source must be >= 2"):
+            SynthConfig(classes_source=1)
+
+    def test_frozen_and_hashable(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.batch_size = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.synth.classes_source = 1
+        assert cfg.batch_size == 64 and cfg.synth.classes_source == 7
+        assert hash(cfg) == hash(TrainConfig())
+
+    def test_toggles_are_the_use_fields(self):
+        # a new toggle cannot miss the ablation ladder or its log
+        use = {f.name for f in dataclasses.fields(TrainConfig)
+               if f.name.startswith("use_")}
+        assert use == set(TOGGLES)
 
 
 class TestTrainDeterminism:
@@ -247,29 +271,41 @@ class TestEvaluate:
             evaluate(bundle, ds, "agree")
 
 
+def ablate_cfg():
+    return quick_cfg(epochs_agree=2, epochs_disagree=1, epochs_ensemble=1)
+
+
+@pytest.fixture(scope="module")
+def ablation_rows():
+    return ablate(ablate_cfg())
+
+
 class TestAblate:
-    def test_ladder_structure(self):
-        rows = ablate(quick_cfg(epochs_agree=2, epochs_disagree=1,
-                                epochs_ensemble=1))
-        assert len(rows) == 5
-        names = [name for name, _, _ in rows]
+    def test_ladder_structure(self, ablation_rows):
+        assert len(ablation_rows) == 5
+        names = [name for name, _, _ in ablation_rows]
         assert names == [n for n, _ in ABLATION_LADDER]
-        toggle_counts = [sum(t.values()) for _, t, _ in rows]
+        toggle_counts = [sum(t.values()) for _, t, _ in ablation_rows]
         assert toggle_counts == [0, 1, 2, 3, 4]
-        for _, _, rep in rows:
+        for _, _, rep in ablation_rows:
             assert 0.0 <= rep.oa <= 100.0
 
-    def test_rows_reproduce_standalone_runs(self):
-        cfg = quick_cfg(epochs_agree=2, epochs_disagree=1, epochs_ensemble=1)
-        rows = ablate(cfg)
-        lone_first = train(dataclasses.replace(cfg))
-        lone_last = train(dataclasses.replace(cfg, use_gradvac=True,
-                                              use_logitnorm=True,
-                                              use_ensemble=True, use_dir=True))
-        assert rows[0][2].oa == lone_first.oa
-        assert rows[0][2].steps == lone_first.steps
-        assert rows[4][2].oa == lone_last.oa
-        assert rows[4][2].steps == lone_last.steps
+    @pytest.mark.parametrize("row, name, toggles", [
+        (0, "baseline", {}),
+        (1, "+gradvac", {"use_gradvac": True}),
+        (2, "+logitnorm", {"use_gradvac": True, "use_logitnorm": True}),
+        (3, "+ensemble", {"use_gradvac": True, "use_logitnorm": True,
+                          "use_ensemble": True}),
+        (4, "+dir", {"use_gradvac": True, "use_logitnorm": True,
+                     "use_ensemble": True, "use_dir": True}),
+    ], ids=range(5))
+    def test_rows_reproduce_standalone_runs(self, ablation_rows, row, name,
+                                            toggles):
+        lone = train(dataclasses.replace(ablate_cfg(), **toggles))
+        row_name, row_toggles, report = ablation_rows[row]
+        assert (row_name, row_toggles) == (name, toggles)
+        assert report.oa == lone.oa
+        assert report.steps == lone.steps
 
     def test_every_row_validated_before_any_trains(self, monkeypatch):
         # batch_size 1 is valid for rows 1-4 but not for the +dir row
