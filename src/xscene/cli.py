@@ -100,10 +100,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, DataError, DimensionError, DivergenceError,
-            MetricError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            MetricError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

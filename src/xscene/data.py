@@ -54,17 +54,9 @@ class SceneDataset:
     def n(self):
         return self.spectra.shape[0]
 
-    def require_all_classes(self):
-        present = np.bincount(self.labels, minlength=self.classes)
-        missing = np.flatnonzero(present == 0)
-        if missing.size:
-            raise DataError(f"class {int(missing[0])} has no samples")
-        return self
-
     def subset(self, indices):
         return SceneDataset(self.name, self.bands, self.classes,
-                            self.spectra[indices].copy(),
-                            self.labels[indices].copy())
+                            self.spectra[indices], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,16 @@ def _random_rotation(n, rng):
 
 
 def generate_pair(cfg):
-    """Build a (source, target) scene pair; pure function of cfg.seed."""
+    """Build a (source, target) scene pair; pure function of cfg.seed.
+    Settings whose scenes overflow float64 are a config error."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _render_pair(cfg)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigError(f"synth: scene values overflow float64: {exc}") from None
+
+
+def _render_pair(cfg):
     rng = np.random.default_rng(cfg.seed)
     latent = LATENT_DIM
     n_protos = cfg.classes_source + cfg.classes_target - cfg.shared_classes
@@ -179,7 +180,7 @@ def generate_pair(cfg):
     target = render("target", mix_target, target_protos,
                     cfg.samples_per_class_target, cfg.bands_target,
                     cfg.classes_target)
-    return source.require_all_classes(), target.require_all_classes()
+    return source, target
 
 
 def sample_k_per_class(ds, k, seed):

@@ -35,21 +35,25 @@ CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 # on the first k of them
 TOGGLES = ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir")
 
+# the hyperparameters of those components are held fixed, not studied:
+# Adam's weight decay, GradVac's EMA rate, LogitNorm's tau, and the
+# distillation temperatures of the agreement and private teachers
+WEIGHT_DECAY = 5e-3
+EMA_BETA = 0.1
+LOGITNORM_TAU = 2.0
+TEMP_AGREE = 1.0
+TEMP_DISAGREE = 0.05
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
     lr: float = 5e-4
-    weight_decay: float = 5e-3
     batch_size: int = 64
     epochs_agree: int = 40
     epochs_disagree: int = 20
     epochs_ensemble: int = 20
     shots: int = 10
-    beta: float = 0.1
-    tau: float = 2.0
-    temp_agree: float = 1.0
-    temp_disagree: float = 0.05
     use_gradvac: bool = False
     use_logitnorm: bool = False
     use_ensemble: bool = False
@@ -62,15 +66,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        positive = {
-            "lr": self.lr, "beta": self.beta, "tau": self.tau,
-            "temp_agree": self.temp_agree, "temp_disagree": self.temp_disagree,
-        }
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if self.beta > 1.0:
-            raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
+        if self.lr <= 0.0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.use_dir and self.batch_size < 2:
@@ -80,8 +77,6 @@ class TrainConfig:
             raise ConfigError("shots must be >= 1")
         if min(self.epochs_agree, self.epochs_disagree, self.epochs_ensemble) < 0:
             raise ConfigError("epoch counts must be >= 0")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
         if min(self.feat_dim, self.hidden_dim, self.enc_dim) < 1:
             raise ConfigError("architecture dims must be >= 1")
         if self.shots >= self.synth.samples_per_class_target:
@@ -113,6 +108,12 @@ def config_from_dict(raw, _cls=None):
             if type(value) not in types or (type(value) is float
                                             and not math.isfinite(value)):
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
+            if known[key] is float:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{key} must be {what}, got an integer "
+                                      "past the float range") from None
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -188,7 +189,7 @@ def _append_step(steps, record):
 
 
 def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
-    tau = cfg.tau if cfg.use_logitnorm else None
+    tau = LOGITNORM_TAU if cfg.use_logitnorm else None
     alpha = 0.0
     step = 0
     for _ in range(cfg.epochs_agree):
@@ -202,7 +203,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             surgery = gradvac_update(res.g_s, res.g_t, alpha, cfg.use_gradvac)
             bundle.shared_encoder.params.set_flat_grads(surgery.g + res.g_t)
             step += 1
-            adam_step(bundle.agreement, cfg.lr, weight_decay=cfg.weight_decay, t=step)
+            adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
             _append_step(steps, {
                 "phase": "agree", "step": step,
                 "phi_raw": surgery.phi_raw, "phi_post": surgery.phi_post,
@@ -213,7 +214,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
                 "logitnorm_active": tau is not None,
                 "ln_err_s": res.ln_err_s, "ln_err_t": res.ln_err_t,
             })
-            alpha = ema_update(alpha, surgery.phi_raw, cfg.beta)
+            alpha = ema_update(alpha, surgery.phi_raw, EMA_BETA)
 
 
 def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
@@ -227,7 +228,7 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
         idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
         loss_ce, dcor = private_backward(bundle, tgt_train.spectra[idx],
                                          tgt_train.labels[idx], shared_dist, idx)
-        adam_step(bundle.private, cfg.lr, weight_decay=cfg.weight_decay, t=t)
+        adam_step(bundle.private, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
         _append_step(steps, {
             "phase": "disagree", "step": t, "loss_ce": loss_ce, "dcor": dcor,
             "loss": loss_ce if dcor is None else loss_ce + dcor,
@@ -243,14 +244,14 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
     # is softmax of the *normalized* logits; distill from those, not from
     # the raw logits whose scale the normalized loss never controlled
     if cfg.use_logitnorm:
-        agree_all = logitnorm(agree_all, cfg.tau)
+        agree_all = logitnorm(agree_all, LOGITNORM_TAU)
     disagree_all = forward_target_disagree(bundle, tgt_train.spectra)
     for t in range(1, cfg.epochs_ensemble * steps_per_epoch + 1):
         idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
         loss_ce, e1, e2 = ensemble_backward(
             bundle, base_all[idx], tgt_train.labels[idx],
-            (agree_all[idx], cfg.temp_agree), (disagree_all[idx], cfg.temp_disagree))
-        adam_step(bundle.ensemble, cfg.lr, weight_decay=cfg.weight_decay, t=t)
+            (agree_all[idx], TEMP_AGREE), (disagree_all[idx], TEMP_DISAGREE))
+        adam_step(bundle.ensemble, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
         _append_step(steps, {
             "phase": "ensemble", "step": t, "loss_ce": loss_ce, "e_en1": e1,
             "e_en2": e2, "e_en": e1 + e2, "loss": loss_ce + (e1 + e2),

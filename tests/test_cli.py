@@ -188,6 +188,30 @@ class TestUndecodableInput:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+class TestOverflowingConfig:
+    # a float field given as an int past the float range, and noise large
+    # enough that rendering the scenes overflows float64 (1e200 in Python
+    # floats, 1e154 in numpy)
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    @pytest.mark.parametrize("raw, named", [
+        ({"lr": 10**400}, "lr"),
+        ({"synth": {"noise_sigma": 10**400}}, "noise_sigma"),
+        ({"synth": {"noise_sigma": 1e200}}, "synth"),
+        ({"synth": {"noise_sigma": 1e154}}, "synth"),
+    ], ids=["lr-int", "noise-int", "noise-1e200", "noise-1e154"])
+    @pytest.mark.filterwarnings("error")
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command,
+                                         raw, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        flag = "--log" if command == "train" else "--out-dir"
+        assert main([command, "--config", str(cfg), flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestAblateCommand:
     def test_five_row_table_and_log(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, epochs_agree=1)

@@ -6,10 +6,11 @@ import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
-from xscene.harness import (ABLATION_LADDER, TOGGLES, RunReport, TrainConfig,
-                            _run_phase, ablate, config_from_dict, evaluate,
-                            load_checkpoint, load_config, save_checkpoint,
-                            train, write_ablation_log, write_log)
+from xscene.harness import (ABLATION_LADDER, EMA_BETA, TOGGLES, RunReport,
+                            TrainConfig, _run_phase, ablate, config_from_dict,
+                            evaluate, load_checkpoint, load_config,
+                            save_checkpoint, train, write_ablation_log,
+                            write_log)
 from xscene.model import COMPONENT_ORDER, ModelBundle
 from xscene.nn import make_rng
 
@@ -30,14 +31,14 @@ def quick_cfg(**overrides):
 class TestConfigIo:
     def test_defaults_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 3, "tau": 1.5,
+        path.write_text(json.dumps({"seed": 3, "lr": 1e-3,
                                     "synth": {"seed": 9, "noise_sigma": 0.2}}))
         cfg = load_config(path)
         assert cfg.seed == 3
-        assert cfg.tau == 1.5
+        assert cfg.lr == 1e-3
         assert cfg.synth.seed == 9
         assert cfg.synth.noise_sigma == 0.2
-        assert cfg.lr == 5e-4  # untouched default
+        assert cfg.batch_size == 64  # untouched default
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -47,7 +48,8 @@ class TestConfigIo:
         # settings fixed in the code are not config keys
         for key in ("adam_beta1", "adam_beta2", "adam_eps", "temp_scaled",
                     "phi_mag_threshold", "dcor_weight", "ensemble_weight",
-                    "source_weight", "target_weight"):
+                    "source_weight", "target_weight", "weight_decay", "beta",
+                    "tau", "temp_agree", "temp_disagree"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config_from_dict({key: 1.0})
 
@@ -56,13 +58,13 @@ class TestConfigIo:
             config_from_dict({"synth": {"bands": 10}})
 
     def test_invalid_values_rejected(self):
-        for raw in ({"tau": -1.0}, {"batch_size": 0}, {"beta": 2.0},
-                    {"temp_agree": 0.0}, {"use_dir": True, "batch_size": 1},
+        for raw in ({"lr": 0.0}, {"lr": -1e-3}, {"batch_size": 0},
+                    {"use_dir": True, "batch_size": 1},
                     # shots that leave the evaluation split empty
                     {"shots": 60}, {"shots": 7, "synth": {"samples_per_class_target": 7}},
                     # wrong JSON types and non-finite floats
                     {"use_dir": "no"}, {"use_gradvac": 1}, {"lr": float("nan")},
-                    {"tau": float("inf")}, {"lr": True}, {"epochs_agree": "3"},
+                    {"lr": True}, {"epochs_agree": "3"},
                     {"batch_size": 64.0}, {"shots": False},
                     {"synth": {"bands_source": 48.5}},
                     {"synth": {"noise_sigma": None}},
@@ -78,6 +80,8 @@ class TestConfigIo:
     def test_ints_accepted_for_float_fields(self):
         cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})
         assert cfg.lr == 1 and cfg.synth.noise_sigma == 0
+        # stored as floats, so no int past the float range reaches training
+        assert type(cfg.lr) is float and type(cfg.synth.noise_sigma) is float
 
     def test_checked_when_built(self):
         # dataclasses.replace builds a new config, so it is checked too
@@ -195,7 +199,7 @@ class TestPhaseAInvariants:
             assert s["phi_post"] == pytest.approx(s["alpha"], abs=1e-9)
 
     def test_logitnorm_rows_at_unit_over_tau(self):
-        rep = train(quick_cfg(use_logitnorm=True, tau=2.0))
+        rep = train(quick_cfg(use_logitnorm=True))
         ln_steps = [s for s in rep.steps
                     if s["phase"] == "agree" and s["logitnorm_active"]]
         assert ln_steps
@@ -209,7 +213,7 @@ class TestPhaseAInvariants:
         alpha = 0.0
         for s in (x for x in rep.steps if x["phase"] == "agree"):
             assert s["alpha"] == pytest.approx(alpha, abs=1e-12)
-            alpha = (1 - cfg.beta) * alpha + cfg.beta * s["phi_raw"]
+            alpha = (1 - EMA_BETA) * alpha + EMA_BETA * s["phi_raw"]
             alpha = float(np.clip(alpha, -(1 - 1e-6), 1 - 1e-6))
 
 
