@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+from .nn import check_nbytes
 
 LATENT_DIM = 16
 PROTO_SCALE = 0.4
@@ -119,6 +120,12 @@ def _random_rotation(n, rng):
 def generate_pair(cfg):
     """Build a (source, target) scene pair; pure function of cfg.seed.
     Settings whose scenes overflow float64 are a config error."""
+    # resampling weights, then per scene: prototypes, band map, jitter, spectra
+    check_nbytes("synth: the scenes", 8 * (cfg.bands_source * cfg.bands_target + sum(
+        LATENT_DIM * (classes + per_class + bands) + classes * per_class * bands
+        for classes, per_class, bands in (
+            (cfg.classes_source, cfg.samples_per_class_source, cfg.bands_source),
+            (cfg.classes_target, cfg.samples_per_class_target, cfg.bands_target)))))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _render_pair(cfg)

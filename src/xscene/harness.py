@@ -27,7 +27,7 @@ from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
 from .model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                     ensemble_backward, forward_ensemble, forward_target_agree,
                     forward_target_disagree, private_backward)
-from .nn import adam_step, make_rng, n_params
+from .nn import adam_step, check_nbytes, make_rng, n_params
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 
@@ -201,7 +201,7 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
             batch_t = (tgt_train.spectra[idx], tgt_train.labels[idx])
             res = agreement_backward(bundle, batch_s, batch_t, tau)
             surgery = gradvac_update(res.g_s, res.g_t, alpha, cfg.use_gradvac)
-            bundle.shared_encoder.params.set_flat_grads(surgery.g + res.g_t)
+            bundle.shared_encoder.grads[:] = surgery.g + res.g_t
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
             _append_step(steps, {
@@ -275,6 +275,7 @@ def train(cfg):
     final target-eval metrics (as percentages) and per-step diagnostics.
     Overflow, invalid values and division by zero raise, so a diverging
     run stops at the step where it first leaves the finite floats."""
+    check_nbytes("a batch's row indices", 8 * cfg.batch_size)
     init_ss, shot_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     source, target = generate_pair(cfg.synth)
     tgt_train, tgt_eval = sample_k_per_class(target, cfg.shots, shot_ss)
@@ -347,7 +348,7 @@ def save_checkpoint(path, bundle, meta=None):
               "meta": meta or {}}
     with open(path, "wb") as f:
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        f.write(bundle.params.values.astype("<f8").tobytes())
+        f.write(bundle.params[0].astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -380,5 +381,5 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: checkpoint holds {len(blob)} bytes of "
                          f"parameters, expected {8 * expected}")
     bundle = ModelBundle(layout)
-    bundle.params.set_flat_params(np.frombuffer(blob, dtype="<f8"))
+    bundle.params[0] = np.frombuffer(blob, dtype="<f8")
     return bundle, meta

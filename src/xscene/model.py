@@ -9,9 +9,10 @@ Three branches over per-pixel spectra:
   ensemble:   ensemble_encoder -> ensemble_head, fed by the frozen
               target_extractor output
 
-All ten components view one ParamSet, laid out in COMPONENT_ORDER (also
+All ten components view column slices of one (4, n) parameter block
+(rows: values, grads, Adam m and v), laid out in COMPONENT_ORDER (also
 the checkpoint order). Each branch's components are a contiguous run of
-it, so a branch takes its Adam step as one slice. Each branch's step
+columns, so a branch takes its Adam step as one slice. Each branch's step
 gradient is built here, by agreement_backward, private_backward and
 ensemble_backward; the harness only draws batches, steps and logs.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from .agreement import logitnorm_ce
 from .disagreement import dcor_penalty, symmetric_kl
 from .errors import DimensionError
-from .nn import Mlp, ParamSet, n_params, softmax_ce
+from .nn import Mlp, check_nbytes, n_params, softmax_ce
 
 COMPONENT_ORDER = (
     "source_extractor",
@@ -41,25 +42,27 @@ COMPONENT_ORDER = (
 
 
 class ModelBundle:
-    """Every component network, built from a {name: dims} layout over one
-    ParamSet. `params` is the whole vector; `agreement`, `private` and
-    `ensemble` view each branch's slice of it. rng draws the weights in
-    COMPONENT_ORDER, so a single seed reproduces the full initialization;
-    without one every parameter is zero (checkpoint loading)."""
+    """Every component network, built from a {name: dims} layout. `params`
+    is the one (4, n) float64 block of the whole trainable state; each
+    component's block and `agreement`, `private` and `ensemble` are column
+    slices of it. rng draws the weights in COMPONENT_ORDER, so a single
+    seed reproduces the full initialization; without one every parameter
+    is zero (checkpoint loading)."""
 
     def __init__(self, layout, rng=None):
         missing = [n for n in COMPONENT_ORDER if n not in layout]
         if missing:
             raise DimensionError(f"missing components: {missing}")
         bounds = [0, *accumulate(n_params(layout[n]) for n in COMPONENT_ORDER)]
-        self.params = ParamSet(bounds[-1])
+        check_nbytes("the parameter block", 32 * bounds[-1])
+        self.params = np.zeros((4, bounds[-1]))
         for name, lo, hi in zip(COMPONENT_ORDER, bounds, bounds[1:]):
-            setattr(self, name, Mlp(layout[name], self.params.view(lo, hi), rng))
+            setattr(self, name, Mlp(layout[name], self.params[:, lo:hi], rng))
         start = dict(zip(COMPONENT_ORDER, bounds))
-        self.agreement = self.params.view(0, start["private_extractor"])
-        self.private = self.params.view(start["private_extractor"],
-                                        start["ensemble_encoder"])
-        self.ensemble = self.params.view(start["ensemble_encoder"], bounds[-1])
+        private, ensemble = start["private_extractor"], start["ensemble_encoder"]
+        self.agreement = self.params[:, :private]
+        self.private = self.params[:, private:ensemble]
+        self.ensemble = self.params[:, ensemble:]
 
     @classmethod
     def build(cls, bands_source, bands_target, classes_source, classes_target,
@@ -143,10 +146,10 @@ def agreement_backward(bundle, batch_s, batch_t, tau=None):
     """
     loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
                                   bundle.source_head, *batch_s, tau)
-    g_s = bundle.shared_encoder.params.flatten_grads()
+    g_s = bundle.shared_encoder.grads.copy()
     loss_t, ln_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
                                   bundle.target_head, *batch_t, tau)
-    g_t = bundle.shared_encoder.params.flatten_grads()
+    g_t = bundle.shared_encoder.grads.copy()
     return AgreementGrads(g_s, g_t, loss_s, loss_t, ln_s, ln_t)
 
 

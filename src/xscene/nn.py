@@ -36,45 +36,12 @@ def n_params(dims):
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
-class ParamSet:
-    """Parameters as a single float64 vector of length n, with their
-    gradient and Adam moment vectors (m, v) of the same length.
-
-    A ModelBundle allocates one for all its components; each Mlp and each
-    training branch works on a view of a contiguous slice of it.
-    """
-
-    def __init__(self, n):
-        self.values, self.grads, self.m, self.v = np.zeros((4, n))
-
-    def view(self, start, stop):
-        """ParamSet over entries [start, stop) that shares this one's
-        memory."""
-        part = object.__new__(ParamSet)
-        part.values, part.grads, part.m, part.v = (
-            buf[start:stop] for buf in (self.values, self.grads, self.m, self.v))
-        return part
-
-    @property
-    def n_params(self):
-        return self.values.size
-
-    def flatten_grads(self):
-        return self.grads.copy()
-
-    def _copy_into(self, buf, vec):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != buf.shape:
-            raise DimensionError(
-                f"flat vector has length {vec.shape}, expected {buf.shape}"
-            )
-        buf[:] = vec
-
-    def set_flat_params(self, vec):
-        self._copy_into(self.values, vec)
-
-    def set_flat_grads(self, vec):
-        self._copy_into(self.grads, vec)
+def check_nbytes(what, nbytes):
+    """numpy refuses (with a plain ValueError) to build an array of more
+    bytes than its index type holds; raise the MemoryError that any other
+    allocation too big for memory gives instead."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} would take {nbytes} bytes")
 
 
 def softmax(z):
@@ -120,29 +87,30 @@ class Mlp:
     """Stack of affine layers with ReLU between them (none after the last).
 
     dims = [in, h1, ..., out]; a two-entry list is a bare affine map.
-    Layer i's weights[i] (dims[i] x dims[i+1], row-major), then biases[i],
-    and their grad_weights[i] and grad_biases[i], view the given ParamSet
-    of length n_params(dims). rng, if given, draws the weights (Glorot).
+    `params` is the given (4, n_params(dims)) block: rows values, grads,
+    Adam m and v. Layer i's weights[i] (dims[i] x dims[i+1], row-major),
+    then biases[i], view row 0 (`values`); grad_weights[i] and
+    grad_biases[i] view row 1 (`grads`). rng, if given, draws the weights.
     """
 
-    def __init__(self, dims, params, rng=None):
+    def __init__(self, dims, block, rng=None):
         n = n_params(dims)
-        if params.n_params != n:
-            raise DimensionError(f"layer dims {dims!r} need {n} parameters, "
-                                 f"got a ParamSet of {params.n_params}")
+        if block.shape != (4, n):
+            raise DimensionError(f"layer dims {dims!r} need a (4, {n}) "
+                                 f"parameter block, got {block.shape}")
         self.dims = [int(d) for d in dims]
-        self.params = params
-        values, grads = params.values, params.grads
+        self.params = block
+        self.values, self.grads = block[:2]
         self.weights, self.biases = [], []
         self.grad_weights, self.grad_biases = [], []
         offset = 0
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
             mid = offset + fan_in * fan_out
             end = mid + fan_out
-            self.weights.append(values[offset:mid].reshape(fan_in, fan_out))
-            self.biases.append(values[mid:end])
-            self.grad_weights.append(grads[offset:mid].reshape(fan_in, fan_out))
-            self.grad_biases.append(grads[mid:end])
+            self.weights.append(self.values[offset:mid].reshape(fan_in, fan_out))
+            self.biases.append(self.values[mid:end])
+            self.grad_weights.append(self.grads[offset:mid].reshape(fan_in, fan_out))
+            self.grad_biases.append(self.grads[mid:end])
             if rng is not None:
                 self.weights[-1][:] = glorot_uniform(fan_in, fan_out, rng)
             offset = end
@@ -150,10 +118,6 @@ class Mlp:
     @property
     def in_dim(self):
         return self.dims[0]
-
-    @property
-    def out_dim(self):
-        return self.dims[-1]
 
     def forward(self, x):
         """Returns (output, cache); the cache feeds backward()."""
@@ -190,18 +154,18 @@ class Mlp:
         return g
 
 
-def adam_step(params, lr, weight_decay=0.0, t=1):
-    """One Adam update from the gradients in params.grads.
+def adam_step(block, lr, weight_decay=0.0, t=1):
+    """One Adam update of a (4, n) block (values, grads, m, v).
 
     Decoupled weight decay shrinks parameters by lr*weight_decay before the
     bias-corrected Adam delta is applied. Every operation is elementwise,
-    so one call over a slice equals one call per part of it, bit for bit.
+    so one call over a block equals one per column slice of it, bit for bit.
     """
     if t < 1:
         raise ConfigError("adam step counter starts at 1")
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    w, g, m, v = params.values, params.grads, params.m, params.v
+    w, g, m, v = block
     if weight_decay:
         w -= lr * weight_decay * w
     m *= ADAM_BETA1

@@ -9,10 +9,11 @@ gradient-surgery + logit-normalization pair should not trail the
 baseline. At this scale those margins are not met: the per-scene
 extractors and heads give the few-shot target path enough private
 capacity to route around any state of the shared encoder, so the
-agreement toggles land within noise of the baseline (surgery +0.1,
-normalization about -0.5), and the ensemble's committee gain over two
-error-correlated teachers tops out near one point. The check is kept
-strict and currently fails rather than being loosened to fit.
+agreement toggles land within noise of the baseline (mean OA: off
+80.32, gradvac+logitnorm 79.52), and the ensemble's committee gain over
+two error-correlated teachers tops out near one point (full 81.08). The
+check is kept strict and currently fails rather than being loosened to
+fit.
 """
 
 import dataclasses
@@ -142,9 +143,9 @@ def test_03_gradient_oracles():
             feat_dim=3, hidden_dim=4, enc_dim=3, rng=rng)
         n_s, n_t = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         xs = rng.normal(size=(n_s, bundle.source_extractor.in_dim))
-        ys = rng.integers(0, bundle.source_head.out_dim, size=n_s)
+        ys = rng.integers(0, bundle.source_head.dims[-1], size=n_s)
         xt = rng.normal(size=(n_t, bundle.target_extractor.in_dim))
-        yt = rng.integers(0, bundle.target_head.out_dim, size=n_t)
+        yt = rng.integers(0, bundle.target_head.dims[-1], size=n_t)
         # central differences are only meaningful away from relu kinks:
         # redraw when an encoder pre-activation sits within the probe step
         margin = 1e-3
@@ -159,10 +160,10 @@ def test_03_gradient_oracles():
         done += 1
         res = agreement_backward(bundle, (xs, ys), (xt, yt))
         g_s, g_t = res.g_s, res.g_t
-        flat = bundle.shared_encoder.params.values.copy()
+        flat = bundle.shared_encoder.values.copy()
 
         def loss_through(vec, extractor, head, x, y):
-            bundle.shared_encoder.params.set_flat_params(vec)
+            bundle.shared_encoder.values[:] = vec
             z = head.predict(bundle.shared_encoder.predict(extractor.predict(x)))
             return softmax_ce(z, y)[0]
 
@@ -176,7 +177,7 @@ def test_03_gradient_oracles():
                 down[i] -= 1e-5
                 fd[i] = (loss_through(up, extractor, head, x, y)
                          - loss_through(down, extractor, head, x, y)) / 2e-5
-            bundle.shared_encoder.params.set_flat_params(flat)
+            bundle.shared_encoder.values[:] = flat
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     elapsed = time.perf_counter() - start

@@ -212,6 +212,33 @@ class TestOverflowingConfig:
         assert not out.exists()
 
 
+class TestOversizedCounts:
+    # counts whose arrays numpy refuses to build (it raises a ValueError
+    # past its index range) end like any allocation too big for memory
+    TRAIN_ONLY = [{"feat_dim": 10**15}, {"batch_size": 10**20},
+                  {"epochs_agree": 0, "hidden_dim": 2**62}]
+    SCENES = [{"synth": {"samples_per_class_source": 10**20}},
+              {"synth": {"samples_per_class_source": 2**62}},
+              {"synth": {"bands_source": 2**62}}]
+
+    @pytest.mark.parametrize("command, raw", [
+        *[("train", raw) for raw in TRAIN_ONLY + SCENES],
+        *[("gen-data", raw) for raw in SCENES],
+    ], ids=["train-feat", "train-batch", "train-hidden", "train-samples-1e20",
+            "train-samples-2e62", "train-bands", "gen-samples-1e20",
+            "gen-samples-2e62", "gen-bands"])
+    @pytest.mark.filterwarnings("error")
+    def test_exits_2_as_out_of_memory(self, tmp_path, capsys, command, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        flag = "--log" if command == "train" else "--out-dir"
+        assert main([command, "--config", str(cfg), flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestAblateCommand:
     def test_five_row_table_and_log(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, epochs_agree=1)

@@ -68,7 +68,7 @@ class TestGeneratePair:
                 for pair in (("target_extractor", "source_extractor"),
                              ("target_head", "source_head")):
                     dst, srcc = (getattr(bundle, pair[0]), getattr(bundle, pair[1]))
-                    dst.params.set_flat_params(srcc.params.values.copy())
+                    dst.values[:] = srcc.values
                 res = agreement_backward(bundle,
                                          (src.spectra[:64], src.labels[:64]),
                                          (tgt.spectra[:64], tgt.labels[:64]))

@@ -226,13 +226,12 @@ class TestEvaluate:
                                         np.random.SeedSequence(cfg.seed).spawn(3)[1])
         bundle = rep.bundle
         # constant classifier: zero out the target head
-        zeros = np.zeros(bundle.target_head.params.n_params)
-        saved = bundle.target_head.params.values.copy()
-        bundle.target_head.params.set_flat_params(zeros)
+        saved = bundle.target_head.values.copy()
+        bundle.target_head.values[:] = 0.0
         oa, aa, kappa = evaluate(bundle, heldout, "agree")
         assert aa == pytest.approx(1.0 / tgt.classes)
         assert kappa == pytest.approx(0.0, abs=1e-12)
-        bundle.target_head.params.set_flat_params(saved)
+        bundle.target_head.values[:] = saved
 
     def test_perfect_classifier(self):
         # identity weights end to end: logits == spectra, so labeling by
@@ -329,7 +328,7 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         assert meta["eval_head"] == "ensemble"
         assert loaded.layout() == rep.bundle.layout()
-        assert np.array_equal(loaded.params.values, rep.bundle.params.values)
+        assert np.array_equal(loaded.params[0], rep.bundle.params[0])
 
     def test_loaded_model_evaluates_identically(self, tmp_path):
         cfg = quick_cfg(use_ensemble=True)
@@ -350,7 +349,7 @@ class TestCheckpoint:
         save_checkpoint(path, bundle)
         raw = path.read_bytes()
         header = json.loads(raw[:raw.index(b"\n")].decode())
-        assert raw[raw.index(b"\n") + 1:] == bundle.params.values.astype("<f8").tobytes()
+        assert raw[raw.index(b"\n") + 1:] == bundle.params[0].astype("<f8").tobytes()
         assert list(header["layout"]) == list(COMPONENT_ORDER)
 
     @pytest.mark.parametrize("edit", [

@@ -77,10 +77,8 @@ class TestForwards:
 class TestSharedGradients:
     def test_identical_tasks_give_identical_gradients(self):
         bundle = tiny_bundle(seed=7, bands_source=5, bands_target=5)
-        src = bundle.source_extractor.params.values.copy()
-        bundle.target_extractor.params.set_flat_params(src)
-        head = bundle.source_head.params.values.copy()
-        bundle.target_head.params.set_flat_params(head)
+        bundle.target_extractor.values[:] = bundle.source_extractor.values
+        bundle.target_head.values[:] = bundle.source_head.values
         rng = make_rng(11)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
@@ -104,11 +102,11 @@ class TestSharedGradients:
 
     def _fd_shared(self, bundle, x, y, forward_parts, tau=None):
         extractor, head = forward_parts
-        flat = bundle.shared_encoder.params.values.copy()
+        flat = bundle.shared_encoder.values.copy()
         h = 1e-5
 
         def loss_at(vec):
-            bundle.shared_encoder.params.set_flat_params(vec)
+            bundle.shared_encoder.values[:] = vec
             feats = extractor.predict(x)
             z = head.predict(bundle.shared_encoder.predict(feats))
             if tau is None:
@@ -121,7 +119,7 @@ class TestSharedGradients:
             up[i] += h
             down[i] -= h
             fd[i] = (loss_at(up) - loss_at(down)) / (2 * h)
-        bundle.shared_encoder.params.set_flat_params(flat)
+        bundle.shared_encoder.values[:] = flat
         return fd
 
     @pytest.mark.parametrize("use_ln", [False, True])
@@ -152,14 +150,14 @@ class TestSharedGradients:
         clean = tiny_bundle(seed=27)
         want = agreement_backward(clean, (xs, ys), (xt, yt))
         stale = tiny_bundle(seed=27)
-        stale.params.grads[:] = rng.normal(size=stale.params.n_params)
-        others = np.concatenate([stale.private.grads, stale.ensemble.grads])
+        stale.params[1] = rng.normal(size=stale.params.shape[1])
+        others = np.concatenate([stale.private[1], stale.ensemble[1]])
         res = agreement_backward(stale, (xs, ys), (xt, yt))
         assert np.array_equal(res.g_s, want.g_s)
         assert np.array_equal(res.g_t, want.g_t)
-        assert np.array_equal(stale.agreement.grads, clean.agreement.grads)
+        assert np.array_equal(stale.agreement[1], clean.agreement[1])
         assert np.array_equal(
-            np.concatenate([stale.private.grads, stale.ensemble.grads]), others)
+            np.concatenate([stale.private[1], stale.ensemble[1]]), others)
 
     def test_empty_batch_rejected(self):
         bundle = tiny_bundle()
@@ -174,16 +172,18 @@ def relu_margin(mlp, x):
     return min(np.abs(z).min() for _, z in cache[:-1])
 
 
-def fd_grad(params, loss_at, h=1e-5):
-    """Central differences of loss_at() over every entry of params.values."""
-    fd = np.zeros(params.n_params)
+def fd_grad(block, loss_at, h=1e-5):
+    """Central differences of loss_at() over every value (row 0) of a
+    parameter block."""
+    values = block[0]
+    fd = np.zeros(values.size)
     for i in range(fd.size):
-        saved = params.values[i]
-        params.values[i] = saved + h
+        saved = values[i]
+        values[i] = saved + h
         up = loss_at()
-        params.values[i] = saved - h
+        values[i] = saved - h
         down = loss_at()
-        params.values[i] = saved
+        values[i] = saved
         fd[i] = (up - down) / (2 * h)
     return fd
 
@@ -243,7 +243,7 @@ class TestBranchBackward:
                 private_loss(bundle, x, y, shared_dist, idx), rel=1e-12)
             fd = fd_grad(bundle.private,
                          lambda: private_loss(bundle, x, y, shared_dist, idx))
-            np.testing.assert_allclose(bundle.private.grads, fd,
+            np.testing.assert_allclose(bundle.private[1], fd,
                                        rtol=1e-4, atol=1e-8)
 
     def test_ensemble_matches_finite_differences(self):
@@ -264,7 +264,7 @@ class TestBranchBackward:
                 ensemble_loss(bundle, base, y, agree, disagree), rel=1e-12)
             fd = fd_grad(bundle.ensemble,
                          lambda: ensemble_loss(bundle, base, y, agree, disagree))
-            np.testing.assert_allclose(bundle.ensemble.grads, fd,
+            np.testing.assert_allclose(bundle.ensemble[1], fd,
                                        rtol=1e-4, atol=1e-8)
 
     @pytest.mark.parametrize("branch", ["private", "ensemble"])
@@ -289,12 +289,12 @@ class TestBranchBackward:
         clean = branch_draw(make_rng(59))[0]
         step(clean)
         stale = branch_draw(make_rng(59))[0]
-        stale.params.grads[:] = rng.normal(size=stale.params.n_params)
-        others = [getattr(stale, b).grads.copy() for b in BRANCHES if b != branch]
+        stale.params[1] = rng.normal(size=stale.params.shape[1])
+        others = [getattr(stale, b)[1].copy() for b in BRANCHES if b != branch]
         step(stale)
-        assert np.array_equal(getattr(stale, branch).grads,
-                              getattr(clean, branch).grads)
-        for before, now in zip(others, (getattr(stale, b).grads
+        assert np.array_equal(getattr(stale, branch)[1],
+                              getattr(clean, branch)[1])
+        for before, now in zip(others, (getattr(stale, b)[1]
                                         for b in BRANCHES if b != branch)):
             assert np.array_equal(now, before)
 
@@ -302,8 +302,8 @@ class TestBranchBackward:
 class TestStructure:
     def test_flatten_order_stable(self):
         bundle = tiny_bundle(seed=31)
-        a = bundle.shared_encoder.params.values.copy()
-        b = bundle.shared_encoder.params.values.copy()
+        a = bundle.shared_encoder.values.copy()
+        b = bundle.shared_encoder.values.copy()
         assert np.array_equal(a, b)
         assert a.tobytes() == b.tobytes()
 
@@ -324,47 +324,79 @@ class TestStructure:
         rebuilt = ModelBundle(bundle.layout())
         assert rebuilt.layout() == bundle.layout()
         assert rebuilt.source_extractor.in_dim == 6
-        assert rebuilt.target_head.out_dim == 3
-        assert not rebuilt.params.values.any()
+        assert rebuilt.target_head.dims[-1] == 3
+        assert not rebuilt.params.any()
 
     def test_build_without_rng_gives_zero_parameters(self):
         a = ModelBundle.build(6, 5, 3, 3, 4, 4, 4)
         b = ModelBundle.build(6, 5, 3, 3, 4, 4, 4)
-        assert not a.params.values.any()
-        assert np.array_equal(a.params.values, b.params.values)
+        assert not a.params.any()
+        assert np.array_equal(a.params, b.params)
 
     def test_branch_views_tile_the_bundle_vector(self):
-        # entry i of every buffer holds i: each branch view, and each of its
+        # column i of every row holds i: each branch block, and each of its
         # components in COMPONENT_ORDER, must read back its own run of them
         bundle = tiny_bundle(seed=41)
-        n = bundle.params.n_params
-        for buf in ("values", "grads", "m", "v"):
-            getattr(bundle.params, buf)[:] = np.arange(n)
-            tiles = [getattr(getattr(bundle, branch), buf) for branch in BRANCHES]
-            assert np.array_equal(np.concatenate(tiles), np.arange(n))
-            for branch, names in BRANCHES.items():
-                parts = [getattr(getattr(bundle, name).params, buf) for name in names]
-                assert np.array_equal(np.concatenate(parts),
-                                      getattr(getattr(bundle, branch), buf))
-                for part in parts:
-                    assert np.shares_memory(part, getattr(bundle.params, buf))
+        n = bundle.params.shape[1]
+        assert bundle.params.shape == (4, n) and bundle.params.dtype == np.float64
+        bundle.params[:] = np.arange(n)
+        tiles = [getattr(bundle, branch) for branch in BRANCHES]
+        assert np.array_equal(np.concatenate(tiles, axis=1), bundle.params)
+        for branch, names in BRANCHES.items():
+            parts = [getattr(bundle, name).params for name in names]
+            assert np.array_equal(np.concatenate(parts, axis=1),
+                                  getattr(bundle, branch))
+            for block in [getattr(bundle, branch), *parts]:
+                assert np.shares_memory(block, bundle.params)
 
     @pytest.mark.parametrize("branch", list(BRANCHES))
     def test_adam_on_one_branch_leaves_the_others_bit_identical(self, branch):
         bundle = tiny_bundle(seed=43)
         rng = make_rng(45)
-        n = bundle.params.n_params
-        bundle.params.grads[:] = rng.normal(size=n)
-        bundle.params.m[:] = rng.normal(size=n)
-        bundle.params.v[:] = rng.random(n)
-        before = {other: {buf: getattr(getattr(bundle, other), buf).tobytes()
-                          for buf in ("values", "m", "v")}
+        n = bundle.params.shape[1]
+        bundle.params[1:3] = rng.normal(size=(2, n))
+        bundle.params[3] = rng.random(n)
+        # rows 0, 2 and 3: values, Adam m and v
+        before = {other: {row: getattr(bundle, other)[row].tobytes()
+                          for row in (0, 2, 3)}
                   for other in BRANCHES}
         adam_step(getattr(bundle, branch), lr=1e-2, weight_decay=1e-2, t=3)
         for other in BRANCHES:
-            for buf, saved in before[other].items():
-                now = getattr(getattr(bundle, other), buf).tobytes()
-                assert (now == saved) == (other != branch), (other, buf)
+            for row, saved in before[other].items():
+                now = getattr(bundle, other)[row].tobytes()
+                assert (now == saved) == (other != branch), (other, row)
+
+    def test_params_is_the_whole_trainable_state(self):
+        # a copy of the block, restored, replays the same steps bit for bit
+        bundle = tiny_bundle(seed=47)
+        rng = make_rng(49)
+        batches = [(rng.normal(size=(6, 6)), rng.integers(0, 3, size=6),
+                    rng.normal(size=(6, 5)), rng.integers(0, 3, size=6))
+                   for _ in range(5)]
+
+        def step(t):
+            xs, ys, xt, yt = batches[t - 1]
+            res = agreement_backward(bundle, (xs, ys), (xt, yt), tau=2.0)
+            bundle.shared_encoder.grads[:] = res.g_s + res.g_t
+            private_backward(bundle, xt, yt, smoothed_distances(xt), np.arange(6))
+            teachers = (forward_target_agree(bundle, xt), 1.0), (
+                forward_target_disagree(bundle, xt), 0.05)
+            ensemble_backward(bundle, bundle.target_extractor.predict(xt), yt,
+                              *teachers)
+            for branch in BRANCHES:
+                adam_step(getattr(bundle, branch), lr=1e-2, weight_decay=1e-2, t=t)
+
+        for t in (1, 2):
+            step(t)
+        snap = bundle.params.copy()
+        for t in (3, 4, 5):
+            step(t)
+        first = bundle.params.copy()
+        assert not np.array_equal(first[0], snap[0])
+        bundle.params[:] = snap
+        for t in (3, 4, 5):
+            step(t)
+        assert bundle.params.tobytes() == first.tobytes()
 
     def test_gradvac_only_touches_shared_encoder_grads(self):
         # surgery output is written into the shared encoder's buffers by
@@ -377,11 +409,9 @@ class TestStructure:
         xt = rng.normal(size=(4, 5))
         yt = rng.integers(0, 3, size=4)
         agreement_backward(bundle, (xs, ys), (xt, yt))
-        before = {name: getattr(bundle, name).params.flatten_grads()
+        before = {name: getattr(bundle, name).grads.copy()
                   for name in ("source_extractor", "target_extractor",
                                "source_head", "target_head")}
-        bundle.shared_encoder.params.set_flat_grads(
-            np.zeros(bundle.shared_encoder.params.n_params))
+        bundle.shared_encoder.grads[:] = 0.0
         for name, grads in before.items():
-            assert np.array_equal(getattr(bundle, name).params.flatten_grads(),
-                                  grads)
+            assert np.array_equal(getattr(bundle, name).grads, grads)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from xscene.errors import ConfigError, DimensionError, SampleCountError
-from xscene.nn import (PROB_FLOOR, Mlp, ParamSet, adam_step, make_rng, n_params,
-                       softmax, softmax_ce)
+from xscene.nn import (PROB_FLOOR, Mlp, adam_step, make_rng, n_params, softmax,
+                       softmax_ce)
 
 
 def cross_entropy(probs, labels):
@@ -25,8 +25,8 @@ def ce_logit_grad(pred_probs, labels):
 
 
 def make_mlp(dims, rng=None):
-    """Standalone Mlp over a ParamSet of its own."""
-    return Mlp(dims, ParamSet(n_params(dims)), rng)
+    """Standalone Mlp over a parameter block of its own."""
+    return Mlp(dims, np.zeros((4, n_params(dims))), rng)
 
 
 def hand_mlp(*layers):
@@ -218,22 +218,22 @@ class TestAdam:
             adam_step(self.one_param_mlp(1.0).params, lr=1e-3, t=0)
 
 
-class TestParamSet:
-    def test_flatten_round_trip_bit_exact(self):
+class TestParamBlock:
+    def test_values_and_grads_are_rows_of_the_block(self):
         rng = make_rng(11)
         mlp = make_mlp([5, 4, 3], rng)
-        flat = mlp.params.values.copy()
-        probe = rng.normal(size=flat.shape)
-        mlp.params.set_flat_params(probe)
-        assert np.array_equal(mlp.params.values.copy(), probe)
-        mlp.params.set_flat_grads(probe)
-        assert np.array_equal(mlp.params.flatten_grads(), probe)
+        probe = rng.normal(size=(4, mlp.params.shape[1]))
+        mlp.params[:] = probe
+        assert mlp.values.tobytes() == probe[0].tobytes()
+        assert mlp.grads.tobytes() == probe[1].tobytes()
+        assert np.shares_memory(mlp.values, mlp.params)
+        assert np.shares_memory(mlp.grads, mlp.params)
 
     def test_layer_views_follow_flat_order(self):
         # weight row-major, then bias, layer by layer: the checkpoint order
         mlp = make_mlp([2, 3, 2])
-        mlp.params.set_flat_params(np.arange(17.0))
-        mlp.params.set_flat_grads(-np.arange(17.0))
+        mlp.values[:] = np.arange(17.0)
+        mlp.grads[:] = -np.arange(17.0)
         expected = [np.arange(6.0).reshape(2, 3), np.arange(6.0, 9.0),
                     np.arange(9.0, 15.0).reshape(3, 2), np.arange(15.0, 17.0)]
         views = [mlp.weights[0], mlp.biases[0], mlp.weights[1], mlp.biases[1]]
@@ -243,40 +243,37 @@ class TestParamSet:
             assert np.array_equal(view, want)
             assert np.array_equal(grad, -want)
 
-    def test_flatten_length_checked(self):
-        mlp = make_mlp([3, 2], make_rng(0))
-        with pytest.raises(DimensionError):
-            mlp.params.set_flat_params(np.zeros(5))
-
-    def test_view_shares_memory_with_its_slice(self):
-        whole = ParamSet(10)
-        part = whole.view(3, 7)
-        assert part.n_params == 4
-        for name in ("values", "grads", "m", "v"):
-            getattr(part, name)[:] = 1.0
-            assert np.array_equal(getattr(whole, name),
-                                  [0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
-            getattr(whole, name)[:] = 0.0
+    def test_mlp_on_a_column_slice_writes_through(self):
+        whole = np.zeros((4, 10))
+        mlp = Mlp([1, 2], whole[:, 3:7])
+        mlp.weights[0][:] = 1.0
+        mlp.biases[0][:] = 1.0
+        mlp.grad_weights[0][:] = 2.0
+        mlp.grad_biases[0][:] = 2.0
+        mlp.params[2:] = 3.0
+        mask = np.array([0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
+        assert np.array_equal(whole, np.outer([1, 2, 3, 3], mask))
 
     def test_n_params_counts_weights_and_biases(self):
+        # 2*3 + 3 + 3*2 + 2 = 17: the column count of the Mlp's block
         assert n_params([2, 3, 2]) == 17
         assert n_params([5, 1]) == 6
         for dims in ([4], [3, 0], [-1, 5], [4, -2, 3]):
             with pytest.raises(ConfigError):
                 n_params(dims)
 
-    def test_mlp_rejects_param_set_of_wrong_length(self):
-        for n in (16, 18):
+    def test_mlp_needs_a_4_by_n_params_block(self):
+        for shape in ((4, 16), (4, 18), (3, 17), (5, 17), (17,)):
             with pytest.raises(DimensionError):
-                Mlp([2, 3, 2], ParamSet(n))
-        assert Mlp([2, 3, 2], ParamSet(17)).params.n_params == 17
+                Mlp([2, 3, 2], np.zeros(shape))
+        assert Mlp([2, 3, 2], np.zeros((4, 17))).params.shape == (4, 17)
 
-    def test_mlp_views_the_param_set_it_is_given(self):
-        params = ParamSet(n_params([2, 3]))
-        mlp = Mlp([2, 3], params, make_rng(0))
-        assert mlp.params is params
-        assert np.shares_memory(mlp.weights[0], params.values)
-        assert np.array_equal(params.values[:6], mlp.weights[0].ravel())
+    def test_mlp_views_the_block_it_is_given(self):
+        block = np.zeros((4, n_params([2, 3])))
+        mlp = Mlp([2, 3], block, make_rng(0))
+        assert mlp.params is block
+        assert np.shares_memory(mlp.weights[0], block[0])
+        assert np.array_equal(block[0, :6], mlp.weights[0].ravel())
 
 
 def mlp_loss(mlp, x, labels):
@@ -298,21 +295,21 @@ class TestMlpGradients:
 
             out, cache = mlp.forward(x)
             mlp.backward(cache, softmax_ce(out, labels)[1])
-            analytic = mlp.params.flatten_grads()
+            analytic = mlp.grads.copy()
 
-            flat = mlp.params.values.copy()
+            flat = mlp.values.copy()
             step = 1e-5
             fd = np.zeros_like(flat)
             for i in range(flat.size):
                 up, down = flat.copy(), flat.copy()
                 up[i] += step
                 down[i] -= step
-                mlp.params.set_flat_params(up)
+                mlp.values[:] = up
                 lp = mlp_loss(mlp, x, labels)
-                mlp.params.set_flat_params(down)
+                mlp.values[:] = down
                 lm = mlp_loss(mlp, x, labels)
                 fd[i] = (lp - lm) / (2 * step)
-            mlp.params.set_flat_params(flat)
+            mlp.values[:] = flat
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-8)
 
     def test_input_gradient_matches_finite_differences(self):
@@ -334,21 +331,21 @@ class TestMlpGradients:
 
     def test_backward_writes_gradients_instead_of_adding(self):
         # stale values in the buffers and a second call leave exactly what
-        # one call on a fresh ParamSet writes
+        # one call on a fresh block writes
         rng = make_rng(31)
         mlp = make_mlp([5, 7, 6, 3], rng)
         x = rng.normal(size=(9, 5))
         upstream = rng.normal(size=(9, 3))
         fresh = make_mlp([5, 7, 6, 3])
-        fresh.params.set_flat_params(mlp.params.values.copy())
+        fresh.values[:] = mlp.values
         fresh.backward(fresh.forward(x)[1], upstream)
-        want = fresh.params.flatten_grads()
+        want = fresh.grads.copy()
         assert want.any()
-        mlp.params.set_flat_grads(rng.normal(size=mlp.params.n_params))
+        mlp.grads[:] = rng.normal(size=mlp.grads.size)
         _, cache = mlp.forward(x)
         for _ in range(2):
             mlp.backward(cache, upstream)
-            assert np.array_equal(mlp.params.flatten_grads(), want)
+            assert np.array_equal(mlp.grads, want)
 
     def test_input_grad_false_skips_only_the_input_gradient(self):
         rng = make_rng(37)
@@ -359,10 +356,10 @@ class TestMlpGradients:
             _, cache = mlp.forward(x)
             grad_x = mlp.backward(cache, upstream)
             assert grad_x.shape == x.shape
-            full = mlp.params.flatten_grads()
-            mlp.params.set_flat_grads(np.zeros(mlp.params.n_params))
+            full = mlp.grads.copy()
+            mlp.grads[:] = 0.0
             assert mlp.backward(cache, upstream, input_grad=False) is None
-            assert mlp.params.flatten_grads().tobytes() == full.tobytes()
+            assert mlp.grads.tobytes() == full.tobytes()
 
     def test_backward_leaves_upstream_and_cache_unchanged(self):
         rng = make_rng(41)
