@@ -9,7 +9,9 @@ scenes from consistent to decorrelated. Shared classes reuse prototypes
 across scenes; the rest get fresh ones.
 """
 
+import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,14 +172,12 @@ def _render_pair(cfg):
     )
 
     def render(name, mix, proto_ids, per_class, bands, classes):
-        blocks, labels = [], []
+        spectra = np.empty((classes * per_class, bands))
         for k in range(classes):
             jitter = rng.standard_normal((per_class, latent))
             latent_points = protos[proto_ids[k]][None, :] + cfg.noise_sigma * jitter
-            blocks.append(latent_points @ mix)
-            labels.append(np.full(per_class, k, dtype=np.int64))
-        spectra = np.vstack(blocks)
-        labels = np.concatenate(labels)
+            np.matmul(latent_points, mix, out=spectra[k * per_class:(k + 1) * per_class])
+        labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
         perm = rng.permutation(spectra.shape[0])
         return SceneDataset(name, bands, classes, spectra[perm], labels[perm])
 
@@ -220,39 +220,48 @@ def save_csv(ds, path):
 
 
 def load_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        try:
-            lines = f.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError("line 1: missing header")
-    m = _HEADER_RE.match(lines[0])
-    if not m:
-        raise ParseError(f"line 1: bad header {lines[0]!r}")
-    name, bands, classes = m.group(1), int(m.group(2)), int(m.group(3))
-    spectra, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != bands + 1:
-            raise ParseError(
-                f"line {lineno}: expected {bands + 1} fields, got {len(parts)}"
-            )
-        try:
-            label = int(parts[0])
-            values = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        if not 0 <= label < classes:
-            raise ParseError(f"line {lineno}: label {label} out of range [0, {classes})")
-        if not all(np.isfinite(values)):
-            raise ParseError(f"line {lineno}: non-finite band value")
-        labels.append(label)
-        spectra.append(values)
+    """Read a save_csv file. Rows stream into one float64 and one int64
+    buffer that become the dataset's arrays, so the file's text is never
+    held whole. A malformed line raises ParseError naming it."""
+    spectra, labels = array("d"), array("q")
+    with open(path, "rb") as f:
+        lines = _text_lines(path, f)
+        header = next(lines, None)
+        if header is None:
+            raise ParseError("line 1: missing header")
+        m = _HEADER_RE.match(header)
+        if not m:
+            raise ParseError(f"line 1: bad header {header!r}")
+        name, bands, classes = m.group(1), int(m.group(2)), int(m.group(3))
+        for lineno, line in enumerate(lines, start=2):
+            parts = line.split(",")
+            if len(parts) != bands + 1:
+                raise ParseError(
+                    f"line {lineno}: expected {bands + 1} fields, got {len(parts)}"
+                )
+            try:
+                label = int(parts[0])
+                values = [float(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+            if not 0 <= label < classes:
+                raise ParseError(f"line {lineno}: label {label} out of range [0, {classes})")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"line {lineno}: non-finite band value")
+            labels.append(label)
+            spectra.fromlist(values)
     if not labels:
         raise DataError(f"{path}: dataset has no samples")
     return SceneDataset(name, bands, classes,
-                        np.array(spectra, dtype=np.float64),
-                        np.array(labels, dtype=np.int64))
+                        np.frombuffer(spectra).reshape(len(labels), bands),
+                        np.frombuffer(labels, dtype=np.int64))
+
+
+def _text_lines(path, f):
+    """The lines of binary file `f` as UTF-8 text, split at each newline
+    byte alone, so a carriage return stays part of its line."""
+    for lineno, raw in enumerate(f, start=1):
+        try:
+            yield raw.removesuffix(b"\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc

@@ -31,6 +31,9 @@ from .nn import adam_step, check_nbytes, make_rng, n_params
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 
+# rows evaluate() pushes through a network at once
+EVAL_BLOCK_ROWS = 4096
+
 # the four components under study; row k of the ablation ladder switches
 # on the first k of them
 TOGGLES = ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir")
@@ -153,21 +156,26 @@ class RunReport:
 
 def evaluate(bundle, ds, head="agree"):
     """Argmax classification of a target dataset; returns (OA, AA, kappa)
-    as fractions."""
+    as fractions. Rows are scored EVAL_BLOCK_ROWS at a time, so the
+    memory it takes beyond the dataset is one block's activations and the
+    predictions."""
     if ds.n == 0:
         raise DataError("evaluation split is empty")
     if head == "agree":
-        logits = forward_target_agree(bundle, ds.spectra)
+        forward = forward_target_agree
     elif head == "ensemble":
-        logits = forward_ensemble(bundle, ds.spectra)
+        forward = forward_ensemble
     elif head == "disagree":
-        logits = forward_target_disagree(bundle, ds.spectra)
+        forward = forward_target_disagree
     else:
         raise ConfigError(f"unknown evaluation head {head!r}")
-    if logits.shape[1] != ds.classes:
-        raise DataError(f"dataset has {ds.classes} classes but the {head} "
-                        f"head predicts {logits.shape[1]}")
-    preds = logits.argmax(axis=1)
+    preds = np.empty(ds.n, dtype=np.intp)
+    for lo in range(0, ds.n, EVAL_BLOCK_ROWS):
+        logits = forward(bundle, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
+        if logits.shape[1] != ds.classes:
+            raise DataError(f"dataset has {ds.classes} classes but the {head} "
+                            f"head predicts {logits.shape[1]}")
+        logits.argmax(axis=1, out=preds[lo:lo + EVAL_BLOCK_ROWS])
     cm = ConfusionMatrix.from_predictions(ds.classes, ds.labels, preds)
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)
 

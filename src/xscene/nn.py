@@ -119,23 +119,27 @@ class Mlp:
     def in_dim(self):
         return self.dims[0]
 
-    def forward(self, x):
-        """Returns (output, cache); the cache feeds backward()."""
+    def forward(self, x, keep_cache=True):
+        """Returns (output, cache); the cache feeds backward(). Without
+        keep_cache the cache is None and each layer's input is freed once
+        the next layer has it."""
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.in_dim:
             raise DimensionError(
                 f"input shape {a.shape} incompatible with fan-in {self.in_dim}")
-        cache = []
+        cache = [] if keep_cache else None
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w
             z += b
-            cache.append((a, z))
+            if keep_cache:
+                cache.append((a, z))
             a = np.maximum(z, 0.0) if i < last else z
         return a, cache
 
     def predict(self, x):
-        return self.forward(x)[0]
+        """The output alone; keeps no backward cache."""
+        return self.forward(x, keep_cache=False)[0]
 
     def backward(self, cache, upstream, input_grad=True):
         """Writes (does not add to) the parameter gradients; returns the

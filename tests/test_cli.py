@@ -150,6 +150,12 @@ class TestEval:
         assert rc == 2
         assert err.startswith("error: ") and "fan-in 9" in err
 
+    def test_class_count_mismatch_exits_2(self, tmp_path, capsys):
+        rc, err = self._eval_crafted(tmp_path, capsys, "target_head", [8, 4])
+        assert rc == 2
+        assert err == ("error: dataset has 3 classes but the agree head "
+                       "predicts 4\n")
+
     def test_unchained_component_widths_exit_2(self, tmp_path, capsys):
         # shared_encoder takes 7 features; target_extractor emits 8
         rc, err = self._eval_crafted(tmp_path, capsys, "shared_encoder",

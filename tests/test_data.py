@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,106 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestCsvLoaderEdges:
+    """What load_csv accepts and rejects, byte for byte of the file."""
+
+    HEADER = b"# scene=s bands=2 classes=2\n"
+
+    def load(self, tmp_path, content):
+        path = tmp_path / "scene.csv"
+        path.write_bytes(content)
+        return load_csv(path)
+
+    def test_crlf_rows_parse(self, tmp_path):
+        ds = self.load(tmp_path, self.HEADER + b"0,1.0,2.0\r\n1,3.0,4.0\r\n")
+        assert ds.spectra.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_crlf_header_is_a_bad_header(self, tmp_path):
+        with pytest.raises(ParseError, match=r"line 1: bad header .*\\r'"):
+            self.load(tmp_path, b"# scene=s bands=2 classes=2\r\n0,1.0,2.0\r\n")
+
+    def test_no_final_newline(self, tmp_path):
+        ds = self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n1,3.0,4.0")
+        assert ds.spectra.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("tail", [b"\n1,3.0,4.0\n", b"\n"],
+                             ids=["middle", "end"])
+    def test_blank_line_names_its_line(self, tmp_path, tail):
+        with pytest.raises(ParseError, match="^line 3: expected 3 fields, got 1$"):
+            self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n" + tail)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        with pytest.raises(ParseError, match="^line 1: missing header$"):
+            self.load(tmp_path, b"")
+
+    def test_non_finite_value_names_its_line(self, tmp_path):
+        with pytest.raises(ParseError, match="^line 3: non-finite band value$"):
+            self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n1,nan,4.0\n0,oops\n")
+
+    def test_bad_utf8_past_the_first_64_kib_exits_2(self, tmp_path, capsys):
+        from xscene.cli import main
+        from xscene.harness import save_checkpoint
+        from xscene.model import ModelBundle
+        rows = self.HEADER + b"0,1.0,2.0\n" * 10000
+        assert len(rows) > 64 * 1024
+        path = tmp_path / "scene.csv"
+        path.write_bytes(rows + b"1,3.0,\xff\n")
+        model = tmp_path / "model.bin"
+        save_checkpoint(model, ModelBundle.build(3, 2, 2, 2, 2, 2, 2))
+        assert main(["eval", "--model", str(model), "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    def test_bad_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "scene.csv"
+        path.write_bytes(self.HEADER + b"0,1.0,2.0\n1,3.0,\xff\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(
+            f"{path}: line 3: 'utf-8' codec can't decode byte 0xff in position 6")
+
+    def test_zero_bands(self, tmp_path):
+        ds = self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n1\n")
+        assert ds.spectra.shape == (2, 0)
+        assert ds.labels.tolist() == [0, 1]
+        with pytest.raises(DataError, match="no samples"):
+            self.load(tmp_path, b"# scene=s bands=0 classes=2\n")
+        with pytest.raises(ParseError, match="^line 2: expected 1 fields, got 2$"):
+            self.load(tmp_path, b"# scene=s bands=0 classes=2\n0,1.0\n")
+        with pytest.raises(ParseError, match="^line 3: invalid literal for int"):
+            self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n\n1\n")
+
+    def test_round_trip_past_one_eval_block(self, tmp_path):
+        from xscene.harness import EVAL_BLOCK_ROWS
+        _, tgt = generate_pair(tiny_cfg(samples_per_class_target=1100))
+        assert tgt.n > EVAL_BLOCK_ROWS
+        path = tmp_path / "scene.csv"
+        save_csv(tgt, path)
+        loaded = load_csv(path)
+        assert np.array_equal(loaded.spectra, tgt.spectra)
+        assert np.array_equal(loaded.labels, tgt.labels)
+        assert loaded.spectra.dtype == np.float64
+        assert loaded.labels.dtype == np.int64
+
+
+def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path):
+    # the rows stream into one float64 buffer that becomes the spectra;
+    # holding the file's text, its lines or a list of boxed floats per row
+    # would each cost several times the payload
+    _, tgt = generate_pair(tiny_cfg(samples_per_class_target=1250))
+    path = tmp_path / "scene.csv"
+    save_csv(tgt, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.spectra, tgt.spectra)
+    assert peak <= 2 * tgt.spectra.nbytes

@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
-from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
-from xscene.harness import (ABLATION_LADDER, EMA_BETA, TOGGLES, RunReport,
-                            TrainConfig, _run_phase, ablate, config_from_dict,
-                            evaluate, load_checkpoint, load_config,
-                            save_checkpoint, train, write_ablation_log,
-                            write_log)
+from xscene.errors import (ConfigError, DataError, DimensionError,
+                           DivergenceError, ParseError)
+from xscene.harness import (ABLATION_LADDER, EMA_BETA, EVAL_BLOCK_ROWS,
+                            TOGGLES, RunReport, TrainConfig, _run_phase,
+                            ablate, config_from_dict, evaluate,
+                            load_checkpoint, load_config, save_checkpoint,
+                            train, write_ablation_log, write_log)
+from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
+                            overall_accuracy)
 from xscene.model import COMPONENT_ORDER, ModelBundle
 from xscene.nn import make_rng
 
@@ -272,6 +276,73 @@ class TestEvaluate:
         ds = SceneDataset("t", 3, 2, np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(DataError):
             evaluate(bundle, ds, "agree")
+
+
+class TestEvaluateInBlocks:
+    """evaluate() scores EVAL_BLOCK_ROWS rows at a time."""
+
+    # each head's networks, input to logits
+    HEADS = {"agree": ("target_extractor", "shared_encoder", "target_head"),
+             "ensemble": ("target_extractor", "ensemble_encoder", "ensemble_head"),
+             "disagree": ("private_extractor", "private_encoder", "private_head")}
+
+    @staticmethod
+    def scene(n, bands, classes, seed=0):
+        from xscene.data import SceneDataset
+        rng = np.random.default_rng(seed)
+        return SceneDataset("t", bands, classes, rng.standard_normal((n, bands)),
+                            rng.integers(0, classes, n))
+
+    def test_matches_one_full_batch_forward(self):
+        bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, make_rng(0))
+        ds = self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 3)
+        for head, names in self.HEADS.items():
+            logits = ds.spectra
+            for name in names:
+                logits, _ = getattr(bundle, name).forward(logits)
+            preds = logits.argmax(axis=1)
+            assert len(set(preds.tolist())) == 3
+            cm = ConfusionMatrix.from_predictions(3, ds.labels, preds)
+            assert evaluate(bundle, ds, head) == (
+                overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm))
+
+    def test_forward_sees_blocks_of_eval_block_rows(self, monkeypatch):
+        import xscene.harness as harness
+        seen = []
+        forward = harness.forward_target_agree
+
+        def spy(bundle, x):
+            seen.append(len(x))
+            return forward(bundle, x)
+
+        monkeypatch.setattr(harness, "forward_target_agree", spy)
+        bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, make_rng(0))
+        evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 3), "agree")
+        assert seen == [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS, 3]
+
+    def test_shape_errors_on_a_scene_of_many_blocks(self):
+        bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, make_rng(0))
+        with pytest.raises(DataError, match="4 classes but the agree head predicts 3"):
+            evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 4), "agree")
+        with pytest.raises(DimensionError, match="fan-in 6"):
+            evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 5, 3), "agree")
+
+    def test_peak_memory_does_not_grow_with_the_rows(self):
+        # the activations of one block dominate; the predictions and the
+        # confusion count of 4 blocks add 8 bytes a row each
+        bundle = ModelBundle.build(4, 32, 2, 5, 32, 64, 32, make_rng(0))
+
+        def peak(rows):
+            ds = self.scene(rows, 32, 5)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                evaluate(bundle, ds, "agree")
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * EVAL_BLOCK_ROWS) < 1.5 * peak(EVAL_BLOCK_ROWS)
 
 
 def ablate_cfg():

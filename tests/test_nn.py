@@ -63,6 +63,14 @@ class TestLinear:
         with pytest.raises(DimensionError):
             mlp.predict(np.ones(2))
 
+    def test_predict_is_forward_without_a_cache(self):
+        mlp = make_mlp([5, 7, 4, 3], make_rng(2))
+        x = make_rng(3).standard_normal((6, 5))
+        out, cache = mlp.forward(x)
+        assert len(cache) == 3
+        assert mlp.forward(x, keep_cache=False)[1] is None
+        assert np.array_equal(mlp.predict(x), out)
+
 
 # two identity layers: the output is relu(x), the input gradient relu'(x) * g
 IDENTITY_RELU = (([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),) * 2
