@@ -12,7 +12,7 @@ across scenes; the rest get fresh ones.
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,27 @@ FINE_RATIO = 0.12
 SOURCE_BAND_STD = 3.0
 
 _HEADER_RE = re.compile(r"^# scene=(.+?) bands=(\d+) classes=(\d+)$")
+
+# the value types each field annotation accepts (a bool is not an int here)
+_FIELD_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
+                float: ("a finite number", (int, float))}
+
+
+def check_field_types(cfg):
+    """Check a frozen config's fields against their annotations and store
+    float fields as floats; a bad value is a ConfigError naming its field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        what, types = _FIELD_TYPES.get(f.type, (f"a {f.type.__name__}", (f.type,)))
+        if type(value) not in types or (type(value) is float
+                                        and not math.isfinite(value)):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        if f.type is float:
+            try:
+                object.__setattr__(cfg, f.name, float(value))
+            except OverflowError:
+                raise ConfigError(f"{f.name} must be {what}, got an integer "
+                                  "past the float range") from None
 
 
 @dataclass
@@ -76,6 +97,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         counts = (self.bands_source, self.bands_target, self.classes_source,
@@ -233,6 +255,8 @@ def load_csv(path):
         if not m:
             raise ParseError(f"line 1: bad header {header!r}")
         name, bands, classes = m.group(1), int(m.group(2)), int(m.group(3))
+        if classes > np.iinfo(np.int64).max:
+            raise ParseError(f"line 1: classes={classes} does not fit int64")
         for lineno, line in enumerate(lines, start=2):
             parts = line.split(",")
             if len(parts) != bands + 1:

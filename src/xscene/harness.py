@@ -19,14 +19,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .agreement import ema_update, gradvac_update, logitnorm
-from .data import SynthConfig, generate_pair, sample_k_per_class
+from .data import SynthConfig, check_field_types, generate_pair, sample_k_per_class
 from .disagreement import smoothed_distances
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
-from .model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
-                    ensemble_backward, forward_ensemble, forward_target_agree,
-                    forward_target_disagree, private_backward)
+from .model import (COMPONENT_ORDER, HEADS, ModelBundle, agreement_backward,
+                    ensemble_backward, predict, private_backward)
 from .nn import adam_step, check_nbytes, make_rng, n_params
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
@@ -67,6 +66,7 @@ class TrainConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr <= 0.0:
@@ -88,16 +88,11 @@ class TrainConfig:
                 f"class has {self.synth.samples_per_class_target} samples")
 
 
-# JSON value types each field annotation accepts (bool is not an int here)
-_JSON_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
-               float: ("a finite number", (int, float))}
-
-
 def config_from_dict(raw, _cls=None):
-    """Build a TrainConfig from a plain dict; unknown keys anywhere, values
-    of the wrong JSON type and non-finite floats are config errors."""
+    """Build a TrainConfig from a plain dict; unknown keys anywhere are
+    config errors, and the config checks its own values."""
     cls = _cls or TrainConfig
-    known = {f.name: f.type for f in fields(cls)}
+    known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
@@ -106,17 +101,6 @@ def config_from_dict(raw, _cls=None):
             if not isinstance(value, dict):
                 raise ConfigError("synth must be an object of SynthConfig keys")
             value = config_from_dict(value, _cls=SynthConfig)
-        else:
-            what, types = _JSON_TYPES[known[key]]
-            if type(value) not in types or (type(value) is float
-                                            and not math.isfinite(value)):
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
-            if known[key] is float:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    raise ConfigError(f"{key} must be {what}, got an integer "
-                                      "past the float range") from None
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -155,23 +139,21 @@ class RunReport:
 
 
 def evaluate(bundle, ds, head="agree"):
-    """Argmax classification of a target dataset; returns (OA, AA, kappa)
-    as fractions. Rows are scored EVAL_BLOCK_ROWS at a time, so the
-    memory it takes beyond the dataset is one block's activations and the
-    predictions."""
+    """Argmax classification of a target dataset by `head` (a HEADS key);
+    returns (OA, AA, kappa) as fractions. Rows are scored EVAL_BLOCK_ROWS
+    at a time, so beyond the dataset it holds one block's activations and
+    the predictions; logits that overflow raise DataError."""
     if ds.n == 0:
         raise DataError("evaluation split is empty")
-    if head == "agree":
-        forward = forward_target_agree
-    elif head == "ensemble":
-        forward = forward_ensemble
-    elif head == "disagree":
-        forward = forward_target_disagree
-    else:
+    if head not in HEADS:
         raise ConfigError(f"unknown evaluation head {head!r}")
     preds = np.empty(ds.n, dtype=np.intp)
     for lo in range(0, ds.n, EVAL_BLOCK_ROWS):
-        logits = forward(bundle, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                logits = predict(bundle, head, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
+        except FloatingPointError as exc:
+            raise DataError(f"evaluating the {head} head: {exc}") from None
         if logits.shape[1] != ds.classes:
             raise DataError(f"dataset has {ds.classes} classes but the {head} "
                             f"head predicts {logits.shape[1]}")
@@ -247,13 +229,13 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
     # the extractor and both teachers are frozen: run them once over the
     # few-shot split and gather each batch's rows
     base_all = bundle.target_extractor.predict(tgt_train.spectra)
-    agree_all = bundle.target_head.predict(bundle.shared_encoder.predict(base_all))
+    agree_all = predict(bundle, "agree", tgt_train.spectra)
     # under logit normalization the agreement head's trained distribution
     # is softmax of the *normalized* logits; distill from those, not from
     # the raw logits whose scale the normalized loss never controlled
     if cfg.use_logitnorm:
         agree_all = logitnorm(agree_all, LOGITNORM_TAU)
-    disagree_all = forward_target_disagree(bundle, tgt_train.spectra)
+    disagree_all = predict(bundle, "disagree", tgt_train.spectra)
     for t in range(1, cfg.epochs_ensemble * steps_per_epoch + 1):
         idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
         loss_ce, e1, e2 = ensemble_backward(
@@ -390,4 +372,6 @@ def load_checkpoint(path):
                          f"parameters, expected {8 * expected}")
     bundle = ModelBundle(layout)
     bundle.params[0] = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(bundle.params[0]).all():
+        raise ParseError(f"{path}: checkpoint holds non-finite parameters")
     return bundle, meta

@@ -84,22 +84,20 @@ class ModelBundle:
         return {name: list(getattr(self, name).dims) for name in COMPONENT_ORDER}
 
 
-def forward_target_agree(bundle, x):
-    """Target logits through the shared (agreement) branch."""
-    feats = bundle.target_extractor.predict(x)
-    return bundle.target_head.predict(bundle.shared_encoder.predict(feats))
+# the networks each evaluation head chains, input to logits
+HEADS = {
+    "agree": ("target_extractor", "shared_encoder", "target_head"),
+    "disagree": ("private_extractor", "private_encoder", "private_head"),
+    "ensemble": ("target_extractor", "ensemble_encoder", "ensemble_head"),
+}
 
 
-def forward_target_disagree(bundle, x):
-    """Target logits through the private branch."""
-    feats = bundle.private_extractor.predict(x)
-    return bundle.private_head.predict(bundle.private_encoder.predict(feats))
-
-
-def forward_ensemble(bundle, x):
-    """Ensemble logits over the frozen target-extractor features."""
-    feats = bundle.target_extractor.predict(x)
-    return bundle.ensemble_head.predict(bundle.ensemble_encoder.predict(feats))
+def predict(bundle, head, x):
+    """Logits of evaluation head `head` (a HEADS key) for rows x; keeps
+    no backward cache."""
+    for name in HEADS[head]:
+        x = getattr(bundle, name).predict(x)
+    return x
 
 
 @dataclass

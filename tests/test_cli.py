@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from xscene.cli import main
@@ -127,10 +128,11 @@ class TestEval:
         assert "layout" in capsys.readouterr().err
 
 
-    def _eval_crafted(self, tmp_path, capsys, name, dims):
+    def _eval_crafted(self, tmp_path, capsys, name, dims, fill=None):
         """Exit code and stderr of `eval` on write_cfg's 8-band, 3-class
         target.csv, with a zero checkpoint whose agreement path is
-        8 -> 8 -> 8 -> 3 except that component `name` has `dims`."""
+        8 -> 8 -> 8 -> 3 except that component `name` has `dims`; `fill`,
+        if given, writes the parameter values before the save."""
         cfg = write_cfg(tmp_path)
         assert main(["gen-data", "--config", str(cfg), "--out-dir",
                      str(tmp_path / "data")]) == 0
@@ -138,7 +140,10 @@ class TestEval:
         layout.update(target_extractor=[8, 8], shared_encoder=[8, 8])
         layout[name] = dims
         model = tmp_path / "model.bin"
-        save_checkpoint(model, ModelBundle(layout))
+        bundle = ModelBundle(layout)
+        if fill is not None:
+            fill(bundle.params[0])
+        save_checkpoint(model, bundle)
         capsys.readouterr()
         rc = main(["eval", "--model", str(model), "--data",
                    str(tmp_path / "data" / "target.csv")])
@@ -162,6 +167,31 @@ class TestEval:
                                      [7, 8])
         assert rc == 2
         assert err.startswith("error: ") and "fan-in 7" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys):
+        def fill(values):
+            values[:] = 0.5
+            values[7] = np.nan
+
+        rc, err = self._eval_crafted(tmp_path, capsys, "target_head", [8, 3],
+                                     fill)
+        assert rc == 2
+        assert err == (f"error: {tmp_path / 'model.bin'}: checkpoint holds "
+                       "non-finite parameters\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_parameters_exit_2(self, tmp_path, capsys):
+        # finite weights of 1e150 overflow float64 by the third layer
+        def fill(values):
+            values[:] = 1e150 * np.random.default_rng(0).standard_normal(
+                values.size)
+
+        rc, err = self._eval_crafted(tmp_path, capsys, "target_head", [8, 3],
+                                     fill)
+        assert rc == 2
+        assert err.startswith("error: evaluating the agree head: ")
+        assert err.count("\n") == 1
 
 
 class TestUndecodableInput:

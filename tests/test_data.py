@@ -252,6 +252,34 @@ class TestCsvLoaderEdges:
         with pytest.raises(ParseError, match="^line 3: invalid literal for int"):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n\n1\n")
 
+    BIG_CLASSES = (b"# scene=s bands=1 classes=99999999999999999999999\n"
+                   b"99999999999999999999,1.0\n")
+
+    def test_class_count_past_int64(self, tmp_path):
+        with pytest.raises(ParseError, match="^line 1: classes="
+                           "99999999999999999999999 does not fit int64$"):
+            self.load(tmp_path, self.BIG_CLASSES)
+        with pytest.raises(ParseError, match="^line 1: classes="
+                           "9223372036854775808 does not fit int64$"):
+            self.load(tmp_path, b"# scene=s bands=1 classes=9223372036854775808"
+                      b"\n0,1.0\n")
+        # the largest int64 count still loads, and so does its last label
+        ds = self.load(tmp_path, b"# scene=s bands=1 classes=9223372036854775807"
+                       b"\n9223372036854775806,1.0\n")
+        assert ds.labels.tolist() == [2**63 - 2]
+
+    def test_class_count_past_int64_exits_2(self, tmp_path, capsys):
+        from xscene.cli import main
+        from xscene.harness import save_checkpoint
+        from xscene.model import ModelBundle
+        path = tmp_path / "scene.csv"
+        path.write_bytes(self.BIG_CLASSES)
+        model = tmp_path / "model.bin"
+        save_checkpoint(model, ModelBundle.build(3, 1, 2, 2, 2, 2, 2))
+        assert main(["eval", "--model", str(model), "--data", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: classes=99999999999999999999999 does not fit int64\n")
+
     def test_round_trip_past_one_eval_block(self, tmp_path):
         from xscene.harness import EVAL_BLOCK_ROWS
         _, tgt = generate_pair(tiny_cfg(samples_per_class_target=1100))

@@ -95,6 +95,14 @@ class TestConfigIo:
             dataclasses.replace(TrainConfig(), use_dir=True, batch_size=1)
         with pytest.raises(ConfigError, match="classes_source must be >= 2"):
             SynthConfig(classes_source=1)
+        # field types too, not only in config_from_dict
+        with pytest.raises(ConfigError, match="use_dir must be a bool, got 'no'"):
+            TrainConfig(use_dir="no")
+        with pytest.raises(ConfigError, match="use_gradvac must be a bool, got 1"):
+            TrainConfig(use_gradvac=1)
+        assert type(TrainConfig(lr=1).lr) is float
+        with pytest.raises(ConfigError, match="batch_size must be an int, got 64.0"):
+            dataclasses.replace(TrainConfig(), batch_size=64.0)
 
     def test_frozen_and_hashable(self):
         cfg = TrainConfig()
@@ -270,6 +278,20 @@ class TestEvaluate:
                 with pytest.raises(DataError, match="classes"):
                     evaluate(bundle, ds, head)
 
+    def test_heads_are_the_keys_of_model_heads(self):
+        import re
+        from xscene.data import SceneDataset
+        from xscene.model import HEADS
+        bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0))
+        ds = SceneDataset("t", 3, 2, np.zeros((2, 3)), np.array([0, 1]))
+        assert set(HEADS) == {"agree", "disagree", "ensemble"}
+        for head in HEADS:
+            assert len(evaluate(bundle, ds, head)) == 3
+        for head in ("source", "target", "Agree", "agree ", "", "ensemble_head"):
+            message = f"^unknown evaluation head {re.escape(repr(head))}$"
+            with pytest.raises(ConfigError, match=message):
+                evaluate(bundle, ds, head)
+
     def test_empty_split_rejected(self):
         from xscene.data import SceneDataset
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0))
@@ -309,13 +331,13 @@ class TestEvaluateInBlocks:
     def test_forward_sees_blocks_of_eval_block_rows(self, monkeypatch):
         import xscene.harness as harness
         seen = []
-        forward = harness.forward_target_agree
+        predict = harness.predict
 
-        def spy(bundle, x):
+        def spy(bundle, head, x):
             seen.append(len(x))
-            return forward(bundle, x)
+            return predict(bundle, head, x)
 
-        monkeypatch.setattr(harness, "forward_target_agree", spy)
+        monkeypatch.setattr(harness, "predict", spy)
         bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, make_rng(0))
         evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 3), "agree")
         assert seen == [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS, 3]

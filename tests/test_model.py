@@ -5,9 +5,7 @@ from xscene.agreement import gradvac_update, logitnorm_ce
 from xscene.disagreement import dcor_penalty, smoothed_distances, symmetric_kl
 from xscene.errors import DataError, DimensionError
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
-                          ensemble_backward, forward_ensemble,
-                          forward_target_agree, forward_target_disagree,
-                          private_backward)
+                          ensemble_backward, predict, private_backward)
 from xscene.nn import adam_step, make_rng, softmax_ce
 
 # each branch's contiguous run of components
@@ -45,21 +43,21 @@ class TestForwards:
         step = lambda v: v @ np.array([[1.0, 2.0], [0.0, 1.0]]) + np.array([0.5, -0.5])
         expected = step(step(step(x)))
         np.testing.assert_allclose(forward_source(bundle, x), expected)
-        np.testing.assert_allclose(forward_target_agree(bundle, x), expected)
+        np.testing.assert_allclose(predict(bundle, "agree", x), expected)
 
     def test_disagree_returns_private_logits(self):
         bundle = tiny_bundle(seed=3)
         x = make_rng(1).normal(size=(4, 5))
         feats = bundle.private_encoder.predict(bundle.private_extractor.predict(x))
         expected = bundle.private_head.predict(feats)
-        np.testing.assert_allclose(forward_target_disagree(bundle, x), expected)
+        np.testing.assert_allclose(predict(bundle, "disagree", x), expected)
 
     def test_ensemble_uses_target_extractor_features(self):
         bundle = tiny_bundle(seed=3)
         x = make_rng(1).normal(size=(4, 5))
         base = bundle.target_extractor.predict(x)
         expected = bundle.ensemble_head.predict(bundle.ensemble_encoder.predict(base))
-        np.testing.assert_allclose(forward_ensemble(bundle, x), expected)
+        np.testing.assert_allclose(predict(bundle, "ensemble", x), expected)
 
     def test_identical_rows_identical_logits(self):
         bundle = tiny_bundle(seed=5)
@@ -379,8 +377,8 @@ class TestStructure:
             res = agreement_backward(bundle, (xs, ys), (xt, yt), tau=2.0)
             bundle.shared_encoder.grads[:] = res.g_s + res.g_t
             private_backward(bundle, xt, yt, smoothed_distances(xt), np.arange(6))
-            teachers = (forward_target_agree(bundle, xt), 1.0), (
-                forward_target_disagree(bundle, xt), 0.05)
+            teachers = ((predict(bundle, "agree", xt), 1.0),
+                        (predict(bundle, "disagree", xt), 0.05))
             ensemble_backward(bundle, bundle.target_extractor.predict(xt), yt,
                               *teachers)
             for branch in BRANCHES:
