@@ -80,8 +80,6 @@ def logitnorm(z, tau):
     Accepts a single logit vector or an n x C batch (row-wise).
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] < 2:
-        raise DimensionError("need at least 2 classes of logits")
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     return z / (tau * np.maximum(norms, NORM_EPS))
 
@@ -98,8 +96,6 @@ def logitnorm_ce(z, labels, tau):
     are left out (0.0 when no row is left).
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise DimensionError("logitnorm_ce expects an n x C matrix")
     raw = np.linalg.norm(z, axis=1, keepdims=True)
     norms = np.maximum(raw, NORM_EPS)
     zh = z / (tau * norms)

@@ -215,8 +215,6 @@ def _render_pair(cfg):
 def sample_k_per_class(ds, k, seed):
     """Draw exactly k samples per class without replacement; returns
     (train, heldout) with disjoint indices. Deterministic per seed."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
     rng = np.random.default_rng(seed)
     picked = []
     for c in range(ds.classes):

@@ -145,7 +145,7 @@ def evaluate(bundle, ds, head="agree"):
     the predictions; logits that overflow raise DataError."""
     if ds.n == 0:
         raise DataError("evaluation split is empty")
-    if head not in HEADS:
+    if not isinstance(head, str) or head not in HEADS:
         raise ConfigError(f"unknown evaluation head {head!r}")
     preds = np.empty(ds.n, dtype=np.intp)
     for lo in range(0, ds.n, EVAL_BLOCK_ROWS):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .agreement import logitnorm_ce
 from .disagreement import dcor_penalty, symmetric_kl
-from .errors import DimensionError
 from .nn import Mlp, check_nbytes, n_params, softmax_ce
 
 COMPONENT_ORDER = (
@@ -50,9 +49,6 @@ class ModelBundle:
     is zero (checkpoint loading)."""
 
     def __init__(self, layout, rng=None):
-        missing = [n for n in COMPONENT_ORDER if n not in layout]
-        if missing:
-            raise DimensionError(f"missing components: {missing}")
         bounds = [0, *accumulate(n_params(layout[n]) for n in COMPONENT_ORDER)]
         check_nbytes("the parameter block", 32 * bounds[-1])
         self.params = np.zeros((4, bounds[-1]))

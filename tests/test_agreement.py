@@ -211,7 +211,7 @@ class TestGradvacUpdate:
             assert cosine(res.g, g_t) >= phi - 1e-12
 
 
-class TestMagnitudeSimilarity:
+class TestGradvacMagSim:
     def test_equal_norms(self):
         assert gradvac_update([3.0, 0.0], [0.0, 3.0], 0.0, False).mag_sim == pytest.approx(1.0)
 

@@ -193,6 +193,23 @@ class TestEval:
         assert err.startswith("error: evaluating the agree head: ")
         assert err.count("\n") == 1
 
+    # a head that is not a string is no head name, not a TypeError from
+    # hashing it
+    @pytest.mark.parametrize("head", [[], {"a": 1}], ids=["list", "dict"])
+    @pytest.mark.filterwarnings("error")
+    def test_eval_head_not_a_name_exits_2(self, tmp_path, capsys, head):
+        cfg = write_cfg(tmp_path)
+        assert main(["gen-data", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "data")]) == 0
+        model = tmp_path / "model.bin"
+        save_checkpoint(model, ModelBundle.build(10, 8, 4, 3, 8, 8, 8),
+                        meta={"eval_head": head})
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data",
+                   str(tmp_path / "data" / "target.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown evaluation head {head!r}\n"
+
 
 class TestUndecodableInput:
     # bytes that are not UTF-8, an integer past Python's 4300-digit limit,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,23 @@ class TestConfigIo:
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"synth": {key: 1, "shared_classes": 1}})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"shots": 0}, "shots must be >= 1"),
+        ({"epochs_disagree": -1}, "epoch counts must be >= 0"),
+        ({"enc_dim": 0}, "architecture dims must be >= 1"),
+        ({"synth": []}, "synth must be an object of SynthConfig keys"),
+        ([], "config must be a JSON object"),
+        ({"synth": {"bands_target": 0}},
+         "all band/class/sample counts must be >= 1"),
+        ({"synth": {"noise_sigma": -0.1}}, "noise_sigma must be >= 0"),
+    ], ids=["shots-0", "epochs-negative", "enc-dim-0", "synth-list",
+            "top-level-list", "bands-target-0", "noise-negative"])
+    def test_bounds_rejected_with_their_message(self, tmp_path, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"{re.escape(message)}$"):
+            load_config(path)
+
     def test_ints_accepted_for_float_fields(self):
         cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})
         assert cfg.lr == 1 and cfg.synth.noise_sigma == 0
@@ -160,6 +178,15 @@ class TestDivergence:
                            match=r"^ensemble step 3: overflow encountered in "):
             with np.errstate(over="raise"):
                 _run_phase([{"phase": "agree", "step": 1}], "ensemble", phase)
+
+    def test_non_finite_logged_value_names_its_key(self, monkeypatch):
+        # a value that turns non-finite without a floating-point error is
+        # caught when the step is logged
+        monkeypatch.setattr("xscene.model.symmetric_kl",
+                            lambda student, teacher, temp:
+                            (float("inf"), np.zeros_like(student)))
+        with pytest.raises(DivergenceError, match="^ensemble step 1: e_en1 is inf$"):
+            train(quick_cfg(use_ensemble=True))
 
     def test_logs_refuse_non_finite_values(self, tmp_path):
         report = RunReport(float("nan"), 0.0, 0.0, "agree", [])
@@ -472,6 +499,12 @@ class TestCheckpoint:
         header = edit(json.loads(raw[:newline]))
         path.write_bytes(json.dumps(header).encode() + raw[newline:])
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_header_without_newline_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b'{"format":"xscene-checkpoint-v1"}')
+        with pytest.raises(ParseError, match="missing checkpoint header$"):
             load_checkpoint(path)
 
     def test_truncated_blob_rejected(self, tmp_path):
