@@ -58,9 +58,8 @@ def _cmd_ablate(args):
 
 
 def _cmd_eval(args):
-    bundle, meta = load_checkpoint(args.model)
+    bundle, head = load_checkpoint(args.model)
     ds = load_csv(args.data)
-    head = meta.get("eval_head", "agree")
     oa, aa, kappa = evaluate(bundle, ds, head)
     print(f"eval[{head}] " + _fmt_metrics(oa * 100.0, aa * 100.0, kappa * 100.0))
     return 0

@@ -54,32 +54,22 @@ def check_field_types(cfg):
 
 @dataclass
 class SceneDataset:
+    """A scene's arrays, checked where they enter: load_csv, generate_pair."""
     name: str
-    bands: int
     classes: int
-    spectra: np.ndarray  # (N, bands) float64
-    labels: np.ndarray   # (N,) int64
+    spectra: np.ndarray  # (N, bands) float64, finite
+    labels: np.ndarray   # (N,) int64, each in [0, classes)
 
-    def __post_init__(self):
-        self.spectra = np.asarray(self.spectra, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.spectra.ndim != 2 or self.spectra.shape[1] != self.bands:
-            raise DataError(
-                f"spectra shape {self.spectra.shape} does not match bands={self.bands}"
-            )
-        if self.labels.shape != (self.spectra.shape[0],):
-            raise DataError("labels length does not match sample count")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
-            raise DataError(f"labels must lie in [0, {self.classes})")
-        if not np.isfinite(self.spectra).all():
-            raise DataError("spectra contain non-finite values")
+    @property
+    def bands(self):
+        return self.spectra.shape[1]
 
     @property
     def n(self):
         return self.spectra.shape[0]
 
     def subset(self, indices):
-        return SceneDataset(self.name, self.bands, self.classes,
+        return SceneDataset(self.name, self.classes,
                             self.spectra[indices], self.labels[indices])
 
 
@@ -123,8 +113,6 @@ def _band_resample(mix, bands_out):
     """Average the columns of a (latent, bands_in) map into bands_out
     buckets with fractional overlap weights; identity when sizes match."""
     bands_in = mix.shape[1]
-    if bands_out == bands_in:
-        return mix.copy()
     weights = np.zeros((bands_in, bands_out))
     width = bands_in / bands_out
     for t in range(bands_out):
@@ -201,7 +189,7 @@ def _render_pair(cfg):
             np.matmul(latent_points, mix, out=spectra[k * per_class:(k + 1) * per_class])
         labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
         perm = rng.permutation(spectra.shape[0])
-        return SceneDataset(name, bands, classes, spectra[perm], labels[perm])
+        return SceneDataset(name, classes, spectra[perm], labels[perm])
 
     source = render("source", mix_source, source_protos,
                     cfg.samples_per_class_source, cfg.bands_source,
@@ -274,7 +262,7 @@ def load_csv(path):
             spectra.fromlist(values)
     if not labels:
         raise DataError(f"{path}: dataset has no samples")
-    return SceneDataset(name, bands, classes,
+    return SceneDataset(name, classes,
                         np.frombuffer(spectra).reshape(len(labels), bands),
                         np.frombuffer(labels, dtype=np.int64))
 

@@ -138,15 +138,13 @@ class RunReport:
                 "kappa": round(self.kappa, 2)}
 
 
-def evaluate(bundle, ds, head="agree"):
+def evaluate(bundle, ds, head):
     """Argmax classification of a target dataset by `head` (a HEADS key);
     returns (OA, AA, kappa) as fractions. Rows are scored EVAL_BLOCK_ROWS
     at a time, so beyond the dataset it holds one block's activations and
     the predictions; logits that overflow raise DataError."""
     if ds.n == 0:
         raise DataError("evaluation split is empty")
-    if not isinstance(head, str) or head not in HEADS:
-        raise ConfigError(f"unknown evaluation head {head!r}")
     preds = np.empty(ds.n, dtype=np.intp)
     for lo in range(0, ds.n, EVAL_BLOCK_ROWS):
         try:
@@ -361,6 +359,9 @@ def load_checkpoint(path):
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: checkpoint meta must be an object")
+    head = meta.get("eval_head", "agree")
+    if not isinstance(head, str) or head not in HEADS:
+        raise ParseError(f"{path}: unknown evaluation head {head!r}")
     # size the blob against the layout before allocating anything for it
     try:
         expected = sum(n_params(dims) for dims in layout.values())
@@ -374,4 +375,4 @@ def load_checkpoint(path):
     bundle.params[0] = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(bundle.params[0]).all():
         raise ParseError(f"{path}: checkpoint holds non-finite parameters")
-    return bundle, meta
+    return bundle, head

@@ -58,8 +58,6 @@ def cohen_kappa(cm):
     """(p_o - p_e) / (1 - p_e) with chance agreement p_e from the
     marginals; 0 for the degenerate p_e == 1 case."""
     total = cm.total
-    if total == 0:
-        raise ZeroDivisionError("empty confusion matrix")
     p_o = np.trace(cm.counts) / total
     row = cm.counts.sum(axis=1)
     col = cm.counts.sum(axis=0)

@@ -62,7 +62,7 @@ class ModelBundle:
 
     @classmethod
     def build(cls, bands_source, bands_target, classes_source, classes_target,
-              feat_dim=32, hidden_dim=64, enc_dim=32, rng=None):
+              feat_dim, hidden_dim, enc_dim, rng=None):
         return cls({
             "source_extractor": [bands_source, hidden_dim, feat_dim],
             "target_extractor": [bands_target, hidden_dim, feat_dim],

@@ -194,8 +194,9 @@ class TestEval:
         assert err.count("\n") == 1
 
     # a head that is not a string is no head name, not a TypeError from
-    # hashing it
-    @pytest.mark.parametrize("head", [[], {"a": 1}], ids=["list", "dict"])
+    # hashing it; the error names the checkpoint, like every checkpoint error
+    @pytest.mark.parametrize("head", [[], {"a": 1}, "bogus"],
+                             ids=["list", "dict", "bogus"])
     @pytest.mark.filterwarnings("error")
     def test_eval_head_not_a_name_exits_2(self, tmp_path, capsys, head):
         cfg = write_cfg(tmp_path)
@@ -208,7 +209,8 @@ class TestEval:
         rc = main(["eval", "--model", str(model), "--data",
                    str(tmp_path / "data" / "target.csv")])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: unknown evaluation head {head!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: {model}: unknown evaluation head {head!r}\n")
 
 
 class TestUndecodableInput:

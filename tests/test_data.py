@@ -66,7 +66,7 @@ class TestGeneratePair:
                 src, tgt = generate_pair(cfg)
                 bundle = ModelBundle.build(cfg.bands_source, cfg.bands_target,
                                            cfg.classes_source, cfg.classes_target,
-                                           rng=make_rng(seed))
+                                           32, 64, 32, make_rng(seed))
                 for pair in (("target_extractor", "source_extractor"),
                              ("target_head", "source_head")):
                     dst, srcc = (getattr(bundle, pair[0]), getattr(bundle, pair[1]))
@@ -90,7 +90,7 @@ class TestSampleKPerClass:
     def test_ten_shot_count(self):
         labels = np.repeat(np.arange(9), 30)
         rng = np.random.default_rng(0)
-        ds = SceneDataset("t", 4, 9, rng.normal(size=(270, 4)), labels)
+        ds = SceneDataset("t", 9, rng.normal(size=(270, 4)), labels)
         train, heldout = sample_k_per_class(ds, 10, seed=1)
         assert train.n == 90
         assert heldout.n == 180
@@ -98,7 +98,7 @@ class TestSampleKPerClass:
 
     def test_full_class_size_boundary(self):
         labels = np.repeat(np.arange(3), 5)
-        ds = SceneDataset("t", 2, 3, np.random.default_rng(1).normal(size=(15, 2)),
+        ds = SceneDataset("t", 3, np.random.default_rng(1).normal(size=(15, 2)),
                           labels)
         train, heldout = sample_k_per_class(ds, 5, seed=0)
         assert train.n == 15
@@ -122,7 +122,7 @@ class TestSampleKPerClass:
 
     def test_small_class_error_names_class(self):
         labels = np.array([0, 0, 0, 1])
-        ds = SceneDataset("t", 2, 2, np.zeros((4, 2)), labels)
+        ds = SceneDataset("t", 2, np.zeros((4, 2)), labels)
         with pytest.raises(DataError, match="class 1"):
             sample_k_per_class(ds, 2, seed=0)
 

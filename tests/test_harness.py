@@ -280,14 +280,14 @@ class TestEvaluate:
         for name in COMPONENT_ORDER:
             getattr(bundle, name).weights[0][:] = np.eye(2)
         spectra = np.array([[2.0, 1.0], [3.0, 0.5], [0.1, 0.9], [1.0, 4.0]])
-        ds = SceneDataset("t", 2, 2, spectra, np.array([0, 0, 1, 1]))
+        ds = SceneDataset("t", 2, spectra, np.array([0, 0, 1, 1]))
         assert evaluate(bundle, ds, "agree") == (1.0, 1.0, 1.0)
 
     def test_fixed_fixture(self):
         # hand-built dataset where the model's prediction is forced
         from xscene.data import SceneDataset
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0))
-        ds = SceneDataset("t", 3, 2, np.zeros((4, 3)), np.array([0, 0, 1, 1]))
+        ds = SceneDataset("t", 2, np.zeros((4, 3)), np.array([0, 0, 1, 1]))
         oa, aa, kappa = evaluate(bundle, ds, "agree")
         # identical inputs give identical predictions: one class recall is
         # 1, the other 0
@@ -299,30 +299,25 @@ class TestEvaluate:
         from xscene.data import SceneDataset
         bundle = ModelBundle.build(4, 3, 2, 5, 2, 2, 2, make_rng(0))
         for classes in (3, 7):
-            ds = SceneDataset("t", 3, classes, np.zeros((classes, 3)),
+            ds = SceneDataset("t", classes, np.zeros((classes, 3)),
                               np.arange(classes))
             for head in ("agree", "disagree", "ensemble"):
                 with pytest.raises(DataError, match="classes"):
                     evaluate(bundle, ds, head)
 
     def test_heads_are_the_keys_of_model_heads(self):
-        import re
         from xscene.data import SceneDataset
         from xscene.model import HEADS
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0))
-        ds = SceneDataset("t", 3, 2, np.zeros((2, 3)), np.array([0, 1]))
+        ds = SceneDataset("t", 2, np.zeros((2, 3)), np.array([0, 1]))
         assert set(HEADS) == {"agree", "disagree", "ensemble"}
         for head in HEADS:
             assert len(evaluate(bundle, ds, head)) == 3
-        for head in ("source", "target", "Agree", "agree ", "", "ensemble_head"):
-            message = f"^unknown evaluation head {re.escape(repr(head))}$"
-            with pytest.raises(ConfigError, match=message):
-                evaluate(bundle, ds, head)
 
     def test_empty_split_rejected(self):
         from xscene.data import SceneDataset
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0))
-        ds = SceneDataset("t", 3, 2, np.zeros((0, 3)), np.zeros(0, dtype=int))
+        ds = SceneDataset("t", 2, np.zeros((0, 3)), np.zeros(0, dtype=int))
         with pytest.raises(DataError):
             evaluate(bundle, ds, "agree")
 
@@ -339,7 +334,7 @@ class TestEvaluateInBlocks:
     def scene(n, bands, classes, seed=0):
         from xscene.data import SceneDataset
         rng = np.random.default_rng(seed)
-        return SceneDataset("t", bands, classes, rng.standard_normal((n, bands)),
+        return SceneDataset("t", classes, rng.standard_normal((n, bands)),
                             rng.integers(0, classes, n))
 
     def test_matches_one_full_batch_forward(self):
@@ -445,8 +440,8 @@ class TestCheckpoint:
         rep = train(cfg)
         path = tmp_path / "model.bin"
         save_checkpoint(path, rep.bundle, meta={"eval_head": rep.eval_head})
-        loaded, meta = load_checkpoint(path)
-        assert meta["eval_head"] == "ensemble"
+        loaded, head = load_checkpoint(path)
+        assert head == "ensemble"
         assert loaded.layout() == rep.bundle.layout()
         assert np.array_equal(loaded.params[0], rep.bundle.params[0])
 
@@ -458,9 +453,9 @@ class TestCheckpoint:
                                         np.random.SeedSequence(cfg.seed).spawn(3)[1])
         path = tmp_path / "model.bin"
         save_checkpoint(path, rep.bundle, meta={"eval_head": rep.eval_head})
-        loaded, meta = load_checkpoint(path)
-        before = evaluate(rep.bundle, heldout, meta["eval_head"])
-        after = evaluate(loaded, heldout, meta["eval_head"])
+        loaded, head = load_checkpoint(path)
+        before = evaluate(rep.bundle, heldout, head)
+        after = evaluate(loaded, heldout, head)
         assert before == after
 
     def test_header_is_json_line_then_floats(self, tmp_path):
@@ -499,6 +494,26 @@ class TestCheckpoint:
         header = edit(json.loads(raw[:newline]))
         path.write_bytes(json.dumps(header).encode() + raw[newline:])
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_saved_without_meta_evaluates_the_agree_head(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0)))
+        assert load_checkpoint(path)[1] == "agree"
+
+    # the head is checked where the file enters, so its error names the file
+    @pytest.mark.parametrize("head", [
+        [], {"a": 1}, 7, "bogus", "source", "target", "Agree", "agree ", "",
+        "ensemble_head"], ids=["list", "dict", "int", "bogus", "source",
+                               "target", "Agree", "agree_space", "empty",
+                               "ensemble_head"])
+    def test_unknown_eval_head_rejected(self, tmp_path, head):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ModelBundle.build(4, 3, 2, 2, 2, 2, 2, make_rng(0)),
+                        meta={"eval_head": head})
+        message = (f"^{re.escape(str(path))}: unknown evaluation head "
+                   f"{re.escape(repr(head))}$")
+        with pytest.raises(ParseError, match=message):
             load_checkpoint(path)
 
     def test_header_without_newline_rejected(self, tmp_path):

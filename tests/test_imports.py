@@ -1,6 +1,9 @@
 """Module boundary: a module under src/xscene/ uses only the public names
 of the other xscene modules. Also a linter's duplicate-definition check:
-no module under src/xscene/ or tests/ defines a name twice in one body."""
+no module under src/xscene/ or tests/ defines a name twice in one body,
+and a dead-code check: every top-level function and class under
+src/xscene/ is referred to by the program or the benchmark, not only by
+tests."""
 
 import ast
 from pathlib import Path
@@ -9,6 +12,7 @@ import xscene
 
 SRC = Path(xscene.__file__).parent
 TESTS = Path(__file__).parent
+BENCH = TESTS.parent / "bench"
 
 
 def private_imports(source):
@@ -81,3 +85,67 @@ def test_duplicate_definitions_are_found():
               "class B:\n"
               "    def f(self): pass\n")
     assert duplicate_definitions(source) == [(4, "TestA"), (3, "test_x")]
+
+
+def references(node):
+    """Every name `node` refers to: a Name, an Attribute, an imported name
+    or a string constant (the benchmark's tracer names its targets by
+    string)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def unreferenced_definitions(defining, referring):
+    """Names of the top-level functions and classes in the `defining`
+    sources that no source in `defining` or `referring` refers to outside
+    the definition's own body."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = [ast.parse(source) for source in defining]
+    defined = {stmt.name for tree in trees for stmt in tree.body
+               if isinstance(stmt, defs)}
+    used = set()
+    for tree in [*trees, *map(ast.parse, referring)]:
+        for stmt in tree.body:
+            own = {stmt.name} if isinstance(stmt, defs) else set()
+            used |= references(stmt) - own
+    return defined - used
+
+
+# definitions that only tests call, each with the reason it stays
+ONLY_TESTS_CALL = {
+    "distance_correlation": "acceptance check 4 grades it, and ROADMAP "
+                            "item 2 logs it as a phase-end diagnostic",
+}
+
+
+def test_every_definition_has_a_program_caller():
+    # equality, so an entry that gained a caller fails too
+    src, bench = ([path.read_text(encoding="utf-8")
+                   for path in sorted(folder.glob("*.py"))]
+                  for folder in (SRC, BENCH))
+    assert unreferenced_definitions(src, bench) == set(ONLY_TESTS_CALL)
+
+
+def test_unreferenced_definitions_are_found():
+    defining = ("def called(): pass\n"
+                "def recursive(n): return recursive(n - 1)\n"
+                "class Alone:\n"
+                "    def make(self): return Alone()\n"
+                "def by_attribute(): pass\n"
+                "def by_string(): pass\n"
+                "def imported(): pass\n"
+                "called()\n")
+    referring = ("from m import imported\n"
+                 "m.by_attribute()\n"
+                 "patch(m, 'by_string')\n")
+    assert unreferenced_definitions([defining], [referring]) == {
+        "recursive", "Alone"}
