@@ -49,8 +49,8 @@ def gradvac_update(g_s, g_t, alpha, enabled):
         raise DimensionError(
             f"expected equal-length 1-D vectors, got {g_s.shape} and {g_t.shape}"
         )
-    ns = np.linalg.norm(g_s)
-    nt = np.linalg.norm(g_t)
+    ns = np.sqrt(g_s @ g_s)
+    nt = np.sqrt(g_t @ g_t)
     phi = 0.0 if ns < NORM_EPS or nt < NORM_EPS else float(g_s @ g_t / (ns * nt))
     denom = ns * ns + nt * nt
     mag = 0.0 if denom < NORM_EPS else float(2.0 * ns * nt / denom)
@@ -61,7 +61,7 @@ def gradvac_update(g_s, g_t, alpha, enabled):
         sin_phi = np.sqrt(max(1.0 - phi * phi, 0.0))
         eta = ns * (alpha * sin_phi - phi * sin_alpha) / (nt * sin_alpha)
         g = g_s + eta * g_t
-        n_post = np.linalg.norm(g)
+        n_post = np.sqrt(g @ g)
         phi_post = 0.0 if n_post < NORM_EPS else float(g @ g_t / (n_post * nt))
     return GradVacStep(g, phi, phi_post, mag, float(ns), float(nt), applied)
 
@@ -71,7 +71,7 @@ def ema_update(alpha_prev, phi_prev, beta):
     if not 0.0 < beta <= 1.0:
         raise ConfigError(f"beta must lie in (0, 1], got {beta}")
     alpha = (1.0 - beta) * alpha_prev + beta * phi_prev
-    return float(np.clip(alpha, -ALPHA_LIMIT, ALPHA_LIMIT))
+    return min(max(alpha, -ALPHA_LIMIT), ALPHA_LIMIT)
 
 
 def logitnorm(z, tau):
@@ -95,14 +95,14 @@ def logitnorm_ce(z, labels, tau):
     paths) fall back to the epsilon floor, carry no norm guarantee and
     are left out (0.0 when no row is left).
     """
-    z = np.asarray(z, dtype=np.float64)
-    raw = np.linalg.norm(z, axis=1, keepdims=True)
-    norms = np.maximum(raw, NORM_EPS)
-    zh = z / (tau * norms)
+    raw = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
+    scale = tau * np.maximum(raw, NORM_EPS)
+    zh = z / scale
     loss, gh = softmax_ce(zh, labels)
-    dot = np.sum(zh * gh, axis=1, keepdims=True)
-    grad_z = (gh - zh * dot * tau ** 2) / (tau * norms)
-    live = raw[:, 0] >= NORM_EPS
-    norm_err = (float(np.abs(np.linalg.norm(zh[live], axis=1) - 1.0 / tau).max())
-                if live.any() else 0.0)
+    dot = np.add.reduce(zh * gh, axis=1, keepdims=True)
+    grad_z = (gh - zh * dot * tau ** 2) / scale
+    live = zh[raw[:, 0] >= NORM_EPS]
+    norm_err = (float(np.maximum.reduce(np.abs(
+                    np.sqrt(np.add.reduce(live * live, axis=1)) - 1.0 / tau)))
+                if len(live) else 0.0)
     return loss, grad_z, norm_err

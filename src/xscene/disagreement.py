@@ -28,12 +28,17 @@ def _as_batch(x, name="batch"):
     return x
 
 
+def _squared_distances(x):
+    """n x n squared Euclidean distances between rows, summed over the
+    n x n x d difference tensor, which is squared in place."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.add.reduce(np.square(diff, out=diff), axis=-1)
+
+
 def pairwise_distances(x):
     """n x n Euclidean distance matrix between rows; symmetric with a
     zero diagonal."""
-    x = _as_batch(x)
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    return np.sqrt(_squared_distances(_as_batch(x)))
 
 
 def double_center(d):
@@ -42,9 +47,11 @@ def double_center(d):
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {d.shape}")
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
+    n = d.shape[0]
+    out = d - np.add.reduce(d, axis=1, keepdims=True) / n
+    out -= np.add.reduce(d, axis=0, keepdims=True) / n
+    out += np.add.reduce(d, axis=None) / (n * n)
+    return out
 
 
 def distance_correlation(x, y):
@@ -72,8 +79,9 @@ def distance_correlation(x, y):
 def smoothed_distances(x):
     """n x n Euclidean distances between rows, computed as sqrt(d^2 + 1e-12):
     the smoothing keeps the DiR penalty differentiable where rows coincide."""
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1) + DIST_SMOOTHING)
+    d2 = _squared_distances(x)
+    d2 += DIST_SMOOTHING
+    return np.sqrt(d2, out=d2)
 
 
 def dcor_penalty(shared_dist, idx, y):
@@ -94,13 +102,14 @@ def dcor_penalty(shared_dist, idx, y):
         raise SampleCountError(
             f"batch has {len(idx)} row indices but {y.shape[0]} private rows")
     n = y.shape[0]
+    pairs = n * n
     _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
-    a = double_center(shared_dist[np.ix_(idx, idx)])
-    dy = smoothed_distances(y[first])[np.ix_(inverse, inverse)]
+    a = double_center(shared_dist.take(idx, axis=0).take(idx, axis=1))
+    dy = smoothed_distances(y[first]).take(inverse, axis=0).take(inverse, axis=1)
     b = double_center(dy)
-    vxy = (a * b).mean()
-    vxx = (a * a).mean()
-    vyy = (b * b).mean()
+    vxy = np.add.reduce(a * b, axis=None) / pairs
+    vxx = np.add.reduce(a * a, axis=None) / pairs
+    vyy = np.add.reduce(b * b, axis=None) / pairs
     if vxx < DVAR_FLOOR or vyy < DVAR_FLOOR:
         return 0.0, np.zeros_like(y)
     r2 = vxy / np.sqrt(vxx * vyy)
@@ -110,37 +119,37 @@ def dcor_penalty(shared_dist, idx, y):
     # d loss / dB = loss/(2 n^2) * (A/vxy - B/vyy); then chain through the
     # centring (symmetric, so its own adjoint), the distances and the
     # squared distances to the rows of y
-    db = loss / (2.0 * n * n) * (a / vxy - b / vyy)
-    g = double_center(db) / (2.0 * dy)
-    return loss, 4.0 * (g.sum(axis=1, keepdims=True) * y - g @ y)
+    db = loss / (2.0 * pairs) * (a / vxy - b / vyy)
+    g = double_center(db)
+    g /= 2.0 * dy
+    return loss, 4.0 * (np.add.reduce(g, axis=1, keepdims=True) * y - g @ y)
 
 
-def _log_softmax_rows(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def log_softmax(z, temp):
+    """Row-wise log softmax(z / temp)."""
+    shifted = z / temp
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
-def symmetric_kl(student_logits, teacher_logits, temp):
+def symmetric_kl(student_logits, teacher_logp, temp):
     """T^2 times the batch mean of KL(student||teacher) + KL(teacher||student)
     at temperature T, with the gradient w.r.t. the student logits.
 
-    The teacher is a constant: no gradient flows into it. Returns
+    The teacher is a constant, given as its log probabilities at T,
+    log_softmax(teacher_logits, T): no gradient flows into it. Returns
     (loss, grad_student).
     """
-    s = np.asarray(student_logits, dtype=np.float64)
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    n = s.shape[0]
-    lp = _log_softmax_rows(s / temp)
-    lq = _log_softmax_rows(t / temp)
+    n = student_logits.shape[0]
+    lp = log_softmax(student_logits, temp)
     p = np.exp(lp)
-    q = np.exp(lq)
-    log_ratio = lp - lq
-    kl_pq = (p * log_ratio).sum(axis=1, keepdims=True)
-    kl_qp = -(q * log_ratio).sum(axis=1, keepdims=True)
-    loss = float((kl_pq + kl_qp).mean())
+    q = np.exp(teacher_logp)
+    log_ratio = lp - teacher_logp
+    kl_pq = np.add.reduce(p * log_ratio, axis=1, keepdims=True)
+    kl_qp = -np.add.reduce(q * log_ratio, axis=1, keepdims=True)
+    loss = float(np.add.reduce(kl_pq + kl_qp, axis=None) / n)
     # d/ds KL(p||q) = p*(log_ratio - KL)/T ; d/ds KL(q||p) = (p - q)/T
     grad = (p * (log_ratio - kl_pq) + (p - q)) / (temp * n)
     loss *= temp * temp
     grad *= temp * temp
     return loss, grad
-

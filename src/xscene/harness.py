@@ -20,7 +20,7 @@ import numpy as np
 
 from .agreement import ema_update, gradvac_update, logitnorm
 from .data import SynthConfig, check_field_types, generate_pair, sample_k_per_class
-from .disagreement import smoothed_distances
+from .disagreement import log_softmax, smoothed_distances
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
@@ -160,10 +160,13 @@ def evaluate(bundle, ds, head):
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)
 
 
-def _target_batch(rng, ds, batch_size):
-    # row indices, resampled with replacement: the few-shot split is smaller
-    # than a batch
-    return rng.integers(0, ds.n, size=batch_size)
+def _target_batches(rng, ds, batch_size, steps_per_epoch, epochs=1):
+    """Each step's row indices into the few-shot split, resampled with
+    replacement (the split is smaller than a batch). They are drawn one
+    epoch at a time, which gives the same indices, and leaves rng in the
+    same state, as one draw per step."""
+    for _ in range(epochs):
+        yield from rng.integers(0, ds.n, size=(steps_per_epoch, batch_size))
 
 
 def _append_step(steps, record):
@@ -176,20 +179,23 @@ def _append_step(steps, record):
     steps.append(record)
 
 
-def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng, steps):
+def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng,
+                         steps_per_epoch, steps):
     tau = LOGITNORM_TAU if cfg.use_logitnorm else None
     alpha = 0.0
     step = 0
     for _ in range(cfg.epochs_agree):
         order = batch_rng.permutation(source.n)
-        for start in range(0, source.n, cfg.batch_size):
-            chunk = order[start:start + cfg.batch_size]
-            batch_s = (source.spectra[chunk], source.labels[chunk])
-            idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+        spectra, labels = source.spectra[order], source.labels[order]
+        targets = _target_batches(batch_rng, tgt_train, cfg.batch_size,
+                                  steps_per_epoch)
+        for start, idx in zip(range(0, source.n, cfg.batch_size), targets):
+            chunk = slice(start, start + cfg.batch_size)
+            batch_s = (spectra[chunk], labels[chunk])
             batch_t = (tgt_train.spectra[idx], tgt_train.labels[idx])
             res = agreement_backward(bundle, batch_s, batch_t, tau)
             surgery = gradvac_update(res.g_s, res.g_t, alpha, cfg.use_gradvac)
-            bundle.shared_encoder.grads[:] = surgery.g + res.g_t
+            np.add(surgery.g, res.g_t, out=bundle.shared_encoder.grads)
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
             _append_step(steps, {
@@ -212,8 +218,9 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
     if cfg.use_dir:
         shared_dist = smoothed_distances(bundle.shared_encoder.predict(
             bundle.target_extractor.predict(tgt_train.spectra)))
-    for t in range(1, cfg.epochs_disagree * steps_per_epoch + 1):
-        idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+    for t, idx in enumerate(_target_batches(batch_rng, tgt_train, cfg.batch_size,
+                                            steps_per_epoch, cfg.epochs_disagree),
+                            start=1):
         loss_ce, dcor = private_backward(bundle, tgt_train.spectra[idx],
                                          tgt_train.labels[idx], shared_dist, idx)
         adam_step(bundle.private, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
@@ -225,7 +232,8 @@ def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps
 
 def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
     # the extractor and both teachers are frozen: run them once over the
-    # few-shot split and gather each batch's rows
+    # few-shot split, take the teachers' log probabilities at their
+    # temperatures once, and gather each batch's rows
     base_all = bundle.target_extractor.predict(tgt_train.spectra)
     agree_all = predict(bundle, "agree", tgt_train.spectra)
     # under logit normalization the agreement head's trained distribution
@@ -233,12 +241,15 @@ def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, step
     # the raw logits whose scale the normalized loss never controlled
     if cfg.use_logitnorm:
         agree_all = logitnorm(agree_all, LOGITNORM_TAU)
-    disagree_all = predict(bundle, "disagree", tgt_train.spectra)
-    for t in range(1, cfg.epochs_ensemble * steps_per_epoch + 1):
-        idx = _target_batch(batch_rng, tgt_train, cfg.batch_size)
+    agree_lp = log_softmax(agree_all, TEMP_AGREE)
+    disagree_lp = log_softmax(predict(bundle, "disagree", tgt_train.spectra),
+                              TEMP_DISAGREE)
+    for t, idx in enumerate(_target_batches(batch_rng, tgt_train, cfg.batch_size,
+                                            steps_per_epoch, cfg.epochs_ensemble),
+                            start=1):
         loss_ce, e1, e2 = ensemble_backward(
             bundle, base_all[idx], tgt_train.labels[idx],
-            (agree_all[idx], TEMP_AGREE), (disagree_all[idx], TEMP_DISAGREE))
+            (agree_lp[idx], TEMP_AGREE), (disagree_lp[idx], TEMP_DISAGREE))
         adam_step(bundle.ensemble, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
         _append_step(steps, {
             "phase": "ensemble", "step": t, "loss_ce": loss_ce, "e_en1": e1,
@@ -276,7 +287,7 @@ def train(cfg):
     steps_per_epoch = -(-source.n // cfg.batch_size)
 
     _run_phase(steps, "agree", _run_agreement_phase,
-               bundle, source, tgt_train, cfg, batch_rng)
+               bundle, source, tgt_train, cfg, batch_rng, steps_per_epoch)
     if cfg.use_dir or cfg.use_ensemble:
         _run_phase(steps, "disagree", _run_private_phase,
                    bundle, tgt_train, cfg, batch_rng, steps_per_epoch)

@@ -164,7 +164,7 @@ def private_backward(bundle, x, y, shared_dist=None, idx=None):
     dcor = None
     if shared_dist is not None:
         dcor, g_private = dcor_penalty(shared_dist, idx, enc)
-        d_enc = d_enc + g_private
+        d_enc += g_private
     d_feats = bundle.private_encoder.backward(c_enc, d_enc)
     bundle.private_extractor.backward(c_ext, d_feats, input_grad=False)
     return loss_ce, dcor
@@ -176,14 +176,16 @@ def ensemble_backward(bundle, base, y, agree, disagree):
     into the ensemble components.
 
     `base` is the batch's frozen target-extractor features; `agree` and
-    `disagree` are (teacher logits, temperature) pairs. Returns (loss_ce,
-    e_agree, e_disagree).
+    `disagree` are (teacher log probabilities, temperature) pairs, as
+    symmetric_kl takes them. Returns (loss_ce, e_agree, e_disagree).
     """
     enc, c_enc = bundle.ensemble_encoder.forward(base)
     z, c_head = bundle.ensemble_head.forward(enc)
     loss_ce, dz = softmax_ce(z, y)
     e_agree, g_agree = symmetric_kl(z, *agree)
     e_disagree, g_disagree = symmetric_kl(z, *disagree)
-    d_enc = bundle.ensemble_head.backward(c_head, dz + (g_agree + g_disagree))
+    g_agree += g_disagree
+    dz += g_agree
+    d_enc = bundle.ensemble_head.backward(c_head, dz)
     bundle.ensemble_encoder.backward(c_enc, d_enc, input_grad=False)
     return loss_ce, e_agree, e_disagree

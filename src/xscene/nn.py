@@ -46,10 +46,9 @@ def check_nbytes(what, nbytes):
 
 def softmax(z):
     """Row-wise softmax with max-subtraction for stability."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _check_labels(labels, n_rows, num_classes):
@@ -58,7 +57,7 @@ def _check_labels(labels, n_rows, num_classes):
         raise SampleCountError("empty batch")
     if labels.size != n_rows:
         raise SampleCountError(f"{labels.size} labels for a batch of {n_rows} rows")
-    if labels.min() < 0 or labels.max() >= num_classes:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
         raise IndexError(f"label out of range [0, {num_classes})")
     return labels.astype(np.int64)
 
@@ -72,10 +71,12 @@ def softmax_ce(z, labels):
     """
     probs = softmax(z)
     labels = _check_labels(labels, *probs.shape)
-    rows = np.arange(probs.shape[0])
-    loss = float(-np.log(np.maximum(probs[rows, labels], PROB_FLOOR)).mean())
+    n = probs.shape[0]
+    rows = np.arange(n)
+    picked = np.maximum(probs[rows, labels], PROB_FLOOR)
+    loss = float(-np.add.reduce(np.log(picked)) / n)
     probs[rows, labels] -= 1.0
-    probs /= probs.shape[0]
+    probs /= n
     return loss, probs
 
 
@@ -145,7 +146,7 @@ class Mlp:
         g = np.asarray(upstream, dtype=np.float64)
         for i in reversed(range(len(self.weights))):
             np.matmul(cache[i][0].T, g, out=self.grad_weights[i])
-            g.sum(axis=0, out=self.grad_biases[i])
+            np.add.reduce(g, axis=0, out=self.grad_biases[i])
             if i == 0 and not input_grad:
                 return None
             g = g @ self.weights[i].T

@@ -24,7 +24,7 @@ import numpy as np
 
 from xscene.agreement import ema_update, gradvac_update, logitnorm, logitnorm_ce
 from xscene.data import generate_pair, load_csv, sample_k_per_class, save_csv
-from xscene.disagreement import (dcor_penalty, distance_correlation,
+from xscene.disagreement import (dcor_penalty, distance_correlation, log_softmax,
                                  smoothed_distances, symmetric_kl)
 from xscene.harness import TrainConfig, train, write_log
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
@@ -128,7 +128,7 @@ def test_03_gradient_oracles():
         n, c = int(rng.integers(2, 7)), int(rng.integers(2, 6))
         temp = float(rng.choice([1.0, 2.0, 0.05]))
         s = rng.normal(size=(n, c))
-        t = rng.normal(size=(n, c))
+        t = log_softmax(rng.normal(size=(n, c)), temp)
         _, grad = symmetric_kl(s, t, temp)
         fd = _fd_vector(lambda v: symmetric_kl(v, t, temp)[0], s)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)

@@ -4,12 +4,12 @@ import pytest
 from xscene.agreement import (ALPHA_LIMIT, NORM_EPS, ema_update, gradvac_update,
                               logitnorm, logitnorm_ce)
 from xscene.errors import ConfigError, DimensionError
-from xscene.nn import make_rng
+from xscene.nn import make_rng, softmax_ce
 
 
 # Reference oracles: the three primitives the training step once called one
-# after another, and that sequence itself. gradvac_update must give every
-# field of it bit for bit.
+# after another, and that sequence itself, with norms through np.linalg.norm.
+# gradvac_update must give every field of it bit for bit, fired or not.
 
 def check_pair(g_s, g_t):
     g_s = np.asarray(g_s, dtype=np.float64)
@@ -66,6 +66,27 @@ def reference_step(g_s, g_t, alpha, enabled):
     return (g_post, float(phi_raw), float(cosine_similarity(g_post, g_t)),
             float(magnitude_similarity(g_s, g_t)), float(np.linalg.norm(g_s)),
             gt_norm, applied)
+
+
+def old_ema_update(alpha_prev, phi_prev, beta):
+    """ema_update as it clamped before: through np.clip."""
+    alpha = (1.0 - beta) * alpha_prev + beta * phi_prev
+    return float(np.clip(alpha, -ALPHA_LIMIT, ALPHA_LIMIT))
+
+
+def old_logitnorm_ce(z, labels, tau):
+    """logitnorm_ce as it was written before it called numpy's reductions
+    directly: row norms through np.linalg.norm, sums through np.sum."""
+    raw = np.linalg.norm(z, axis=1, keepdims=True)
+    norms = np.maximum(raw, NORM_EPS)
+    zh = z / (tau * norms)
+    loss, gh = softmax_ce(zh, labels)
+    dot = np.sum(zh * gh, axis=1, keepdims=True)
+    grad_z = (gh - zh * dot * tau ** 2) / (tau * norms)
+    live = raw[:, 0] >= NORM_EPS
+    norm_err = (float(np.abs(np.linalg.norm(zh[live], axis=1) - 1.0 / tau).max())
+                if live.any() else 0.0)
+    return loss, grad_z, norm_err
 
 
 def cosine(a, b):
@@ -261,6 +282,28 @@ class TestEmaUpdate:
             ema_update(0.0, 0.5, beta)
 
 
+class TestEmaMatchesOldFormulation:
+    @pytest.mark.parametrize("alpha_prev, phi_prev, beta", [
+        (ALPHA_LIMIT, 1.0, 0.5),        # clamped at +ALPHA_LIMIT
+        (-ALPHA_LIMIT, -1.0, 0.5),      # clamped at -ALPHA_LIMIT
+        (0.3, 1.0, 1.0),                # full replacement, clamped
+        (-0.3, -1.0, 1.0),
+    ])
+    def test_clamps(self, alpha_prev, phi_prev, beta):
+        got = ema_update(alpha_prev, phi_prev, beta)
+        want = old_ema_update(alpha_prev, phi_prev, beta)
+        assert abs(want) == ALPHA_LIMIT
+        assert type(got) is float and got == want
+
+    def test_random_in_range(self):
+        rng = make_rng(311)
+        for _ in range(200):
+            args = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                    float(rng.uniform(1e-3, 1.0)))
+            got = ema_update(*args)
+            assert type(got) is float and got == old_ema_update(*args)
+
+
 class TestMagnitudeSimilarity:
     def test_equal_norms(self):
         assert magnitude_similarity([3.0, 0.0], [0.0, 3.0]) == pytest.approx(1.0)
@@ -345,6 +388,21 @@ class TestLogitNormCe:
         base = logitnorm_ce(z, labels, tau)[0]
         scaled = logitnorm_ce(10.0 * z, labels, tau)[0]
         assert scaled == pytest.approx(base, abs=1e-10)
+
+    @pytest.mark.parametrize("n, c", [(37, 7), (64, 7), (5, 2), (2, 9)])
+    def test_matches_old_formulation(self, n, c):
+        # bit for bit, with an all-zero logit row among live ones, so the
+        # left-out rows path runs
+        rng = make_rng(43 + n + c)
+        for trial in range(10):
+            z = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 2 == 0:
+                z[rng.integers(0, n)] = 0.0
+            labels = rng.integers(0, c, size=n)
+            loss, grad, err = logitnorm_ce(z, labels, 2.0)
+            ref_loss, ref_grad, ref_err = old_logitnorm_ce(z, labels, 2.0)
+            assert loss == ref_loss and err == ref_err
+            assert np.array_equal(grad, ref_grad)
 
     def test_norm_err_is_the_deviation_of_the_normalized_rows(self):
         # bit for bit the max | |logitnorm(row)| - 1/tau | over the rows of

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xscene.disagreement import (dcor_penalty, distance_correlation,
-                                 double_center, pairwise_distances,
+                                 double_center, log_softmax, pairwise_distances,
                                  smoothed_distances, symmetric_kl)
 from xscene.errors import ConfigError, DimensionError, SampleCountError
 from xscene.nn import make_rng
@@ -311,6 +311,11 @@ class TestKlDivergence:
             kl_divergence(np.zeros(3), np.zeros(3), 0.0)
 
 
+def kl_to_logits(student, teacher_logits, temp):
+    """symmetric_kl against a teacher given by its logits."""
+    return symmetric_kl(student, log_softmax(teacher_logits, temp), temp)
+
+
 class TestSymmetricKl:
     def brute_force(self, s, t, temp):
         total = 0.0
@@ -329,7 +334,7 @@ class TestSymmetricKl:
         s = rng.normal(size=(4, 3))
         t = rng.normal(size=(4, 3))
         for temp in (1.0, 2.0, 0.05):
-            loss, _ = symmetric_kl(s, t, temp)
+            loss, _ = kl_to_logits(s, t, temp)
             assert loss == pytest.approx(self.brute_force(s, t, temp), abs=1e-12)
 
     def test_student_gradient_matches_finite_differences(self):
@@ -337,7 +342,7 @@ class TestSymmetricKl:
         for temp in (1.0, 0.05):
             s = rng.normal(size=(3, 4))
             t = rng.normal(size=(3, 4))
-            _, grad = symmetric_kl(s, t, temp)
+            _, grad = kl_to_logits(s, t, temp)
             h = 1e-5
             fd = np.zeros_like(s)
             for i in range(s.shape[0]):
@@ -345,8 +350,8 @@ class TestSymmetricKl:
                     sp, sm = s.copy(), s.copy()
                     sp[i, j] += h
                     sm[i, j] -= h
-                    fd[i, j] = (symmetric_kl(sp, t, temp)[0]
-                                - symmetric_kl(sm, t, temp)[0]) / (2 * h)
+                    fd[i, j] = (kl_to_logits(sp, t, temp)[0]
+                                - kl_to_logits(sm, t, temp)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_equals_batch_mean_of_both_kl_directions(self):
@@ -357,7 +362,7 @@ class TestSymmetricKl:
         for temp in (1.0, 0.05):
             expected = np.mean([kl_divergence(a, b, temp) + kl_divergence(b, a, temp)
                                 for a, b in zip(s, t)])
-            loss, _ = symmetric_kl(s, t, temp)
+            loss, _ = kl_to_logits(s, t, temp)
             assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -365,27 +370,134 @@ class TestEnsembleLosses:
     def test_zero_when_identical(self):
         rng = make_rng(43)
         z = rng.normal(size=(5, 4))
-        assert symmetric_kl(z, z.copy(), 1.0)[0] == pytest.approx(0.0)
-        assert symmetric_kl(z, z.copy(), 0.05)[0] == pytest.approx(0.0, abs=1e-9)
+        assert kl_to_logits(z, z.copy(), 1.0)[0] == pytest.approx(0.0)
+        assert kl_to_logits(z, z.copy(), 0.05)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetric_in_roles(self):
         rng = make_rng(47)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=(6, 3))
-        assert symmetric_kl(a, b, 1.0)[0] == pytest.approx(
-            symmetric_kl(b, a, 1.0)[0])
+        assert kl_to_logits(a, b, 1.0)[0] == pytest.approx(
+            kl_to_logits(b, a, 1.0)[0])
 
     def test_nonnegative(self):
         rng = make_rng(53)
         for _ in range(50):
             a = rng.normal(size=(4, 5))
             b = rng.normal(size=(4, 5))
-            assert symmetric_kl(a, b, 0.05)[0] >= 0.0
+            assert kl_to_logits(a, b, 0.05)[0] >= 0.0
 
     def test_sharp_teacher_hurts_uniform_student_more(self):
         student = np.zeros((1, 3))
         sharp_teacher = np.array([[8.0, 0.0, 0.0]])
         uniform_teacher = np.zeros((1, 3))
-        l_sharp = symmetric_kl(student, sharp_teacher, 0.05)[0]
-        l_uniform = symmetric_kl(student, uniform_teacher, 0.05)[0]
+        l_sharp = kl_to_logits(student, sharp_teacher, 0.05)[0]
+        l_uniform = kl_to_logits(student, uniform_teacher, 0.05)[0]
         assert l_sharp > l_uniform
+
+
+# Bit-for-bit oracles: the kernels as they were written before they called
+# numpy's reductions directly, gathered with take and took the teacher's
+# log probabilities precomputed. The kernels must give these bits exactly;
+# odd batch sizes make a changed division (x / n against x * (1 / n)) show.
+
+def old_smoothed_distances(x):
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1) + 1e-12)
+
+
+def old_pairwise_distances(x):
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def old_double_center(d):
+    row = d.mean(axis=1, keepdims=True)
+    col = d.mean(axis=0, keepdims=True)
+    return d - row - col + d.mean()
+
+
+def old_dcor_penalty(shared_dist, idx, y):
+    n = y.shape[0]
+    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    a = old_double_center(shared_dist[np.ix_(idx, idx)])
+    dy = old_smoothed_distances(y[first])[np.ix_(inverse, inverse)]
+    b = old_double_center(dy)
+    vxy, vxx, vyy = (a * b).mean(), (a * a).mean(), (b * b).mean()
+    if vxx < 1e-15 or vyy < 1e-15:
+        return 0.0, np.zeros_like(y)
+    r2 = vxy / np.sqrt(vxx * vyy)
+    if r2 <= 0.0:
+        return 0.0, np.zeros_like(y)
+    loss = float(np.sqrt(r2))
+    db = loss / (2.0 * n * n) * (a / vxy - b / vyy)
+    g = old_double_center(db) / (2.0 * dy)
+    return loss, 4.0 * (g.sum(axis=1, keepdims=True) * y - g @ y)
+
+
+def old_symmetric_kl(student_logits, teacher_logits, temp):
+    def log_softmax_rows(z):
+        shifted = z - z.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    n = student_logits.shape[0]
+    lp = log_softmax_rows(student_logits / temp)
+    lq = log_softmax_rows(teacher_logits / temp)
+    p, q = np.exp(lp), np.exp(lq)
+    log_ratio = lp - lq
+    kl_pq = (p * log_ratio).sum(axis=1, keepdims=True)
+    kl_qp = -(q * log_ratio).sum(axis=1, keepdims=True)
+    loss = float((kl_pq + kl_qp).mean())
+    grad = (p * (log_ratio - kl_pq) + (p - q)) / (temp * n)
+    return loss * (temp * temp), grad * (temp * temp)
+
+
+class TestMatchesOldFormulation:
+    @pytest.mark.parametrize("n", [2, 5, 37, 50])
+    def test_distances(self, n):
+        rng = make_rng(61 + n)
+        for d in (1, 3, 32):
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(smoothed_distances(x), old_smoothed_distances(x))
+            assert np.array_equal(pairwise_distances(x), old_pairwise_distances(x))
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 64])
+    def test_double_center(self, n):
+        rng = make_rng(67 + n)
+        for _ in range(20):
+            for d in (rng.normal(size=(n, n)) * 1e3,
+                      old_smoothed_distances(rng.normal(size=(n, 4)))):
+                assert np.array_equal(double_center(d), old_double_center(d))
+
+    @pytest.mark.parametrize("split, batch", [(15, 37), (50, 37), (15, 2), (50, 64)])
+    def test_dcor_penalty_on_repeated_rows(self, split, batch):
+        rng = make_rng(71 + batch + split)
+        shared_dist = smoothed_distances(rng.normal(size=(split, 32)))
+        private_table = rng.normal(size=(split, 32))
+        positive = 0
+        for trial in range(20):
+            idx = rng.integers(0, split, size=batch)
+            if trial == 0:
+                idx[-1] = idx[0]          # at least one repeated row
+            y = private_table[idx]
+            loss, grad = dcor_penalty(shared_dist, idx, y)
+            ref_loss, ref_grad = old_dcor_penalty(shared_dist, idx, y)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+            positive += loss > 0.0
+        assert positive >= (1 if batch == 2 else 20)
+
+    @pytest.mark.parametrize("temp", [1.0, 0.05])
+    def test_symmetric_kl_on_gathered_teacher_log_probs(self, temp):
+        # the teacher's log probabilities, taken once over a split and
+        # gathered by a batch's rows, give what the teacher's gathered
+        # logits gave
+        rng = make_rng(73)
+        for split, batch, classes in ((15, 37, 5), (50, 64, 7), (4, 2, 3)) * 10:
+            teacher = rng.normal(size=(split, classes)) * 4.0
+            idx = rng.integers(0, split, size=batch)
+            student = rng.normal(size=(batch, classes)) * 4.0
+            loss, grad = symmetric_kl(student, log_softmax(teacher, temp)[idx], temp)
+            ref_loss, ref_grad = old_symmetric_kl(student, teacher[idx], temp)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)

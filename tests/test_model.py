@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from xscene.agreement import gradvac_update, logitnorm_ce
-from xscene.disagreement import dcor_penalty, smoothed_distances, symmetric_kl
+from xscene.disagreement import (dcor_penalty, log_softmax, smoothed_distances,
+                                 symmetric_kl)
 from xscene.errors import DataError, DimensionError
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           ensemble_backward, predict, private_backward)
@@ -254,8 +255,9 @@ class TestBranchBackward:
                 continue
             done += 1
             y = y_all[idx]
-            agree = (rng.normal(size=(len(x_all), 3))[idx], 1.0)
-            disagree = (3.0 * rng.normal(size=(len(x_all), 3))[idx], 0.05)
+            agree = (log_softmax(rng.normal(size=(len(x_all), 3)), 1.0)[idx], 1.0)
+            disagree = (log_softmax(3.0 * rng.normal(size=(len(x_all), 3)), 0.05)[idx],
+                        0.05)
             loss_ce, e_agree, e_disagree = ensemble_backward(
                 bundle, base, y, agree, disagree)
             assert loss_ce + e_agree + e_disagree == pytest.approx(
@@ -273,7 +275,8 @@ class TestBranchBackward:
         rng = make_rng(57)
         x_all, y_all = rng.normal(size=(4, 5)), rng.integers(0, 3, size=4)
         idx = rng.integers(0, 4, size=7)
-        teachers = rng.normal(size=(2, 7, 3))
+        teachers = (log_softmax(rng.normal(size=(7, 3)), 1.0),
+                    log_softmax(rng.normal(size=(7, 3)), 0.05))
 
         def step(bundle):
             if branch == "private":
@@ -377,8 +380,8 @@ class TestStructure:
             res = agreement_backward(bundle, (xs, ys), (xt, yt), tau=2.0)
             bundle.shared_encoder.grads[:] = res.g_s + res.g_t
             private_backward(bundle, xt, yt, smoothed_distances(xt), np.arange(6))
-            teachers = ((predict(bundle, "agree", xt), 1.0),
-                        (predict(bundle, "disagree", xt), 0.05))
+            teachers = ((log_softmax(predict(bundle, "agree", xt), 1.0), 1.0),
+                        (log_softmax(predict(bundle, "disagree", xt), 0.05), 0.05))
             ensemble_backward(bundle, bundle.target_extractor.predict(xt), yt,
                               *teachers)
             for branch in BRANCHES:
