@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
 from .nn import softmax_ce
 
 # below this a gradient or logit vector's norm counts as zero
@@ -41,14 +40,9 @@ def gradvac_update(g_s, g_t, alpha, enabled):
     alpha must lie within +/-ALPHA_LIMIT, as ema_update returns it. A
     cosine is 0 when either norm is below the floor (no direction means no
     measurable conflict); mag_sim is 1 for equal magnitudes and 0 when one
-    gradient dominates or both vanish.
+    gradient dominates or both vanish. g_s and g_t are float64 vectors of
+    one length.
     """
-    g_s = np.asarray(g_s, dtype=np.float64)
-    g_t = np.asarray(g_t, dtype=np.float64)
-    if g_s.shape != g_t.shape or g_s.ndim != 1:
-        raise DimensionError(
-            f"expected equal-length 1-D vectors, got {g_s.shape} and {g_t.shape}"
-        )
     ns = np.sqrt(g_s @ g_s)
     nt = np.sqrt(g_t @ g_t)
     phi = 0.0 if ns < NORM_EPS or nt < NORM_EPS else float(g_s @ g_t / (ns * nt))
@@ -67,9 +61,8 @@ def gradvac_update(g_s, g_t, alpha, enabled):
 
 
 def ema_update(alpha_prev, phi_prev, beta):
-    """(1-beta)*alpha + beta*phi, clamped away from +/-1."""
-    if not 0.0 < beta <= 1.0:
-        raise ConfigError(f"beta must lie in (0, 1], got {beta}")
+    """(1-beta)*alpha + beta*phi, clamped away from +/-1; beta lies in
+    (0, 1]."""
     alpha = (1.0 - beta) * alpha_prev + beta * phi_prev
     return min(max(alpha, -ALPHA_LIMIT), ALPHA_LIMIT)
 

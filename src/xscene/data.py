@@ -201,14 +201,13 @@ def _render_pair(cfg):
 
 
 def sample_k_per_class(ds, k, seed):
-    """Draw exactly k samples per class without replacement; returns
-    (train, heldout) with disjoint indices. Deterministic per seed."""
+    """Draw exactly k samples per class without replacement, from a scene
+    that holds at least k of each; returns (train, heldout) with disjoint
+    indices. Deterministic per seed."""
     rng = np.random.default_rng(seed)
     picked = []
     for c in range(ds.classes):
         idx = np.flatnonzero(ds.labels == c)
-        if idx.size < k:
-            raise DataError(f"class {c} has {idx.size} samples, need {k}")
         picked.append(rng.permutation(idx)[:k])
     train_idx = np.sort(np.concatenate(picked))
     mask = np.ones(ds.n, dtype=bool)

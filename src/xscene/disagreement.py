@@ -14,7 +14,7 @@ dependence.
 
 import numpy as np
 
-from .errors import DimensionError, SampleCountError
+from .errors import SampleCountError
 
 DVAR_FLOOR = 1e-15
 # smoothing inside sqrt keeps the penalty differentiable at coincident rows
@@ -43,10 +43,8 @@ def pairwise_distances(x):
 
 def double_center(d):
     """Subtract row means, column means, and add back the grand mean, so
-    every row and column of the result sums to zero."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {d.shape}")
+    every row and column of the result sums to zero. d is a square
+    float64 array."""
     n = d.shape[0]
     out = d - np.add.reduce(d, axis=1, keepdims=True) / n
     out -= np.add.reduce(d, axis=0, keepdims=True) / n
@@ -91,16 +89,13 @@ def dcor_penalty(shared_dist, idx, y):
 
     `shared_dist` is the smoothed distance table of the shared features
     over the rows the batch is drawn from, and `idx` the batch's row
-    indices into it; `y[k]` is the private feature row of row `idx[k]`.
+    indices into it; `y[k]` is the private feature row of row `idx[k]`,
+    and the batch has at least 2 rows.
     A repeated row has a repeated feature row, so the private distances
     are built over the batch's unique rows and gathered back, exactly.
     Returns (loss, grad_y); a degenerate batch or the dCov <= 0 point
     gives (0.0, zeros).
     """
-    y = _as_batch(y, "private")
-    if len(idx) != y.shape[0]:
-        raise SampleCountError(
-            f"batch has {len(idx)} row indices but {y.shape[0]} private rows")
     n = y.shape[0]
     pairs = n * n
     _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
-    """Array shapes do not line up."""
-
-
 class ConfigError(ValueError):
     """Invalid configuration value or unknown configuration key."""
 

@@ -140,11 +140,23 @@ class RunReport:
 
 def evaluate(bundle, ds, head):
     """Argmax classification of a target dataset by `head` (a HEADS key);
-    returns (OA, AA, kappa) as fractions. Rows are scored EVAL_BLOCK_ROWS
-    at a time, so beyond the dataset it holds one block's activations and
-    the predictions; logits that overflow raise DataError."""
+    returns (OA, AA, kappa) as fractions. The head's networks must chain
+    from the dataset's bands to its classes, which is checked before any
+    row is scored. Rows are scored EVAL_BLOCK_ROWS at a time, so beyond
+    the dataset it holds one block's activations and the predictions;
+    logits that overflow raise DataError."""
     if ds.n == 0:
         raise DataError("evaluation split is empty")
+    width, given = ds.bands, f"the dataset's {ds.bands} bands"
+    for name in HEADS[head]:
+        mlp = getattr(bundle, name)
+        if mlp.in_dim != width:
+            raise DataError(f"{name} of the {head} head has fan-in "
+                            f"{mlp.in_dim} but is given {given}")
+        width, given = mlp.dims[-1], f"{name}'s {mlp.dims[-1]} outputs"
+    if width != ds.classes:
+        raise DataError(f"dataset has {ds.classes} classes but the {head} "
+                        f"head predicts {width}")
     preds = np.empty(ds.n, dtype=np.intp)
     for lo in range(0, ds.n, EVAL_BLOCK_ROWS):
         try:
@@ -152,9 +164,6 @@ def evaluate(bundle, ds, head):
                 logits = predict(bundle, head, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
         except FloatingPointError as exc:
             raise DataError(f"evaluating the {head} head: {exc}") from None
-        if logits.shape[1] != ds.classes:
-            raise DataError(f"dataset has {ds.classes} classes but the {head} "
-                            f"head predicts {logits.shape[1]}")
         logits.argmax(axis=1, out=preds[lo:lo + EVAL_BLOCK_ROWS])
     cm = ConfusionMatrix.from_predictions(ds.classes, ds.labels, preds)
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)

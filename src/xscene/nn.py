@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SampleCountError
+from .errors import ConfigError
 
 PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
@@ -51,26 +51,15 @@ def softmax(z):
     return e
 
 
-def _check_labels(labels, n_rows, num_classes):
-    labels = np.asarray(labels)
-    if n_rows == 0:
-        raise SampleCountError("empty batch")
-    if labels.size != n_rows:
-        raise SampleCountError(f"{labels.size} labels for a batch of {n_rows} rows")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes:
-        raise IndexError(f"label out of range [0, {num_classes})")
-    return labels.astype(np.int64)
-
-
 def softmax_ce(z, labels):
     """Batch-mean cross-entropy of softmax(z), with p clamped at 1e-12,
     and its gradient w.r.t. the logits, (softmax - one_hot) / n.
 
-    Returns (loss, dz) from one softmax and one label check: one label per
-    row of z, each in [0, C).
+    Returns (loss, dz) from one softmax. The caller gives one label per
+    row of a non-empty z, each in [0, C): a scene's labels are checked
+    where the scene enters (load_csv) or is built (generate_pair).
     """
     probs = softmax(z)
-    labels = _check_labels(labels, *probs.shape)
     n = probs.shape[0]
     rows = np.arange(n)
     picked = np.maximum(probs[rows, labels], PROB_FLOOR)
@@ -91,10 +80,6 @@ class Mlp:
     """
 
     def __init__(self, dims, block, rng=None):
-        n = n_params(dims)
-        if block.shape != (4, n):
-            raise DimensionError(f"layer dims {dims!r} need a (4, {n}) "
-                                 f"parameter block, got {block.shape}")
         self.dims = [int(d) for d in dims]
         self.params = block
         self.values, self.grads = block[:2]
@@ -119,20 +104,16 @@ class Mlp:
     def forward(self, x, keep_cache=True):
         """Returns (output, cache); the cache feeds backward(). Without
         keep_cache the cache is None and each layer's input is freed once
-        the next layer has it."""
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != self.in_dim:
-            raise DimensionError(
-                f"input shape {a.shape} incompatible with fan-in {self.in_dim}")
+        the next layer has it. x is a float64 (rows, in_dim) array."""
         cache = [] if keep_cache else None
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w
+            z = x @ w
             z += b
             if keep_cache:
-                cache.append((a, z))
-            a = np.maximum(z, 0.0) if i < last else z
-        return a, cache
+                cache.append((x, z))
+            x = np.maximum(z, 0.0) if i < last else z
+        return x, cache
 
     def predict(self, x):
         """The output alone; keeps no backward cache."""
@@ -143,7 +124,7 @@ class Mlp:
         gradient w.r.t. the forward input, or None when input_grad is
         False and the first layer's input product is skipped. The ReLU
         subgradient at 0 is 0."""
-        g = np.asarray(upstream, dtype=np.float64)
+        g = upstream
         for i in reversed(range(len(self.weights))):
             np.matmul(cache[i][0].T, g, out=self.grad_weights[i])
             np.add.reduce(g, axis=0, out=self.grad_biases[i])
@@ -161,9 +142,8 @@ def adam_step(block, lr, weight_decay=0.0, t=1):
     Decoupled weight decay shrinks parameters by lr*weight_decay before the
     bias-corrected Adam delta is applied. Every operation is elementwise,
     so one call over a block equals one per column slice of it, bit for bit.
+    t counts the steps from 1.
     """
-    if t < 1:
-        raise ConfigError("adam step counter starts at 1")
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     w, g, m, v = block

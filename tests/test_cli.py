@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xscene.cli import main
-from xscene.data import load_csv
+from xscene.data import SceneDataset, load_csv, save_csv
 from xscene.harness import save_checkpoint
-from xscene.model import COMPONENT_ORDER, ModelBundle
+from xscene.model import COMPONENT_ORDER, HEADS, ModelBundle
 
 
 def write_cfg(tmp_path, **extra):
@@ -211,6 +217,65 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {model}: unknown evaluation head {head!r}\n")
+
+
+@st.composite
+def eval_inputs(draw):
+    """A checkpoint and a scene for `xscene eval`: layouts of 2-3 widths in
+    1-9 per component, an evaluation head, a correctly sized blob of finite
+    parameters of any scale, and a scene of 1-9 bands and classes. Each
+    link of the evaluated chain (bands to the first network, network to
+    network, last network to classes) holds in about 3 examples of 4, so
+    every check and the scoring itself are reached."""
+    widths = st.integers(1, 9)
+    links = st.sampled_from([True, True, True, False])
+    layout = {name: draw(st.lists(widths, min_size=2, max_size=3))
+              for name in COMPONENT_ORDER}
+    head = draw(st.sampled_from(sorted(HEADS)))
+    bands = width = draw(widths)
+    for name in HEADS[head]:
+        if draw(links):
+            layout[name][0] = width
+        width = layout[name][-1]
+    classes = width if draw(links) else draw(widths)
+    rows = draw(st.integers(classes, 3 * classes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # past about 1e154 a product of a weight and an input overflows float64
+    scale, spectra_scale = (10.0 ** draw(st.integers(-3, 300)) for _ in range(2))
+    bundle = ModelBundle(layout)
+    bundle.params[0] = scale * rng.standard_normal(bundle.params.shape[1])
+    ds = SceneDataset("target", classes,
+                      spectra_scale * rng.standard_normal((rows, bands)),
+                      np.arange(rows) % classes)
+    return bundle, head, ds
+
+
+class TestEvalProperty:
+    # each example writes its files to its own TemporaryDirectory, since a
+    # function-scoped fixture such as tmp_path is shared by every example.
+    # On a failure hypothesis writes out the example through libcst, whose
+    # import warns; unfiltered, that warning ends the pytest session as an
+    # internal error instead of reporting the failure
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @given(eval_inputs())
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    def test_exits_0_or_2_with_one_error_line(self, inputs):
+        bundle, head, ds = inputs
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            model, data = os.path.join(tmp, "model.bin"), os.path.join(tmp, "scene.csv")
+            save_checkpoint(model, bundle, meta={"eval_head": head})
+            save_csv(ds, data)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["eval", "--model", model, "--data", data])
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue().startswith(f"eval[{head}] OA ")
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestUndecodableInput:

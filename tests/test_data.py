@@ -120,12 +120,6 @@ class TestSampleKPerClass:
         b = sample_k_per_class(tgt, 10, seed=5)[0]
         assert np.array_equal(a.spectra, b.spectra)
 
-    def test_small_class_error_names_class(self):
-        labels = np.array([0, 0, 0, 1])
-        ds = SceneDataset("t", 2, np.zeros((4, 2)), labels)
-        with pytest.raises(DataError, match="class 1"):
-            sample_k_per_class(ds, 2, seed=0)
-
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from xscene.data import SynthConfig, generate_pair, sample_k_per_class
-from xscene.errors import (ConfigError, DataError, DimensionError,
-                           DivergenceError, ParseError)
+from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
 from xscene.harness import (ABLATION_LADDER, EMA_BETA, EVAL_BLOCK_ROWS,
                             TOGGLES, RunReport, TrainConfig, _run_phase,
                             ablate, config_from_dict, evaluate,
@@ -368,8 +367,47 @@ class TestEvaluateInBlocks:
         bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, make_rng(0))
         with pytest.raises(DataError, match="4 classes but the agree head predicts 3"):
             evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 4), "agree")
-        with pytest.raises(DimensionError, match="fan-in 6"):
+        with pytest.raises(DataError, match="fan-in 6"):
             evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 5, 3), "agree")
+
+    # (component, its dims, scene bands, scene classes, error) against a
+    # 6-band, 3-class agree head: a band, a link and a class mismatch
+    MISMATCHES = [
+        ("target_extractor", [6, 16, 8], 5, 3, "target_extractor of the agree "
+         "head has fan-in 6 but is given the dataset's 5 bands"),
+        ("shared_encoder", [7, 16, 8], 6, 3, "shared_encoder of the agree head "
+         "has fan-in 7 but is given target_extractor's 8 outputs"),
+        ("target_head", [8, 3], 6, 4, "dataset has 4 classes but the agree "
+         "head predicts 3")]
+
+    @pytest.mark.parametrize("name, dims, bands, classes, error", MISMATCHES,
+                             ids=["bands", "link", "classes"])
+    def test_mismatch_raises_before_any_block_is_scored(
+            self, monkeypatch, name, dims, bands, classes, error):
+        import xscene.harness as harness
+        seen = []
+        predict = harness.predict
+        monkeypatch.setattr(harness, "predict",
+                            lambda *args: seen.append(args) or predict(*args))
+        layout = ModelBundle.build(4, 6, 2, 3, 8, 16, 8).layout()
+        layout[name] = dims
+        ds = self.scene(2 * EVAL_BLOCK_ROWS + 3, bands, classes)
+        with pytest.raises(DataError, match=f"^{error}$"):
+            evaluate(ModelBundle(layout), ds, "agree")
+        assert seen == []
+
+    def test_only_the_evaluated_head_must_chain(self):
+        # the private chain does not link; the agree head still evaluates
+        bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, make_rng(0))
+        layout = bundle.layout()
+        layout["private_encoder"] = [3, 16, 8]
+        unlinked = ModelBundle(layout)
+        unlinked.agreement[:] = bundle.agreement
+        ds = self.scene(50, 6, 3)
+        assert evaluate(unlinked, ds, "agree") == evaluate(bundle, ds, "agree")
+        with pytest.raises(DataError, match="private_encoder of the disagree "
+                                            "head has fan-in 3"):
+            evaluate(unlinked, ds, "disagree")
 
     def test_peak_memory_does_not_grow_with_the_rows(self):
         # the activations of one block dominate; the predictions and the

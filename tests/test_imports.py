@@ -1,14 +1,18 @@
 """Module boundary: a module under src/xscene/ uses only the public names
 of the other xscene modules. Also a linter's duplicate-definition check:
-no module under src/xscene/ or tests/ defines a name twice in one body,
-and a dead-code check: every top-level function and class under
-src/xscene/ is referred to by the program or the benchmark, not only by
-tests."""
+no module under src/xscene/ or tests/ defines a name twice in one body;
+a dead-code check: every top-level function and class under src/xscene/
+is referred to by the program or the benchmark, not only by tests; and a
+traceback check: every `raise` under src/xscene/ raises a class that the
+CLI turns into exit code 2."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import xscene
+import xscene.cli
+import xscene.errors
 
 SRC = Path(xscene.__file__).parent
 TESTS = Path(__file__).parent
@@ -149,3 +153,84 @@ def test_unreferenced_definitions_are_found():
                  "patch(m, 'by_string')\n")
     assert unreferenced_definitions([defining], [referring]) == {
         "recursive", "Alone"}
+
+
+def raised_names(source):
+    """(line, function, name) for every `raise` that names what it raises:
+    the name of the class it raises or calls, or of the variable it
+    raises, with the function the statement is in ("" at module level).
+    A bare `raise` re-raises what a handler caught and is left out."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
+                found.append((child.lineno, function, name))
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def uncaught_raises(source, scope, caught, allowed):
+    """(line, name) for every raise in `source` whose name, looked up in
+    `scope`, is not a subclass of one of the `caught` classes, unless
+    (function, name) is in `allowed`."""
+    return [(line, name) for line, function, name in raised_names(source)
+            if (function, name) not in allowed
+            and not (isinstance(scope.get(name), type)
+                     and issubclass(scope[name], caught))]
+
+
+def exit_2_classes():
+    """The exception classes that cli.main's handlers turn into exit 2."""
+    tree = ast.parse(Path(xscene.cli.__file__).read_text(encoding="utf-8"))
+    main = next(stmt for stmt in tree.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "main")
+    scope = {**vars(builtins), **vars(xscene.cli)}
+    return tuple(scope[node.id] for handler in ast.walk(main)
+                 if isinstance(handler, ast.ExceptHandler)
+                 for node in ast.walk(handler.type) if isinstance(node, ast.Name))
+
+
+# raises of a parameter, not a class, each with the reason it exits 2
+RAISED_PARAMETERS = {
+    ("_decode_json", "error"): "its callers pass ConfigError and ParseError",
+}
+
+
+def test_every_raise_exits_2():
+    # every exception class the program raises is a builtin or in errors.py
+    scope = {**vars(builtins), **vars(xscene.errors)}
+    caught = exit_2_classes()
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = uncaught_raises(path.read_text(encoding="utf-8"), scope, caught,
+                                RAISED_PARAMETERS)
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_uncaught_raises_are_found():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        raise IndexError('x')\n"
+              "    raise errors.ZeroDivisionError\n"
+              "def g(error):\n"
+              "    try:\n"
+              "        raise KeyError\n"
+              "    except KeyError:\n"
+              "        raise\n"
+              "    raise error('allowed here')\n"
+              "def h(error):\n"
+              "    raise error('not here')\n"
+              "raise Undefined()\n")
+    scope = vars(builtins)
+    assert uncaught_raises(source, scope, (LookupError,), {("g", "error")}) == [
+        (4, "ZeroDivisionError"), (12, "error"), (13, "Undefined")]

@@ -39,11 +39,6 @@ class TestAccumulate:
         assert cm.counts.dtype == np.int64
         assert np.array_equal(cm.counts, loop_counts(4, true, pred))
 
-    def test_out_of_range(self):
-        for true, pred in (([2], [0]), ([0], [2]), ([0, -1], [0, 0])):
-            with pytest.raises(IndexError):
-                ConfusionMatrix.from_predictions(2, true, pred)
-
 
 class TestOverallAccuracy:
     def test_identity(self):
@@ -54,10 +49,6 @@ class TestOverallAccuracy:
 
     def test_all_off_diagonal(self):
         assert overall_accuracy(cm_from([[0, 3], [3, 0]])) == 0.0
-
-    def test_empty_matrix(self):
-        with pytest.raises(ZeroDivisionError):
-            overall_accuracy(ConfusionMatrix(2))
 
 
 class TestAverageAccuracy:
