@@ -72,7 +72,6 @@ def logitnorm(z, tau):
 
     Accepts a single logit vector or an n x C batch (row-wise).
     """
-    z = np.asarray(z, dtype=np.float64)
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     return z / (tau * np.maximum(norms, NORM_EPS))
 

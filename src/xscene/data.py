@@ -93,7 +93,7 @@ class SynthConfig:
         counts = (self.bands_source, self.bands_target, self.classes_source,
                   self.classes_target, self.samples_per_class_source,
                   self.samples_per_class_target)
-        if any(int(c) < 1 for c in counts):
+        if any(c < 1 for c in counts):
             raise ConfigError("all band/class/sample counts must be >= 1")
         for key in ("classes_source", "classes_target"):
             if getattr(self, key) < 2:

@@ -14,7 +14,7 @@ dependence.
 
 import numpy as np
 
-from .errors import SampleCountError
+from .errors import DataError
 
 DVAR_FLOOR = 1e-15
 # smoothing inside sqrt keeps the penalty differentiable at coincident rows
@@ -24,7 +24,7 @@ DIST_SMOOTHING = 1e-12
 def _as_batch(x, name="batch"):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 2:
-        raise SampleCountError(f"{name} needs at least 2 samples, got {x.shape[0]}")
+        raise DataError(f"{name} needs at least 2 samples, got {x.shape[0]}")
     return x
 
 
@@ -61,7 +61,7 @@ def distance_correlation(x, y):
     x = _as_batch(x, "x")
     y = _as_batch(y, "y")
     if x.shape[0] != y.shape[0]:
-        raise SampleCountError(
+        raise DataError(
             f"batches must have equal sample counts, got {x.shape[0]} and {y.shape[0]}"
         )
     a = double_center(pairwise_distances(x))

@@ -9,16 +9,8 @@ class DataError(ValueError):
     """Dataset violates a required property."""
 
 
-class SampleCountError(DataError):
-    """Too few samples, or mismatched sample counts between batches."""
-
-
 class ParseError(ValueError):
     """Malformed file content; the message names the offending line."""
-
-
-class MetricError(ValueError):
-    """Metric is undefined for the given confusion matrix."""
 
 
 class DivergenceError(ArithmeticError):

@@ -26,7 +26,7 @@ from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
 from .model import (COMPONENT_ORDER, HEADS, ModelBundle, agreement_backward,
                     ensemble_backward, predict, private_backward)
-from .nn import adam_step, check_nbytes, make_rng, n_params
+from .nn import adam_step, check_nbytes, n_params
 
 CHECKPOINT_MAGIC = "xscene-checkpoint-v1"
 
@@ -140,19 +140,19 @@ class RunReport:
 
 def evaluate(bundle, ds, head):
     """Argmax classification of a target dataset by `head` (a HEADS key);
-    returns (OA, AA, kappa) as fractions. The head's networks must chain
-    from the dataset's bands to its classes, which is checked before any
-    row is scored. Rows are scored EVAL_BLOCK_ROWS at a time, so beyond
-    the dataset it holds one block's activations and the predictions;
-    logits that overflow raise DataError."""
-    if ds.n == 0:
-        raise DataError("evaluation split is empty")
+    returns (OA, AA, kappa) as fractions. The dataset has rows: load_csv
+    rejects a file with none, and TrainConfig rejects shots that leave no
+    evaluation split. The head's networks must chain from the dataset's
+    bands to its classes, which is checked before any row is scored. Rows
+    are scored EVAL_BLOCK_ROWS at a time, so beyond the dataset it holds
+    one block's activations and the predictions; logits that overflow
+    raise DataError."""
     width, given = ds.bands, f"the dataset's {ds.bands} bands"
     for name in HEADS[head]:
         mlp = getattr(bundle, name)
-        if mlp.in_dim != width:
+        if mlp.dims[0] != width:
             raise DataError(f"{name} of the {head} head has fan-in "
-                            f"{mlp.in_dim} but is given {given}")
+                            f"{mlp.dims[0]} but is given {given}")
         width, given = mlp.dims[-1], f"{name}'s {mlp.dims[-1]} outputs"
     if width != ds.classes:
         raise DataError(f"dataset has {ds.classes} classes but the {head} "
@@ -290,8 +290,8 @@ def train(cfg):
     bundle = ModelBundle.build(
         cfg.synth.bands_source, cfg.synth.bands_target,
         cfg.synth.classes_source, cfg.synth.classes_target,
-        cfg.feat_dim, cfg.hidden_dim, cfg.enc_dim, make_rng(init_ss))
-    batch_rng = make_rng(batch_ss)
+        cfg.feat_dim, cfg.hidden_dim, cfg.enc_dim, np.random.default_rng(init_ss))
+    batch_rng = np.random.default_rng(batch_ss)
     steps = []
     steps_per_epoch = -(-source.n // cfg.batch_size)
 

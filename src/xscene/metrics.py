@@ -3,7 +3,7 @@ average per-class recall, and Cohen's kappa."""
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import DataError
 
 
 class ConfusionMatrix:
@@ -11,7 +11,6 @@ class ConfusionMatrix:
     predicted class."""
 
     def __init__(self, num_classes, counts=None):
-        self.num_classes = int(num_classes)
         if counts is None:
             self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         else:
@@ -23,19 +22,18 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, num_classes, true_labels, pred_labels):
-        """Count the (true, predicted) pairs; every label lies in
-        [0, num_classes)."""
+        """Count the (true, predicted) pairs of two integer label arrays;
+        every label lies in [0, num_classes)."""
         cm = cls(num_classes)
-        true_labels = np.asarray(true_labels, dtype=np.int64)
-        pred_labels = np.asarray(pred_labels, dtype=np.int64)
-        c = cm.num_classes
+        c = num_classes
         cells = (true_labels * c + pred_labels).ravel()
         cm.counts += np.bincount(cells, minlength=c * c).reshape(c, c)
         return cm
 
 
 def overall_accuracy(cm):
-    """trace / total, of a matrix that counts at least one prediction."""
+    """trace / total, of a matrix that counts at least one prediction:
+    evaluate's dataset has rows (load_csv and TrainConfig check it)."""
     return float(np.trace(cm.counts) / cm.total)
 
 
@@ -44,7 +42,7 @@ def average_accuracy(cm):
     row_sums = cm.counts.sum(axis=1)
     empty = np.flatnonzero(row_sums == 0)
     if empty.size:
-        raise MetricError(f"class {int(empty[0])} has no samples")
+        raise DataError(f"class {int(empty[0])} has no samples")
     recalls = np.diag(cm.counts) / row_sums
     return float(recalls.mean())
 

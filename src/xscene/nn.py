@@ -19,11 +19,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-4
 
 
-def make_rng(seed):
-    """PCG64 generator from an int seed, SeedSequence, or Generator."""
-    return np.random.default_rng(seed)
-
-
 def glorot_uniform(fan_in, fan_out, rng):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -31,7 +26,7 @@ def glorot_uniform(fan_in, fan_out, rng):
 
 def n_params(dims):
     """Parameter count of an MLP with layer dims [in, h1, ..., out]."""
-    if len(dims) < 2 or any(int(d) < 1 for d in dims):
+    if len(dims) < 2 or any(d < 1 for d in dims):
         raise ConfigError(f"bad layer dims {dims!r}")
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
@@ -80,7 +75,7 @@ class Mlp:
     """
 
     def __init__(self, dims, block, rng=None):
-        self.dims = [int(d) for d in dims]
+        self.dims = dims
         self.params = block
         self.values, self.grads = block[:2]
         self.weights, self.biases = [], []
@@ -97,14 +92,10 @@ class Mlp:
                 self.weights[-1][:] = glorot_uniform(fan_in, fan_out, rng)
             offset = end
 
-    @property
-    def in_dim(self):
-        return self.dims[0]
-
     def forward(self, x, keep_cache=True):
         """Returns (output, cache); the cache feeds backward(). Without
         keep_cache the cache is None and each layer's input is freed once
-        the next layer has it. x is a float64 (rows, in_dim) array."""
+        the next layer has it. x is a float64 (rows, dims[0]) array."""
         cache = [] if keep_cache else None
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -136,7 +127,7 @@ class Mlp:
         return g
 
 
-def adam_step(block, lr, weight_decay=0.0, t=1):
+def adam_step(block, lr, weight_decay, t):
     """One Adam update of a (4, n) block (values, grads, m, v).
 
     Decoupled weight decay shrinks parameters by lr*weight_decay before the
@@ -147,8 +138,7 @@ def adam_step(block, lr, weight_decay=0.0, t=1):
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     w, g, m, v = block
-    if weight_decay:
-        w -= lr * weight_decay * w
+    w -= lr * weight_decay * w
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2

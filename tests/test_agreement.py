@@ -3,7 +3,7 @@ import pytest
 
 from xscene.agreement import (ALPHA_LIMIT, NORM_EPS, ema_update, gradvac_update,
                               logitnorm, logitnorm_ce)
-from xscene.nn import make_rng, softmax_ce
+from xscene.nn import softmax_ce
 
 
 # Reference oracles: the three primitives the training step once called one
@@ -94,7 +94,7 @@ def assert_matches_reference(g_s, g_t, alpha, enabled):
 
 class TestMatchesReference:
     def test_random_pairs(self):
-        rng = make_rng(303)
+        rng = np.random.default_rng(303)
         fired = 0
         for i in range(400):
             dim = 4192 if i % 50 == 0 else int(rng.integers(2, 65))
@@ -193,7 +193,7 @@ class TestGradvacUpdate:
         assert res.phi_post == 0.0 and res.mag_sim == 0.0
 
     def test_alignment_guarantee_random(self):
-        rng = make_rng(101)
+        rng = np.random.default_rng(101)
         for _ in range(300):
             dim = int(rng.integers(2, 65))
             g_s = rng.normal(size=dim)
@@ -204,7 +204,7 @@ class TestGradvacUpdate:
             assert res.phi_post == pytest.approx(alpha, abs=1e-9)
 
     def test_never_shrinks_agreement(self):
-        rng = make_rng(202)
+        rng = np.random.default_rng(202)
         for _ in range(100):
             g_s = rng.normal(size=8)
             g_t = rng.normal(size=8)
@@ -228,7 +228,7 @@ class TestGradvacMagSim:
         assert res.mag_sim == 0.0
 
     def test_symmetric_and_scale_invariant(self):
-        rng = make_rng(17)
+        rng = np.random.default_rng(17)
         for _ in range(50):
             a = rng.normal(size=6)
             b = rng.normal(size=6)
@@ -250,7 +250,7 @@ class TestEmaUpdate:
         assert ema_update(0.42, 0.42, 0.25) == pytest.approx(0.42)
 
     def test_convex_combination(self):
-        rng = make_rng(5)
+        rng = np.random.default_rng(5)
         for _ in range(200):
             a = rng.uniform(-0.99, 0.99)
             phi = rng.uniform(-1.0, 1.0)
@@ -276,7 +276,7 @@ class TestEmaMatchesOldFormulation:
         assert type(got) is float and got == want
 
     def test_random_in_range(self):
-        rng = make_rng(311)
+        rng = np.random.default_rng(311)
         for _ in range(200):
             args = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
                     float(rng.uniform(1e-3, 1.0)))
@@ -295,7 +295,7 @@ class TestMagnitudeSimilarity:
         assert magnitude_similarity([1.0, 1.0], [0.0, 0.0]) == 0.0
 
     def test_symmetric_and_scale_invariant(self):
-        rng = make_rng(17)
+        rng = np.random.default_rng(17)
         for _ in range(50):
             a = rng.normal(size=6)
             b = rng.normal(size=6)
@@ -317,7 +317,7 @@ class TestLogitNorm:
 
     def test_scale_invariance(self):
         tau = 1.5
-        rng = make_rng(23)
+        rng = np.random.default_rng(23)
         z = rng.normal(size=7)
         for c in (0.5, 3.0, 1000.0):
             np.testing.assert_allclose(logitnorm(c * z, tau), logitnorm(z, tau),
@@ -325,7 +325,7 @@ class TestLogitNorm:
 
     def test_norm_and_argmax_random(self):
         tau = 2.0
-        rng = make_rng(29)
+        rng = np.random.default_rng(29)
         for _ in range(100):
             z = rng.normal(size=int(rng.integers(2, 12)))
             out = logitnorm(z, tau)
@@ -336,7 +336,7 @@ class TestLogitNorm:
 class TestLogitNormCe:
     def test_gradient_matches_finite_differences(self):
         tau = 2.0
-        rng = make_rng(31)
+        rng = np.random.default_rng(31)
         for _ in range(10):
             n = int(rng.integers(1, 9))
             c = int(rng.integers(2, 6))
@@ -362,7 +362,7 @@ class TestLogitNormCe:
 
     def test_row_rescaling_leaves_loss_unchanged(self):
         tau = 2.0
-        rng = make_rng(37)
+        rng = np.random.default_rng(37)
         z = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
         base = logitnorm_ce(z, labels, tau)[0]
@@ -373,7 +373,7 @@ class TestLogitNormCe:
     def test_matches_old_formulation(self, n, c):
         # bit for bit, with an all-zero logit row among live ones, so the
         # left-out rows path runs
-        rng = make_rng(43 + n + c)
+        rng = np.random.default_rng(43 + n + c)
         for trial in range(10):
             z = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-3, 3)
             if trial % 2 == 0:
@@ -388,7 +388,7 @@ class TestLogitNormCe:
         # bit for bit the max | |logitnorm(row)| - 1/tau | over the rows of
         # non-zero logits; all-zero rows are left out
         tau = 2.0
-        rng = make_rng(41)
+        rng = np.random.default_rng(41)
         z = rng.normal(size=(6, 4)) * np.array([[1e-3], [1.0], [50.0], [0.0],
                                                 [7.0], [1e3]])
         labels = rng.integers(0, 4, size=6)

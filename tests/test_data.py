@@ -56,7 +56,6 @@ class TestGeneratePair:
         # source branch, so only the data differs between the two tasks
         from xscene.model import ModelBundle, agreement_backward
         from xscene.agreement import gradvac_update
-        from xscene.nn import make_rng
 
         def mean_phi(conflict, shared):
             phis = []
@@ -66,7 +65,7 @@ class TestGeneratePair:
                 src, tgt = generate_pair(cfg)
                 bundle = ModelBundle.build(cfg.bands_source, cfg.bands_target,
                                            cfg.classes_source, cfg.classes_target,
-                                           32, 64, 32, make_rng(seed))
+                                           32, 64, 32, np.random.default_rng(seed))
                 for pair in (("target_extractor", "source_extractor"),
                              ("target_head", "source_head")):
                     dst, srcc = (getattr(bundle, pair[0]), getattr(bundle, pair[1]))

@@ -1,10 +1,11 @@
 """Module boundary: a module under src/xscene/ uses only the public names
 of the other xscene modules. Also a linter's duplicate-definition check:
 no module under src/xscene/ or tests/ defines a name twice in one body;
-a dead-code check: every top-level function and class under src/xscene/
-is referred to by the program or the benchmark, not only by tests; and a
-traceback check: every `raise` under src/xscene/ raises a class that the
-CLI turns into exit code 2."""
+a dead-code check: every top-level function and class, and every method
+and property of a class, under src/xscene/ is referred to by the program
+or the benchmark, not only by tests; and a traceback check: every `raise`
+under src/xscene/ raises a class that the CLI turns into exit code 2, and
+every class in errors.py is raised."""
 
 import ast
 import builtins
@@ -17,6 +18,10 @@ import xscene.errors
 SRC = Path(xscene.__file__).parent
 TESTS = Path(__file__).parent
 BENCH = TESTS.parent / "bench"
+
+
+def sources(folder):
+    return [path.read_text(encoding="utf-8") for path in sorted(folder.glob("*.py"))]
 
 
 def private_imports(source):
@@ -133,10 +138,8 @@ ONLY_TESTS_CALL = {
 
 def test_every_definition_has_a_program_caller():
     # equality, so an entry that gained a caller fails too
-    src, bench = ([path.read_text(encoding="utf-8")
-                   for path in sorted(folder.glob("*.py"))]
-                  for folder in (SRC, BENCH))
-    assert unreferenced_definitions(src, bench) == set(ONLY_TESTS_CALL)
+    found = unreferenced_definitions(sources(SRC), sources(BENCH))
+    assert found == set(ONLY_TESTS_CALL)
 
 
 def test_unreferenced_definitions_are_found():
@@ -153,6 +156,47 @@ def test_unreferenced_definitions_are_found():
                  "patch(m, 'by_string')\n")
     assert unreferenced_definitions([defining], [referring]) == {
         "recursive", "Alone"}
+
+
+def unreferenced_members(defining, referring):
+    """`Class.name` for every method and property, dunders aside, of a
+    top-level class in the `defining` sources that no source in `defining`
+    or `referring` refers to outside the member's own body."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    trees = [ast.parse(source) for source in defining]
+    members = {(cls.name, stmt.name) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for stmt in cls.body
+               if isinstance(stmt, defs) and not stmt.name.startswith("__")}
+    used = set()
+    for tree in [*trees, *map(ast.parse, referring)]:
+        for stmt in tree.body:
+            for unit in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                own = {unit.name} if isinstance(unit, defs) else set()
+                used |= references(unit) - own
+    return {f"{cls}.{name}" for cls, name in members if name not in used}
+
+
+def test_every_member_has_a_program_caller():
+    assert unreferenced_members(sources(SRC), sources(BENCH)) == set()
+
+
+def test_unreferenced_members_are_found():
+    defining = ("class A:\n"
+                "    def __init__(self): pass\n"
+                "    def called(self): return self.helper()\n"
+                "    def helper(self): pass\n"
+                "    def recursive(self): return self.recursive()\n"
+                "    @property\n"
+                "    def unread(self): return 1\n"
+                "    @property\n"
+                "    def read(self): return 2\n"
+                "    @classmethod\n"
+                "    def make(cls): return cls()\n"
+                "def f(a):\n"
+                "    return a.called(), a.read\n")
+    referring = "patch(A, 'make')\n"
+    assert unreferenced_members([defining], [referring]) == {
+        "A.recursive", "A.unread"}
 
 
 def raised_names(source):
@@ -234,3 +278,31 @@ def test_uncaught_raises_are_found():
     scope = vars(builtins)
     assert uncaught_raises(source, scope, (LookupError,), {("g", "error")}) == [
         (4, "ZeroDivisionError"), (12, "error"), (13, "Undefined")]
+
+
+def unraised_classes(errors_source, raising):
+    """The classes defined in `errors_source` that no `raise` in the
+    `raising` sources names."""
+    defined = {stmt.name for stmt in ast.parse(errors_source).body
+               if isinstance(stmt, ast.ClassDef)}
+    raised = {name for source in raising for _, _, name in raised_names(source)}
+    return defined - raised
+
+
+def test_every_error_class_is_raised():
+    errors = Path(xscene.errors.__file__).read_text(encoding="utf-8")
+    assert unraised_classes(errors, sources(SRC)) == set()
+
+
+def test_unraised_classes_are_found():
+    errors = ("class Raised(ValueError): pass\n"
+              "class ByAttribute(ValueError): pass\n"
+              "class OnlyCaught(ValueError): pass\n"
+              "class OnlyNamed(ValueError): pass\n")
+    raising = ("def f():\n"
+               "    try:\n"
+               "        raise Raised('x')\n"
+               "    except OnlyCaught:\n"
+               "        raise errors.ByAttribute\n"
+               "KINDS = (OnlyNamed,)\n")
+    assert unraised_classes(errors, [raising]) == {"OnlyCaught", "OnlyNamed"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xscene.errors import MetricError
+from xscene.errors import DataError
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
 
@@ -21,14 +21,15 @@ def loop_counts(num_classes, true_labels, pred_labels):
 
 class TestAccumulate:
     def test_single_increment(self):
-        cm = ConfusionMatrix.from_predictions(3, [1], [2])
+        cm = ConfusionMatrix.from_predictions(3, np.array([1]), np.array([2]))
         assert cm.counts[1, 2] == 1
         assert np.array_equal(cm.counts, loop_counts(3, [1], [2]))
 
     def test_total_grows_by_one(self):
-        true, pred = [0, 1, 1, 0], [0, 1, 0, 0]
+        true, pred = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0])
         before = ConfusionMatrix.from_predictions(2, true, pred).total
-        after = ConfusionMatrix.from_predictions(2, true + [0], pred + [0]).total
+        after = ConfusionMatrix.from_predictions(
+            2, np.append(true, 0), np.append(pred, 0)).total
         assert after == before + 1
 
     def test_other_cells_untouched(self):
@@ -63,7 +64,7 @@ class TestAverageAccuracy:
         assert average_accuracy(cm) == pytest.approx(overall_accuracy(cm))
 
     def test_empty_class_named(self):
-        with pytest.raises(MetricError, match="class 1"):
+        with pytest.raises(DataError, match="class 1"):
             average_accuracy(cm_from([[4, 0], [0, 0]]))
 
 

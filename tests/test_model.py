@@ -6,7 +6,7 @@ from xscene.disagreement import (dcor_penalty, log_softmax, smoothed_distances,
                                  symmetric_kl)
 from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           ensemble_backward, predict, private_backward)
-from xscene.nn import adam_step, make_rng, softmax_ce
+from xscene.nn import adam_step, softmax_ce
 
 # each branch's contiguous run of components
 BRANCHES = {"agreement": COMPONENT_ORDER[:5], "private": COMPONENT_ORDER[5:8],
@@ -23,7 +23,7 @@ def tiny_bundle(seed=0, bands_source=6, bands_target=5, classes_source=3,
                 classes_target=3, feat_dim=4, hidden_dim=4, enc_dim=4):
     return ModelBundle.build(bands_source, bands_target, classes_source,
                              classes_target, feat_dim, hidden_dim, enc_dim,
-                             make_rng(seed))
+                             np.random.default_rng(seed))
 
 
 def hand_bundle():
@@ -47,21 +47,21 @@ class TestForwards:
 
     def test_disagree_returns_private_logits(self):
         bundle = tiny_bundle(seed=3)
-        x = make_rng(1).normal(size=(4, 5))
+        x = np.random.default_rng(1).normal(size=(4, 5))
         feats = bundle.private_encoder.predict(bundle.private_extractor.predict(x))
         expected = bundle.private_head.predict(feats)
         np.testing.assert_allclose(predict(bundle, "disagree", x), expected)
 
     def test_ensemble_uses_target_extractor_features(self):
         bundle = tiny_bundle(seed=3)
-        x = make_rng(1).normal(size=(4, 5))
+        x = np.random.default_rng(1).normal(size=(4, 5))
         base = bundle.target_extractor.predict(x)
         expected = bundle.ensemble_head.predict(bundle.ensemble_encoder.predict(base))
         np.testing.assert_allclose(predict(bundle, "ensemble", x), expected)
 
     def test_identical_rows_identical_logits(self):
         bundle = tiny_bundle(seed=5)
-        row = make_rng(2).normal(size=(1, 6))
+        row = np.random.default_rng(2).normal(size=(1, 6))
         out = forward_source(bundle, np.repeat(row, 4, axis=0))
         assert np.array_equal(out[0], out[1])
         assert np.array_equal(out[0], out[3])
@@ -72,7 +72,7 @@ class TestSharedGradients:
         bundle = tiny_bundle(seed=7, bands_source=5, bands_target=5)
         bundle.target_extractor.values[:] = bundle.source_extractor.values
         bundle.target_head.values[:] = bundle.source_head.values
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
         res = agreement_backward(bundle, (x, y), (x.copy(), y.copy()))
@@ -82,7 +82,7 @@ class TestSharedGradients:
 
     def test_source_gradient_ignores_target_batch(self):
         bundle = tiny_bundle(seed=9)
-        rng = make_rng(13)
+        rng = np.random.default_rng(13)
         xs = rng.normal(size=(4, 6))
         ys = rng.integers(0, 3, size=4)
         xt1 = rng.normal(size=(5, 5))
@@ -119,7 +119,7 @@ class TestSharedGradients:
     def test_matches_finite_differences(self, use_ln):
         tau = 2.0 if use_ln else None
         bundle = tiny_bundle(seed=21)
-        rng = make_rng(23)
+        rng = np.random.default_rng(23)
         xs = rng.normal(size=(5, 6))
         ys = rng.integers(0, 3, size=5)
         xt = rng.normal(size=(4, 5))
@@ -137,7 +137,7 @@ class TestSharedGradients:
         # stale gradients left in the bundle by an earlier step change
         # nothing: each agreement component's gradient is written, and the
         # other branches' buffers are not touched
-        rng = make_rng(25)
+        rng = np.random.default_rng(25)
         xs, ys = rng.normal(size=(7, 6)), rng.integers(0, 3, size=7)
         xt, yt = rng.normal(size=(5, 5)), rng.integers(0, 3, size=5)
         clean = tiny_bundle(seed=27)
@@ -208,7 +208,7 @@ class TestBranchBackward:
 
     @pytest.mark.parametrize("use_dir", [False, True])
     def test_private_matches_finite_differences(self, use_dir):
-        rng = make_rng(51 + use_dir)
+        rng = np.random.default_rng(51 + use_dir)
         done = 0
         while done < 3:
             bundle, x_all, y_all, idx = branch_draw(rng)
@@ -234,7 +234,7 @@ class TestBranchBackward:
                                        rtol=1e-4, atol=1e-8)
 
     def test_ensemble_matches_finite_differences(self):
-        rng = make_rng(55)
+        rng = np.random.default_rng(55)
         done = 0
         while done < 3:
             bundle, x_all, y_all, idx = branch_draw(rng)
@@ -260,7 +260,7 @@ class TestBranchBackward:
         # stale gradients left in the bundle by an earlier step change
         # nothing: each of the branch's gradients is written, and the other
         # branches' buffers are not touched
-        rng = make_rng(57)
+        rng = np.random.default_rng(57)
         x_all, y_all = rng.normal(size=(4, 5)), rng.integers(0, 3, size=4)
         idx = rng.integers(0, 4, size=7)
         teachers = (log_softmax(rng.normal(size=(7, 3)), 1.0),
@@ -275,9 +275,9 @@ class TestBranchBackward:
                 ensemble_backward(bundle, base, y_all[idx], (teachers[0], 1.0),
                                   (teachers[1], 0.05))
 
-        clean = branch_draw(make_rng(59))[0]
+        clean = branch_draw(np.random.default_rng(59))[0]
         step(clean)
-        stale = branch_draw(make_rng(59))[0]
+        stale = branch_draw(np.random.default_rng(59))[0]
         stale.params[1] = rng.normal(size=stale.params.shape[1])
         others = [getattr(stale, b)[1].copy() for b in BRANCHES if b != branch]
         step(stale)
@@ -312,7 +312,7 @@ class TestStructure:
         bundle = tiny_bundle(seed=35)
         rebuilt = ModelBundle(bundle.layout())
         assert rebuilt.layout() == bundle.layout()
-        assert rebuilt.source_extractor.in_dim == 6
+        assert rebuilt.source_extractor.dims[0] == 6
         assert rebuilt.target_head.dims[-1] == 3
         assert not rebuilt.params.any()
 
@@ -341,7 +341,7 @@ class TestStructure:
     @pytest.mark.parametrize("branch", list(BRANCHES))
     def test_adam_on_one_branch_leaves_the_others_bit_identical(self, branch):
         bundle = tiny_bundle(seed=43)
-        rng = make_rng(45)
+        rng = np.random.default_rng(45)
         n = bundle.params.shape[1]
         bundle.params[1:3] = rng.normal(size=(2, n))
         bundle.params[3] = rng.random(n)
@@ -358,7 +358,7 @@ class TestStructure:
     def test_params_is_the_whole_trainable_state(self):
         # a copy of the block, restored, replays the same steps bit for bit
         bundle = tiny_bundle(seed=47)
-        rng = make_rng(49)
+        rng = np.random.default_rng(49)
         batches = [(rng.normal(size=(6, 6)), rng.integers(0, 3, size=6),
                     rng.normal(size=(6, 5)), rng.integers(0, 3, size=6))
                    for _ in range(5)]
@@ -392,7 +392,7 @@ class TestStructure:
         # the caller; extractor and head gradients are whatever their own
         # loss produced
         bundle = tiny_bundle(seed=37)
-        rng = make_rng(39)
+        rng = np.random.default_rng(39)
         xs = rng.normal(size=(4, 6))
         ys = rng.integers(0, 3, size=4)
         xt = rng.normal(size=(4, 5))

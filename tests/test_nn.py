@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from xscene.errors import ConfigError
-from xscene.nn import (PROB_FLOOR, Mlp, adam_step, make_rng, n_params, softmax,
-                       softmax_ce)
+from xscene.nn import PROB_FLOOR, Mlp, adam_step, n_params, softmax, softmax_ce
 
 
 def reference_softmax(z):
@@ -54,7 +53,7 @@ class TestLinear:
         assert out == pytest.approx(np.array([[3.0]]))
 
     def test_zero_input(self):
-        mlp = make_mlp([4, 3], make_rng(0))
+        mlp = make_mlp([4, 3], np.random.default_rng(0))
         mlp.biases[0][:] = 0.0
         out = mlp.predict(np.zeros((5, 4)))
         assert np.all(out == 0.0)
@@ -65,8 +64,8 @@ class TestLinear:
         assert np.array_equal(mlp.predict(x), x)
 
     def test_predict_is_forward_without_a_cache(self):
-        mlp = make_mlp([5, 7, 4, 3], make_rng(2))
-        x = make_rng(3).standard_normal((6, 5))
+        mlp = make_mlp([5, 7, 4, 3], np.random.default_rng(2))
+        x = np.random.default_rng(3).standard_normal((6, 5))
         out, cache = mlp.forward(x)
         assert len(cache) == 3
         assert mlp.forward(x, keep_cache=False)[1] is None
@@ -112,7 +111,7 @@ class TestSoftmax:
         assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_sum_to_one(self):
-        rng = make_rng(3)
+        rng = np.random.default_rng(3)
         z = rng.normal(size=(40, 6)) * 10.0
         p = softmax(z)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
@@ -136,7 +135,7 @@ class TestCrossEntropy:
     def test_equals_reference_bit_for_bit(self):
         # one softmax shared by the loss and the gradient gives exactly the
         # separate reference loss and gradient
-        rng = make_rng(5)
+        rng = np.random.default_rng(5)
         for n in [37, 2, 64, *rng.integers(1, 65, size=20)]:
             c = int(rng.integers(2, 9))
             z = rng.normal(size=(n, c)) * float(rng.uniform(0.1, 30.0))
@@ -148,7 +147,7 @@ class TestCrossEntropy:
             assert np.array_equal(dz, ce_logit_grad(probs, labels))
 
     def test_input_left_unchanged(self):
-        z = make_rng(6).normal(size=(4, 3))
+        z = np.random.default_rng(6).normal(size=(4, 3))
         before = z.copy()
         softmax_ce(z, [0, 1, 2, 0])
         assert np.array_equal(z, before)
@@ -164,7 +163,7 @@ class TestCeLogitGrad:
         assert grad == pytest.approx(np.array([[0.0, 0.0]]))
 
     def test_matches_finite_differences(self):
-        rng = make_rng(7)
+        rng = np.random.default_rng(7)
         z = rng.normal(size=(4, 3))
         labels = rng.integers(0, 3, size=4)
         _, analytic = softmax_ce(z, labels)
@@ -212,7 +211,7 @@ class TestAdam:
 
 class TestParamBlock:
     def test_values_and_grads_are_rows_of_the_block(self):
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         mlp = make_mlp([5, 4, 3], rng)
         probe = rng.normal(size=(4, mlp.params.shape[1]))
         mlp.params[:] = probe
@@ -259,7 +258,7 @@ class TestParamBlock:
 
     def test_mlp_views_the_block_it_is_given(self):
         block = np.zeros((4, n_params([2, 3])))
-        mlp = Mlp([2, 3], block, make_rng(0))
+        mlp = Mlp([2, 3], block, np.random.default_rng(0))
         assert mlp.params is block
         assert np.shares_memory(mlp.weights[0], block[0])
         assert np.array_equal(block[0, :6], mlp.weights[0].ravel())
@@ -272,7 +271,7 @@ def mlp_loss(mlp, x, labels):
 
 class TestMlpGradients:
     def test_parameter_gradients_match_finite_differences(self):
-        rng = make_rng(23)
+        rng = np.random.default_rng(23)
         for _ in range(5):
             d = int(rng.integers(2, 9))
             h = int(rng.integers(2, 9))
@@ -302,7 +301,7 @@ class TestMlpGradients:
             np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-8)
 
     def test_input_gradient_matches_finite_differences(self):
-        rng = make_rng(29)
+        rng = np.random.default_rng(29)
         mlp = make_mlp([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
@@ -321,7 +320,7 @@ class TestMlpGradients:
     def test_backward_writes_gradients_instead_of_adding(self):
         # stale values in the buffers and a second call leave exactly what
         # one call on a fresh block writes
-        rng = make_rng(31)
+        rng = np.random.default_rng(31)
         mlp = make_mlp([5, 7, 6, 3], rng)
         x = rng.normal(size=(9, 5))
         upstream = rng.normal(size=(9, 3))
@@ -337,7 +336,7 @@ class TestMlpGradients:
             assert np.array_equal(mlp.grads, want)
 
     def test_input_grad_false_skips_only_the_input_gradient(self):
-        rng = make_rng(37)
+        rng = np.random.default_rng(37)
         for dims in ([4, 3], [4, 6, 5, 3]):
             mlp = make_mlp(dims, rng)
             x = rng.normal(size=(8, 4))
@@ -351,7 +350,7 @@ class TestMlpGradients:
             assert mlp.grads.tobytes() == full.tobytes()
 
     def test_backward_leaves_upstream_and_cache_unchanged(self):
-        rng = make_rng(41)
+        rng = np.random.default_rng(41)
         mlp = make_mlp([3, 5, 4], rng)
         _, cache = mlp.forward(rng.normal(size=(6, 3)))
         upstream = rng.normal(size=(6, 4))
