@@ -373,9 +373,11 @@ def load_checkpoint(path):
     if not isinstance(layout, dict) or set(layout) != set(COMPONENT_ORDER):
         raise ParseError(f"{path}: checkpoint layout must name exactly the "
                          f"components {', '.join(COMPONENT_ORDER)}")
-    if not all(isinstance(dims, list) and all(type(d) is int for d in dims)
-               for dims in layout.values()):
-        raise ParseError(f"{path}: checkpoint layout dims must be lists of ints")
+    for name, dims in layout.items():
+        if not (isinstance(dims, list) and len(dims) >= 2
+                and all(type(d) is int and d >= 1 for d in dims)):
+            raise ParseError(f"{path}: checkpoint layout dims of {name} must be "
+                             "a list of at least 2 ints, each at least 1")
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise ParseError(f"{path}: checkpoint meta must be an object")
@@ -383,10 +385,7 @@ def load_checkpoint(path):
     if not isinstance(head, str) or head not in HEADS:
         raise ParseError(f"{path}: unknown evaluation head {head!r}")
     # size the blob against the layout before allocating anything for it
-    try:
-        expected = sum(n_params(dims) for dims in layout.values())
-    except ConfigError as exc:
-        raise ParseError(f"{path}: checkpoint layout has {exc}") from None
+    expected = sum(n_params(dims) for dims in layout.values())
     blob = raw[newline + 1:]
     if len(blob) != 8 * expected:
         raise ParseError(f"{path}: checkpoint holds {len(blob)} bytes of "

@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
-
 PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -26,8 +24,6 @@ def glorot_uniform(fan_in, fan_out, rng):
 
 def n_params(dims):
     """Parameter count of an MLP with layer dims [in, h1, ..., out]."""
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ConfigError(f"bad layer dims {dims!r}")
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 

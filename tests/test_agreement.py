@@ -5,6 +5,8 @@ from xscene.agreement import (ALPHA_LIMIT, NORM_EPS, ema_update, gradvac_update,
                               logitnorm, logitnorm_ce)
 from xscene.nn import softmax_ce
 
+from oracles import central_differences
+
 
 # Reference oracles: the three primitives the training step once called one
 # after another, and that sequence itself, with norms through np.linalg.norm.
@@ -284,27 +286,6 @@ class TestEmaMatchesOldFormulation:
             assert type(got) is float and got == old_ema_update(*args)
 
 
-class TestMagnitudeSimilarity:
-    def test_equal_norms(self):
-        assert magnitude_similarity([3.0, 0.0], [0.0, 3.0]) == pytest.approx(1.0)
-
-    def test_two_to_one(self):
-        assert magnitude_similarity([2.0, 0.0], [1.0, 0.0]) == pytest.approx(0.8)
-
-    def test_zero_vector(self):
-        assert magnitude_similarity([1.0, 1.0], [0.0, 0.0]) == 0.0
-
-    def test_symmetric_and_scale_invariant(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            s = float(rng.uniform(0.1, 10.0))
-            assert magnitude_similarity(a, b) == pytest.approx(magnitude_similarity(b, a))
-            assert magnitude_similarity(s * a, s * b) == pytest.approx(
-                magnitude_similarity(a, b), rel=1e-9)
-
-
 class TestLogitNorm:
     def test_three_four_five(self):
         out = logitnorm(np.array([3.0, 4.0]), 2.0)
@@ -343,15 +324,7 @@ class TestLogitNormCe:
             z = rng.normal(size=(n, c))
             labels = rng.integers(0, c, size=n)
             grad = logitnorm_ce(z, labels, tau)[1]
-            h = 1e-5
-            fd = np.zeros_like(z)
-            for i in range(n):
-                for j in range(c):
-                    zp, zm = z.copy(), z.copy()
-                    zp[i, j] += h
-                    zm[i, j] -= h
-                    fd[i, j] = (logitnorm_ce(zp, labels, tau)[0]
-                                - logitnorm_ce(zm, labels, tau)[0]) / (2 * h)
+            fd = central_differences(lambda: logitnorm_ce(z, labels, tau)[0], z)
             np.testing.assert_allclose(grad, fd, atol=1e-6)
 
     def test_dominant_correct_class_beats_uniform(self):

@@ -259,7 +259,7 @@ class TestEvalProperty:
     @pytest.mark.filterwarnings(
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(eval_inputs())
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=150)
     def test_exits_0_or_2_with_one_error_line(self, inputs):
         bundle, head, ds = inputs
         out, err = io.StringIO(), io.StringIO()

@@ -9,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 from xscene.disagreement import (dcor_penalty, distance_correlation,
                                  double_center, log_softmax, pairwise_distances,
                                  smoothed_distances, symmetric_kl)
-from xscene.errors import ConfigError, DataError
+from xscene.errors import DataError
+
+from oracles import central_differences
 
 
 def naive_dcor(x, y):
@@ -50,10 +52,11 @@ def naive_dcor(x, y):
 
 
 def dcor_loss(shared, private):
-    """Reference two-sided DiR penalty: distance correlation on smoothed
-    distances sqrt(d^2 + 1e-12), with the analytic gradient w.r.t. both
-    batches. Returns (loss, grad_shared, grad_private); a degenerate batch
-    or the dCov <= 0 point gives loss 0 with zero gradients."""
+    """Reference DiR penalty without the unique-row gather: distance
+    correlation on smoothed distances sqrt(d^2 + 1e-12), with its analytic
+    gradient w.r.t. the private batch. Returns (loss, grad_private); a
+    degenerate batch or the dCov <= 0 point gives loss 0 with a zero
+    gradient."""
     def distances(v):
         diff = v[:, None, :] - v[None, :, :]
         return np.sqrt((diff * diff).sum(axis=-1) + 1e-12)
@@ -63,21 +66,16 @@ def dcor_loss(shared, private):
         col = d.mean(axis=0, keepdims=True)
         return d - row - col + d.mean()
 
-    def input_grad(d_loss_d_centered, dist, v):
-        g = center(d_loss_d_centered) / (2.0 * dist)
-        return 4.0 * (g.sum(axis=1, keepdims=True) * v - g @ v)
-
     n = shared.shape[0]
-    dx, dy = distances(shared), distances(private)
-    a, b = center(dx), center(dy)
+    dy = distances(private)
+    a, b = center(distances(shared)), center(dy)
     vxy, vxx, vyy = (a * b).mean(), (a * a).mean(), (b * b).mean()
     if vxx < 1e-15 or vyy < 1e-15 or vxy / np.sqrt(vxx * vyy) <= 0.0:
-        return 0.0, np.zeros_like(shared), np.zeros_like(private)
+        return 0.0, np.zeros_like(private)
     loss = float(np.sqrt(vxy / np.sqrt(vxx * vyy)))
-    # d loss / dA = loss/(2 n^2) * (B/vxy - A/vxx), and symmetrically for B
-    scale = loss / (2.0 * n * n)
-    return (loss, input_grad(scale * (b / vxy - a / vxx), dx, shared),
-            input_grad(scale * (a / vxy - b / vyy), dy, private))
+    # d loss / dB = loss/(2 n^2) * (A/vxy - B/vyy)
+    g = center(loss / (2.0 * n * n) * (a / vxy - b / vyy)) / (2.0 * dy)
+    return loss, 4.0 * (g.sum(axis=1, keepdims=True) * private - g @ private)
 
 
 def penalty(shared, private):
@@ -85,23 +83,6 @@ def penalty(shared, private):
     order."""
     return dcor_penalty(smoothed_distances(shared), np.arange(len(shared)),
                         private)
-
-
-def kl_divergence(p_logits, q_logits, temp, temp_scaled=True):
-    """Reference KL(softmax(p/T) || softmax(q/T)) for one logit vector,
-    scaled by T^2 when temp_scaled."""
-    if temp <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {temp}")
-
-    def log_softmax(v):
-        shifted = np.asarray(v, dtype=np.float64) / temp
-        shifted = shifted - shifted.max()
-        return shifted - np.log(np.exp(shifted).sum())
-
-    lp = log_softmax(p_logits)
-    lq = log_softmax(q_logits)
-    kl = float((np.exp(lp) * (lp - lq)).sum())
-    return kl * temp * temp if temp_scaled else kl
 
 
 class TestPairwiseDistances:
@@ -217,14 +198,7 @@ class TestDcorPenalty:
             x = rng.normal(size=(n, d))
             y = rng.normal(size=(n, d))
             _, gy = penalty(x, y)
-            h = 1e-5
-            fd = np.zeros_like(gy)
-            for i in range(n):
-                for j in range(d):
-                    yp, ym = y.copy(), y.copy()
-                    yp[i, j] += h
-                    ym[i, j] -= h
-                    fd[i, j] = (penalty(x, yp)[0] - penalty(x, ym)[0]) / (2 * h)
+            fd = central_differences(lambda: penalty(x, y)[0], y)
             np.testing.assert_allclose(gy, fd, rtol=1e-4, atol=1e-7)
 
     def test_gradient_descent_decreases_dependence(self):
@@ -262,7 +236,7 @@ class TestDcorPrivate:
             private = private_table[idx]
             loss, g_private = dcor_penalty(smoothed_distances(shared_table),
                                            idx, private)
-            ref_loss, _, ref_g_private = dcor_loss(shared_table[idx], private)
+            ref_loss, ref_g_private = dcor_loss(shared_table[idx], private)
             assert loss > 0.0
             assert loss == ref_loss
             assert np.array_equal(g_private, ref_g_private)
@@ -277,31 +251,6 @@ class TestDcorPrivate:
                                            idx, private_table[idx])
             assert loss == 0.0
             assert g_private.shape == (9, 3) and np.all(g_private == 0.0)
-
-
-class TestKlDivergence:
-    def test_identical_zero(self):
-        z = np.array([0.3, -0.7, 1.1])
-        assert kl_divergence(z, z.copy(), 1.0) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        p = np.array([0.0, 0.0])                 # softmax -> (0.5, 0.5)
-        q = np.array([np.log(9.0), 0.0])         # softmax -> (0.9, 0.1)
-        expected = 0.5 * np.log(0.5 / 0.9) + 0.5 * np.log(0.5 / 0.1)
-        assert kl_divergence(p, q, 1.0) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.5108, abs=1e-4)
-
-    def test_nonnegative_random(self):
-        rng = np.random.default_rng(31)
-        for _ in range(1000):
-            c = int(rng.integers(2, 7))
-            p = rng.normal(size=c) * 3.0
-            q = rng.normal(size=c) * 3.0
-            assert kl_divergence(p, q, float(rng.uniform(0.05, 4.0))) >= 0.0
-
-    def test_temperature_validated(self):
-        with pytest.raises(ConfigError):
-            kl_divergence(np.zeros(3), np.zeros(3), 0.0)
 
 
 def kl_to_logits(student, teacher_logits, temp):
@@ -336,49 +285,17 @@ class TestSymmetricKl:
             s = rng.normal(size=(3, 4))
             t = rng.normal(size=(3, 4))
             _, grad = kl_to_logits(s, t, temp)
-            h = 1e-5
-            fd = np.zeros_like(s)
-            for i in range(s.shape[0]):
-                for j in range(s.shape[1]):
-                    sp, sm = s.copy(), s.copy()
-                    sp[i, j] += h
-                    sm[i, j] -= h
-                    fd[i, j] = (kl_to_logits(sp, t, temp)[0]
-                                - kl_to_logits(sm, t, temp)[0]) / (2 * h)
+            fd = central_differences(lambda: kl_to_logits(s, t, temp)[0], s)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
-
-    def test_equals_batch_mean_of_both_kl_directions(self):
-        # symmetric_kl is the T^2-scaled batch mean of both KL directions
-        rng = np.random.default_rng(59)
-        s = rng.normal(size=(5, 4)) * 2.0
-        t = rng.normal(size=(5, 4)) * 2.0
-        for temp in (1.0, 0.05):
-            expected = np.mean([kl_divergence(a, b, temp) + kl_divergence(b, a, temp)
-                                for a, b in zip(s, t)])
-            loss, _ = kl_to_logits(s, t, temp)
-            assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestEnsembleLosses:
-    def test_zero_when_identical(self):
-        rng = np.random.default_rng(43)
-        z = rng.normal(size=(5, 4))
-        assert kl_to_logits(z, z.copy(), 1.0)[0] == pytest.approx(0.0)
-        assert kl_to_logits(z, z.copy(), 0.05)[0] == pytest.approx(0.0, abs=1e-9)
-
     def test_symmetric_in_roles(self):
         rng = np.random.default_rng(47)
         a = rng.normal(size=(6, 3))
         b = rng.normal(size=(6, 3))
         assert kl_to_logits(a, b, 1.0)[0] == pytest.approx(
             kl_to_logits(b, a, 1.0)[0])
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            a = rng.normal(size=(4, 5))
-            b = rng.normal(size=(4, 5))
-            assert kl_to_logits(a, b, 0.05)[0] >= 0.0
 
     def test_sharp_teacher_hurts_uniform_student_more(self):
         student = np.zeros((1, 3))
@@ -526,7 +443,7 @@ class TestKernelProperties:
     @pytest.mark.filterwarnings(
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(dcor_batches())
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     def test_dcor_penalty_bounded_and_permutation_free(self, batch):
         # the loss only: on a batch of 2 unique rows the gradient is
         # ~1e-16 noise that moves under a permutation
@@ -539,7 +456,7 @@ class TestKernelProperties:
     @pytest.mark.filterwarnings(
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(kl_logits())
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     def test_symmetric_kl_nonnegative_and_zero_at_the_teacher(self, logits):
         student, teacher, temp = logits
         assert kl_to_logits(student, teacher, temp)[0] >= 0.0

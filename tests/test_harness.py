@@ -2,12 +2,14 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xscene.harness as harness
 from xscene.data import SceneDataset, SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
 from xscene.harness import (ABLATION_LADDER, EMA_BETA, EVAL_BLOCK_ROWS,
@@ -17,7 +19,7 @@ from xscene.harness import (ABLATION_LADDER, EMA_BETA, EVAL_BLOCK_ROWS,
                             train, write_ablation_log, write_log)
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
-from xscene.model import COMPONENT_ORDER, ModelBundle
+from xscene.model import COMPONENT_ORDER, HEADS, ModelBundle, predict
 
 
 def quick_cfg(**overrides):
@@ -265,7 +267,7 @@ class TestTargetBatches:
     @given(n=st.integers(1, 5000), batch=st.integers(1, 70),
            steps=st.integers(1, 12), epochs=st.integers(0, 4),
            seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     def test_equals_one_draw_per_step(self, n, batch, steps, epochs, seed):
         ds = SceneDataset("t", 2, np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -324,7 +326,6 @@ class TestEvaluate:
                     evaluate(bundle, ds, head)
 
     def test_heads_are_the_keys_of_model_heads(self):
-        from xscene.model import HEADS
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, np.random.default_rng(0))
         ds = SceneDataset("t", 2, np.zeros((2, 3)), np.array([0, 1]))
         assert set(HEADS) == {"agree", "disagree", "ensemble"}
@@ -359,10 +360,31 @@ class TestEvaluateInBlocks:
             assert evaluate(bundle, ds, head) == (
                 overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm))
 
+    # On a failure hypothesis writes out the example through libcst, whose
+    # import warns; unfiltered, that warning ends the pytest session as an
+    # internal error instead of reporting the failure
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @given(shape=st.integers(1, 60).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))),
+           block=st.integers(1, 7), head=st.sampled_from(sorted(HEADS)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_any_block_size_scores_as_one_predict(self, shape, block, head, seed):
+        # (rows, classes): every class has a row
+        rows, classes = shape
+        rng = np.random.default_rng(seed)
+        bundle = ModelBundle.build(3, 4, 2, classes, 4, 6, 4, rng)
+        ds = SceneDataset("t", classes, rng.standard_normal((rows, 4)),
+                          rng.permutation(np.arange(rows) % classes))
+        preds = predict(bundle, head, ds.spectra).argmax(axis=1)
+        cm = ConfusionMatrix.from_predictions(classes, ds.labels, preds)
+        with patch.object(harness, "EVAL_BLOCK_ROWS", block):
+            got = evaluate(bundle, ds, head)
+        assert got == (overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm))
+
     def test_forward_sees_blocks_of_eval_block_rows(self, monkeypatch):
-        import xscene.harness as harness
         seen = []
-        predict = harness.predict
 
         def spy(bundle, head, x):
             seen.append(len(x))
@@ -394,9 +416,7 @@ class TestEvaluateInBlocks:
                              ids=["bands", "link", "classes"])
     def test_mismatch_raises_before_any_block_is_scored(
             self, monkeypatch, name, dims, bands, classes, error):
-        import xscene.harness as harness
         seen = []
-        predict = harness.predict
         monkeypatch.setattr(harness, "predict",
                             lambda *args: seen.append(args) or predict(*args))
         layout = ModelBundle.build(4, 6, 2, 3, 8, 16, 8).layout()
@@ -531,9 +551,12 @@ class TestCheckpoint:
         # 12 parameters, as in the saved two [2, 2] heads
         lambda h: {**h, "layout": {**h["layout"], "source_head": [2],
                                    "target_head": [2, 2, 2]}},
+        # 12 parameters again, with a head of zero outputs
+        lambda h: {**h, "layout": {**h["layout"], "source_head": [2, 0],
+                                   "target_head": [2, 4]}},
     ], ids=["no_layout", "layout_missing_component", "header_is_list",
             "meta_not_object", "layout_dims_not_list", "layout_too_big_for_blob",
-            "layout_dims_cancel", "layout_dims_single_entry"])
+            "layout_dims_cancel", "layout_dims_single_entry", "layout_dims_zero"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.bin"
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, np.random.default_rng(0))
@@ -573,7 +596,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_blob_rejected(self, tmp_path):
-        from xscene.errors import ParseError
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, np.random.default_rng(0))
         path = tmp_path / "model.bin"
         save_checkpoint(path, bundle)

@@ -8,6 +8,8 @@ from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
                           ensemble_backward, predict, private_backward)
 from xscene.nn import adam_step, softmax_ce
 
+from oracles import central_differences
+
 # each branch's contiguous run of components
 BRANCHES = {"agreement": COMPONENT_ORDER[:5], "private": COMPONENT_ORDER[5:8],
             "ensemble": COMPONENT_ORDER[8:]}
@@ -95,25 +97,15 @@ class TestSharedGradients:
 
     def _fd_shared(self, bundle, x, y, forward_parts, tau=None):
         extractor, head = forward_parts
-        flat = bundle.shared_encoder.values.copy()
-        h = 1e-5
 
-        def loss_at(vec):
-            bundle.shared_encoder.values[:] = vec
+        def loss():
             feats = extractor.predict(x)
             z = head.predict(bundle.shared_encoder.predict(feats))
             if tau is None:
                 return softmax_ce(z, y)[0]
             return logitnorm_ce(z, y, tau)[0]
 
-        fd = np.zeros_like(flat)
-        for i in range(flat.size):
-            up, down = flat.copy(), flat.copy()
-            up[i] += h
-            down[i] -= h
-            fd[i] = (loss_at(up) - loss_at(down)) / (2 * h)
-        bundle.shared_encoder.values[:] = flat
-        return fd
+        return central_differences(loss, bundle.shared_encoder.values)
 
     @pytest.mark.parametrize("use_ln", [False, True])
     def test_matches_finite_differences(self, use_ln):
@@ -157,22 +149,6 @@ def relu_margin(mlp, x):
     """Smallest |pre-activation| that feeds a ReLU in mlp over batch x."""
     _, cache = mlp.forward(x)
     return min(np.abs(z).min() for _, z in cache[:-1])
-
-
-def fd_grad(block, loss_at, h=1e-5):
-    """Central differences of loss_at() over every value (row 0) of a
-    parameter block."""
-    values = block[0]
-    fd = np.zeros(values.size)
-    for i in range(fd.size):
-        saved = values[i]
-        values[i] = saved + h
-        up = loss_at()
-        values[i] = saved - h
-        down = loss_at()
-        values[i] = saved
-        fd[i] = (up - down) / (2 * h)
-    return fd
 
 
 def private_loss(bundle, x, y, shared_dist=None, idx=None):
@@ -228,8 +204,9 @@ class TestBranchBackward:
                 assert dcor > 0.0
             assert loss_ce + (dcor or 0.0) == pytest.approx(
                 private_loss(bundle, x, y, shared_dist, idx), rel=1e-12)
-            fd = fd_grad(bundle.private,
-                         lambda: private_loss(bundle, x, y, shared_dist, idx))
+            fd = central_differences(
+                lambda: private_loss(bundle, x, y, shared_dist, idx),
+                bundle.private[0])
             np.testing.assert_allclose(bundle.private[1], fd,
                                        rtol=1e-4, atol=1e-8)
 
@@ -250,8 +227,9 @@ class TestBranchBackward:
                 bundle, base, y, agree, disagree)
             assert loss_ce + e_agree + e_disagree == pytest.approx(
                 ensemble_loss(bundle, base, y, agree, disagree), rel=1e-12)
-            fd = fd_grad(bundle.ensemble,
-                         lambda: ensemble_loss(bundle, base, y, agree, disagree))
+            fd = central_differences(
+                lambda: ensemble_loss(bundle, base, y, agree, disagree),
+                bundle.ensemble[0])
             np.testing.assert_allclose(bundle.ensemble[1], fd,
                                        rtol=1e-4, atol=1e-8)
 
