@@ -10,11 +10,8 @@ class ConfusionMatrix:
     """C x C integer counts; rows index the true class, columns the
     predicted class."""
 
-    def __init__(self, num_classes, counts=None):
-        if counts is None:
-            self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        else:
-            self.counts = np.array(counts, dtype=np.int64)
+    def __init__(self, num_classes):
+        self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     @property
     def total(self):

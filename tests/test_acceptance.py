@@ -19,6 +19,8 @@ fit.
 import dataclasses
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -236,8 +238,9 @@ def test_04_dcor_oracle_equivalence():
 
 
 def test_05_metric_fixtures():
-    cm = ConfusionMatrix(2, np.array([[5, 5], [0, 10]]))
-    chance = ConfusionMatrix(2, np.array([[25, 25], [25, 25]]))
+    cm, chance = ConfusionMatrix(2), ConfusionMatrix(2)
+    cm.counts[:] = [[5, 5], [0, 10]]
+    chance.counts[:] = [[25, 25], [25, 25]]
     ok = (overall_accuracy(cm) == 0.75
           and average_accuracy(cm) == 0.75
           and cohen_kappa(cm) == 0.5
@@ -262,21 +265,25 @@ def test_06_ema_recursion():
     assert report(6, "ema recursion", worst <= 1e-12, f"err={worst:.2e}")
 
 
-def _ladder_mean(toggles, seeds):
-    oas = []
-    for seed in seeds:
-        cfg = TrainConfig(seed=seed, **toggles)
-        oas.append(train(cfg).oa)
-    return float(np.mean(oas))
+def _train_oa(cfg):
+    return train(cfg).oa
+
+
+def _ladder_mean(pool, toggles, seeds):
+    cfgs = [TrainConfig(seed=seed, **toggles) for seed in seeds]
+    return float(np.mean(list(pool.map(_train_oa, cfgs))))
 
 
 def test_07_end_to_end_trend():
     seeds = range(10)
     start = time.perf_counter()
-    off = _ladder_mean({}, seeds)
-    agree = _ladder_mean(dict(use_gradvac=True, use_logitnorm=True), seeds)
-    full = _ladder_mean(dict(use_gradvac=True, use_logitnorm=True,
-                             use_ensemble=True, use_dir=True), seeds)
+    # spawned workers: forking a process whose OpenBLAS has started is unsafe
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        off = _ladder_mean(pool, {}, seeds)
+        agree = _ladder_mean(pool, dict(use_gradvac=True, use_logitnorm=True),
+                             seeds)
+        full = _ladder_mean(pool, dict(use_gradvac=True, use_logitnorm=True,
+                                       use_ensemble=True, use_dir=True), seeds)
     elapsed = time.perf_counter() - start
     ok = (full >= off + 2.0) and (agree >= off) and elapsed < 300.0
     report(7, "end-to-end trend", ok,

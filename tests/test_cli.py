@@ -278,6 +278,53 @@ class TestEvalProperty:
             assert err.getvalue().count("\n") == 1
 
 
+def splice(data, valid):
+    """Arbitrary bytes, or the bytes of a valid file with a range replaced
+    by arbitrary bytes: inserted, overwritten at the file's own length, or
+    cut short."""
+    patch = data.draw(st.binary(max_size=24))
+    if data.draw(st.booleans()):
+        return patch
+    start = data.draw(st.integers(0, len(valid)))
+    end = data.draw(st.sampled_from([start, start + len(patch), len(valid)]))
+    return valid[:start] + patch + valid[end:]
+
+
+class TestEvalBytesProperty:
+    # as TestEvalProperty: a TemporaryDirectory per example, and the libcst
+    # warning filtered so that a failure is reported
+    @pytest.mark.parametrize("kind", ["model", "data"])
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @given(data=st.data())
+    @settings(max_examples=75)
+    def test_any_bytes_exit_0_or_2_with_one_error_line(self, kind, data):
+        # the file of `kind` holds any bytes, the other one a valid file
+        rng = np.random.default_rng(0)
+        bundle = ModelBundle.build(3, 2, 2, 3, 2, 2, 2, rng)
+        ds = SceneDataset("target", 3, rng.standard_normal((6, 2)),
+                          np.arange(6) % 3)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"model": os.path.join(tmp, "model.bin"),
+                     "data": os.path.join(tmp, "scene.csv")}
+            save_checkpoint(paths["model"], bundle)
+            save_csv(ds, paths["data"])
+            with open(paths[kind], "rb") as f:
+                content = splice(data, f.read())
+            with open(paths[kind], "wb") as f:
+                f.write(content)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["eval", "--model", paths["model"], "--data", paths["data"]])
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue().startswith("eval[agree] OA ")
+        else:
+            assert rc == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+
 class TestUndecodableInput:
     # bytes that are not UTF-8, an integer past Python's 4300-digit limit,
     # nesting past the recursion limit

@@ -7,8 +7,9 @@ from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
 
 
 def cm_from(counts):
-    counts = np.asarray(counts)
-    return ConfusionMatrix(counts.shape[0], counts)
+    cm = ConfusionMatrix(len(counts))
+    cm.counts[:] = counts
+    return cm
 
 
 def loop_counts(num_classes, true_labels, pred_labels):
