@@ -239,7 +239,11 @@ def load_csv(path):
         m = _HEADER_RE.match(header)
         if not m:
             raise ParseError(f"line 1: bad header {header!r}")
-        name, bands, classes = m.group(1), int(m.group(2)), int(m.group(3))
+        name, bands, classes = m.groups()
+        try:
+            bands, classes = int(bands), int(classes)
+        except ValueError as exc:   # a count past Python's 4,300-digit limit
+            raise ParseError(f"line 1: {exc}") from exc
         if classes > np.iinfo(np.int64).max:
             raise ParseError(f"line 1: classes={classes} does not fit int64")
         for lineno, line in enumerate(lines, start=2):

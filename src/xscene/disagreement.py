@@ -14,18 +14,9 @@ dependence.
 
 import numpy as np
 
-from .errors import DataError
-
 DVAR_FLOOR = 1e-15
 # smoothing inside sqrt keeps the penalty differentiable at coincident rows
 DIST_SMOOTHING = 1e-12
-
-
-def _as_batch(x, name="batch"):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise DataError(f"{name} needs at least 2 samples, got {x.shape[0]}")
-    return x
 
 
 def _squared_distances(x):
@@ -33,12 +24,6 @@ def _squared_distances(x):
     n x n x d difference tensor, which is squared in place."""
     diff = x[:, None, :] - x[None, :, :]
     return np.add.reduce(np.square(diff, out=diff), axis=-1)
-
-
-def pairwise_distances(x):
-    """n x n Euclidean distance matrix between rows; symmetric with a
-    zero diagonal."""
-    return np.sqrt(_squared_distances(_as_batch(x)))
 
 
 def double_center(d):
@@ -52,26 +37,25 @@ def double_center(d):
     return out
 
 
-def distance_correlation(x, y):
-    """Sample distance correlation between two feature batches, in [0, 1].
-
-    Returns 0 when either batch is (numerically) constant: a constant
-    batch carries no dependence.
-    """
-    x = _as_batch(x, "x")
-    y = _as_batch(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise DataError(
-            f"batches must have equal sample counts, got {x.shape[0]} and {y.shape[0]}"
-        )
-    a = double_center(pairwise_distances(x))
-    b = double_center(pairwise_distances(y))
-    vxx = (a * a).mean()
-    vyy = (b * b).mean()
+def _dcor(a, b):
+    """The one dCor statistic, of two double-centred distance tables, with
+    the dCov^2 and dVar^2(b) the DiR gradient needs: (dcor, vxy, vyy).
+    dcor is 0.0 when either dVar^2 is under DVAR_FLOOR or dCov^2 <= 0."""
+    pairs = a.size
+    vxy = np.add.reduce(a * b, axis=None) / pairs
+    vxx = np.add.reduce(a * a, axis=None) / pairs
+    vyy = np.add.reduce(b * b, axis=None) / pairs
     if vxx < DVAR_FLOOR or vyy < DVAR_FLOOR:
-        return 0.0
-    r2 = (a * b).mean() / np.sqrt(vxx * vyy)
-    return float(np.sqrt(max(r2, 0.0)))
+        return 0.0, vxy, vyy
+    return float(np.sqrt(max(vxy / np.sqrt(vxx * vyy), 0.0))), vxy, vyy
+
+
+def distance_correlation(x, y):
+    """Sample distance correlation between two float64 feature batches of
+    equal row counts (at least 2), in [0, 1], on exact distances; 0 when
+    either batch is (numerically) constant, which carries no dependence."""
+    a, b = (double_center(np.sqrt(_squared_distances(v))) for v in (x, y))
+    return _dcor(a, b)[0]
 
 
 def smoothed_distances(x):
@@ -96,25 +80,17 @@ def dcor_penalty(shared_dist, idx, y):
     Returns (loss, grad_y); a degenerate batch or the dCov <= 0 point
     gives (0.0, zeros).
     """
-    n = y.shape[0]
-    pairs = n * n
     _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
     a = double_center(shared_dist.take(idx, axis=0).take(idx, axis=1))
     dy = smoothed_distances(y[first]).take(inverse, axis=0).take(inverse, axis=1)
     b = double_center(dy)
-    vxy = np.add.reduce(a * b, axis=None) / pairs
-    vxx = np.add.reduce(a * a, axis=None) / pairs
-    vyy = np.add.reduce(b * b, axis=None) / pairs
-    if vxx < DVAR_FLOOR or vyy < DVAR_FLOOR:
+    loss, vxy, vyy = _dcor(a, b)
+    if loss == 0.0:
         return 0.0, np.zeros_like(y)
-    r2 = vxy / np.sqrt(vxx * vyy)
-    if r2 <= 0.0:
-        return 0.0, np.zeros_like(y)
-    loss = float(np.sqrt(r2))
     # d loss / dB = loss/(2 n^2) * (A/vxy - B/vyy); then chain through the
     # centring (symmetric, so its own adjoint), the distances and the
     # squared distances to the rows of y
-    db = loss / (2.0 * pairs) * (a / vxy - b / vyy)
+    db = loss / (2.0 * a.size) * (a / vxy - b / vyy)
     g = double_center(db)
     g /= 2.0 * dy
     return loss, 4.0 * (np.add.reduce(g, axis=1, keepdims=True) * y - g @ y)

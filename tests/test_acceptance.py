@@ -6,14 +6,11 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 Check 7 encodes the expected end-to-end component trend: the full
 pipeline should beat the all-off baseline by two OA points, and the
 gradient-surgery + logit-normalization pair should not trail the
-baseline. At this scale those margins are not met: the per-scene
-extractors and heads give the few-shot target path enough private
-capacity to route around any state of the shared encoder, so the
-agreement toggles land within noise of the baseline (mean OA: off
-80.32, gradvac+logitnorm 79.52), and the ensemble's committee gain over
-two error-correlated teachers tops out near one point (full 81.08). The
-check is kept strict and currently fails rather than being loosened to
-fit.
+baseline. At this scale those margins are not met, and why is an open
+question: the README's check-7 paragraph and ROADMAP item 6 give the
+measurements so far and the logging that would settle it (mean OA: off
+80.32, gradvac+logitnorm 79.52, full 81.08). The check is kept strict
+and currently fails rather than being loosened to fit.
 """
 
 import dataclasses

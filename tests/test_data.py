@@ -183,6 +183,18 @@ class TestCsvLoaderEdges:
         path.write_bytes(content)
         return load_csv(path)
 
+    def eval_csv(self, tmp_path, content, bands):
+        """`xscene eval` of `content` as a CSV against a checkpoint of
+        `bands` input bands: (exit code, the CSV's path)."""
+        from xscene.cli import main
+        from xscene.harness import save_checkpoint
+        from xscene.model import ModelBundle
+        path = tmp_path / "scene.csv"
+        path.write_bytes(content)
+        model = tmp_path / "model.bin"
+        save_checkpoint(model, ModelBundle.build(3, bands, 2, 2, 2, 2, 2))
+        return main(["eval", "--model", str(model), "--data", str(path)]), path
+
     def test_crlf_rows_parse(self, tmp_path):
         ds = self.load(tmp_path, self.HEADER + b"0,1.0,2.0\r\n1,3.0,4.0\r\n")
         assert ds.spectra.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -212,16 +224,10 @@ class TestCsvLoaderEdges:
             self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n1,nan,4.0\n0,oops\n")
 
     def test_bad_utf8_past_the_first_64_kib_exits_2(self, tmp_path, capsys):
-        from xscene.cli import main
-        from xscene.harness import save_checkpoint
-        from xscene.model import ModelBundle
         rows = self.HEADER + b"0,1.0,2.0\n" * 10000
         assert len(rows) > 64 * 1024
-        path = tmp_path / "scene.csv"
-        path.write_bytes(rows + b"1,3.0,\xff\n")
-        model = tmp_path / "model.bin"
-        save_checkpoint(model, ModelBundle.build(3, 2, 2, 2, 2, 2, 2))
-        assert main(["eval", "--model", str(model), "--data", str(path)]) == 2
+        code, path = self.eval_csv(tmp_path, rows + b"1,3.0,\xff\n", 2)
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert "can't decode byte 0xff" in err and err.count("\n") == 1
@@ -262,16 +268,25 @@ class TestCsvLoaderEdges:
         assert ds.labels.tolist() == [2**63 - 2]
 
     def test_class_count_past_int64_exits_2(self, tmp_path, capsys):
-        from xscene.cli import main
-        from xscene.harness import save_checkpoint
-        from xscene.model import ModelBundle
-        path = tmp_path / "scene.csv"
-        path.write_bytes(self.BIG_CLASSES)
-        model = tmp_path / "model.bin"
-        save_checkpoint(model, ModelBundle.build(3, 1, 2, 2, 2, 2, 2))
-        assert main(["eval", "--model", str(model), "--data", str(path)]) == 2
+        assert self.eval_csv(tmp_path, self.BIG_CLASSES, 1)[0] == 2
         assert capsys.readouterr().err == (
             "error: line 1: classes=99999999999999999999999 does not fit int64\n")
+
+    # a count of more digits than int() converts (4,300 by default)
+    LONG_COUNTS = {"bands": b"# scene=s bands=" + b"1" * 5000 + b" classes=3\n0,1.0\n",
+                   "classes": b"# scene=s bands=1 classes=" + b"1" * 5000 + b"\n0,1.0\n"}
+
+    @pytest.mark.parametrize("field", sorted(LONG_COUNTS))
+    def test_count_past_the_digit_limit(self, tmp_path, field):
+        with pytest.raises(ParseError, match="^line 1: Exceeds the limit"):
+            self.load(tmp_path, self.LONG_COUNTS[field])
+
+    @pytest.mark.parametrize("field", sorted(LONG_COUNTS))
+    def test_count_past_the_digit_limit_exits_2(self, tmp_path, capsys, field):
+        assert self.eval_csv(tmp_path, self.LONG_COUNTS[field], 1)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: Exceeds the limit")
+        assert err.count("\n") == 1
 
     def test_round_trip_past_one_eval_block(self, tmp_path):
         from xscene.harness import EVAL_BLOCK_ROWS

@@ -1,7 +1,8 @@
 """Module boundary: a module under src/xscene/ uses only the public names
-of the other xscene modules. Also a linter's duplicate-definition check:
-no module under src/xscene/ or tests/ defines a name twice in one body;
-a dead-code check: every top-level function and class, and every method
+of the other xscene modules. Also a linter's duplicate-definition and
+unused-import checks: no module under src/xscene/ or tests/ defines a
+name twice in one body or imports a name that it never reads; a
+dead-code check: every top-level function and class, and every method
 and property of a class, under src/xscene/ is referred to by the program
 or the benchmark, not only by tests; and a traceback check: every `raise`
 under src/xscene/ raises a class that the CLI turns into exit code 2, and
@@ -49,11 +50,11 @@ def test_no_module_imports_private_names_of_another():
 
 
 def test_private_imports_are_found():
-    source = ("from .disagreement import _as_batch, symmetric_kl\n"
+    source = ("from .disagreement import _dcor, symmetric_kl\n"
               "from xscene.nn import _check_labels\n"
               "from os.path import _get_sep\n"
               "from . import cli\n")
-    assert private_imports(source) == [("disagreement", "_as_batch"),
+    assert private_imports(source) == [("disagreement", "_dcor"),
                                        ("xscene.nn", "_check_labels")]
 
 
@@ -94,6 +95,56 @@ def test_duplicate_definitions_are_found():
               "class B:\n"
               "    def f(self): pass\n")
     assert duplicate_definitions(source) == [(4, "TestA"), (3, "test_x")]
+
+
+def unused_imports(source):
+    """(line, name) for every name an import binds that its scope never
+    reads: the module, or the function the import is in (with the
+    functions nested in it). `from __future__` imports bind no name."""
+    found = []
+
+    def visit(scope):
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+
+        def imports(node):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child)
+                elif (isinstance(child, (ast.Import, ast.ImportFrom))
+                      and getattr(child, "module", None) != "__future__"):
+                    found.extend((child.lineno, bound) for bound in
+                                 (alias.asname or alias.name.split(".")[0]
+                                  for alias in child.names) if bound not in used)
+                else:
+                    imports(child)
+
+        imports(scope)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_no_module_imports_an_unused_name():
+    offenders = {}
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        found = unused_imports(path.read_text(encoding="utf-8"))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "import json as js\n"
+              "from .errors import DataError, ParseError as PE\n"
+              "def f():\n"
+              "    from e import g, h\n"
+              "    return g, np, os.sep, lambda: PE\n"
+              "def k():\n"
+              "    return h\n")
+    assert unused_imports(source) == [(4, "js"), (5, "DataError"), (7, "h")]
 
 
 def references(node):
