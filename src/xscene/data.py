@@ -9,13 +9,19 @@ scenes from consistent to decorrelated. Shared classes reuse prototypes
 across scenes; the rest get fresh ones.
 """
 
+import contextlib
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
 from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .csvrows import format_rows, parse_rows, serve, text_lines
 from .errors import ConfigError, DataError, ParseError
 from .nn import check_nbytes
 
@@ -29,6 +35,20 @@ FINE_RATIO = 0.12
 SOURCE_BAND_STD = 3.0
 
 _HEADER_RE = re.compile(r"^# scene=(.+?) bands=(\d+) classes=(\d+)$")
+
+# A scene CSV smaller than this (its spectra's float64 bytes when saving,
+# its file's bytes when loading) is written or read in this process alone:
+# a worker costs 20-40 ms to start and join, which the default 1,400 x 48
+# source scene (0.5 MB of spectra, 1.3 MB of file) does not win back.
+SPLIT_MIN_BYTES = 2 << 20
+# values per read of a worker's reply, so the reply is never held whole
+READ_CHUNK = 1 << 13
+# a worker imports csvrows alone, from this package's folder: no site
+# packages, no numpy
+_WORKER_CODE = (
+    "import sys; "
+    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r}); "
+    f"from {serve.__module__} import {serve.__name__}; {serve.__name__}()")
 
 # the value types each field annotation accepts (a bool is not an int here)
 _FIELD_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
@@ -219,21 +239,34 @@ def sample_k_per_class(ds, k, seed):
 def save_csv(ds, path):
     """Header line `# scene=<name> bands=<B> classes=<C>`, then one
     `label,b0,...` row per sample. Floats use repr so the round-trip is
-    exact."""
+    exact. A scene of at least SPLIT_MIN_BYTES of spectra has its second
+    half of rows formatted by a worker process while this one formats the
+    first; the worker's lines are then copied into the file in chunks."""
+    mine = ds.n // 2 if ds.spectra.nbytes >= SPLIT_MIN_BYTES else ds.n
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n")
-        for label, row in zip(ds.labels.tolist(), ds.spectra):
-            f.write(str(label) + "," + ",".join(repr(v) for v in row.tolist()) + "\n")
+        with (_worker(path, ["format", ds.bands, ds.n - mine], feed=(
+                np.ascontiguousarray(ds.labels[mine:], dtype=np.int64),
+                np.ascontiguousarray(ds.spectra[mine:], dtype=np.float64)))
+              if mine < ds.n else contextlib.nullcontext()) as reply:
+            f.writelines(format_rows(ds.labels[:mine].tolist(),
+                                     (row.tolist() for row in ds.spectra[:mine])))
+            if reply is not None:
+                f.flush()
+                shutil.copyfileobj(reply, f.buffer)
 
 
 def load_csv(path):
     """Read a save_csv file. Rows stream into one float64 and one int64
     buffer that become the dataset's arrays, so the file's text is never
-    held whole. A malformed line raises ParseError naming it."""
+    held whole. A file of at least SPLIT_MIN_BYTES has the rows that start
+    in its second half parsed by a worker process while this one parses
+    the first; the worker's arrays are then read into the buffers in
+    chunks. A malformed line raises ParseError naming it, the earliest
+    one if there are several."""
     spectra, labels = array("d"), array("q")
     with open(path, "rb") as f:
-        lines = _text_lines(path, f)
-        header = next(lines, None)
+        header = next(text_lines(path, f, 1, math.inf), None)
         if header is None:
             raise ParseError("line 1: missing header")
         m = _HEADER_RE.match(header)
@@ -246,23 +279,17 @@ def load_csv(path):
             raise ParseError(f"line 1: {exc}") from exc
         if classes > np.iinfo(np.int64).max:
             raise ParseError(f"line 1: classes={classes} does not fit int64")
-        for lineno, line in enumerate(lines, start=2):
-            parts = line.split(",")
-            if len(parts) != bands + 1:
-                raise ParseError(
-                    f"line {lineno}: expected {bands + 1} fields, got {len(parts)}"
-                )
-            try:
-                label = int(parts[0])
-                values = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if not 0 <= label < classes:
-                raise ParseError(f"line {lineno}: label {label} out of range [0, {classes})")
-            if not all(map(math.isfinite, values)):
-                raise ParseError(f"line {lineno}: non-finite band value")
-            labels.append(label)
-            spectra.fromlist(values)
+        # the worker takes the lines that start at or past byte `split`; a
+        # pipe's size reads 0, so it stays in this process
+        size = os.fstat(f.fileno()).st_size
+        split = max(f.tell(), size // 2) if size >= SPLIT_MIN_BYTES else size
+        with (_worker(path, ["parse", os.fsdecode(path), split, bands, classes])
+              if split < size else contextlib.nullcontext()) as reply:
+            limit = math.inf if reply is None else split - f.tell()
+            parse_rows(text_lines(path, f, 2, limit), 2, bands, classes,
+                       spectra, labels)
+            if reply is not None:
+                _read_rows(path, reply, bands, spectra, labels)
     if not labels:
         raise DataError(f"{path}: dataset has no samples")
     return SceneDataset(name, classes,
@@ -270,11 +297,42 @@ def load_csv(path):
                         np.frombuffer(labels, dtype=np.int64))
 
 
-def _text_lines(path, f):
-    """The lines of binary file `f` as UTF-8 text, split at each newline
-    byte alone, so a carriage return stays part of its line."""
-    for lineno, raw in enumerate(f, start=1):
+@contextlib.contextmanager
+def _worker(path, args, feed=()):
+    """One csvrows.serve process on `args`, given the buffers in `feed`
+    on its stdin; the body gets its stdout. The worker is killed if the
+    body raises and waited for on every path; a worker that cannot start
+    or exits non-zero raises OSError."""
+    with subprocess.Popen([sys.executable, "-I", "-S", "-c", _WORKER_CODE,
+                           *map(str, args)],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
         try:
-            yield raw.removesuffix(b"\n").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            # a worker that ends before reading its input is reported by its
+            # exit status, not by the broken pipe
+            with contextlib.suppress(BrokenPipeError):
+                try:
+                    for buffer in feed:
+                        proc.stdin.write(buffer)
+                finally:
+                    proc.stdin.close()
+            yield proc.stdout
+        except BaseException:
+            proc.kill()
+            raise
+    if proc.returncode:
+        raise OSError(f"{path}: the CSV worker exited with status {proc.returncode}")
+
+
+def _read_rows(path, reply, bands, spectra, labels):
+    """Append a parse worker's reply (see csvrows.serve) to the caller's
+    buffers, READ_CHUNK values at a time."""
+    count = array("q")
+    try:
+        count.fromfile(reply, 1)
+        if count[0] < 0:
+            raise ParseError(reply.read(-count[0]).decode("utf-8", "surrogateescape"))
+        labels.fromfile(reply, count[0])
+        for left in range(count[0] * bands, 0, -READ_CHUNK):
+            spectra.fromfile(reply, min(left, READ_CHUNK))
+    except EOFError:
+        raise OSError(f"{path}: the CSV worker's reply ended early") from None

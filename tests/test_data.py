@@ -1,8 +1,18 @@
+import json
+import signal
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from xscene import data
 from xscene.data import (SceneDataset, SynthConfig, generate_pair, load_csv,
                          sample_k_per_class, save_csv)
 from xscene.errors import ConfigError, DataError, ParseError
@@ -173,6 +183,19 @@ class TestCsvRoundTrip:
         assert raw.endswith(b"\n")
 
 
+def eval_csv(tmp_path, content, bands):
+    """`xscene eval` of `content` as a CSV against a checkpoint of `bands`
+    input bands: (exit code, the CSV's path)."""
+    from xscene.cli import main
+    from xscene.harness import save_checkpoint
+    from xscene.model import ModelBundle
+    path = tmp_path / "scene.csv"
+    path.write_bytes(content)
+    model = tmp_path / "model.bin"
+    save_checkpoint(model, ModelBundle.build(3, bands, 2, 2, 2, 2, 2))
+    return main(["eval", "--model", str(model), "--data", str(path)]), path
+
+
 class TestCsvLoaderEdges:
     """What load_csv accepts and rejects, byte for byte of the file."""
 
@@ -182,18 +205,6 @@ class TestCsvLoaderEdges:
         path = tmp_path / "scene.csv"
         path.write_bytes(content)
         return load_csv(path)
-
-    def eval_csv(self, tmp_path, content, bands):
-        """`xscene eval` of `content` as a CSV against a checkpoint of
-        `bands` input bands: (exit code, the CSV's path)."""
-        from xscene.cli import main
-        from xscene.harness import save_checkpoint
-        from xscene.model import ModelBundle
-        path = tmp_path / "scene.csv"
-        path.write_bytes(content)
-        model = tmp_path / "model.bin"
-        save_checkpoint(model, ModelBundle.build(3, bands, 2, 2, 2, 2, 2))
-        return main(["eval", "--model", str(model), "--data", str(path)]), path
 
     def test_crlf_rows_parse(self, tmp_path):
         ds = self.load(tmp_path, self.HEADER + b"0,1.0,2.0\r\n1,3.0,4.0\r\n")
@@ -226,7 +237,7 @@ class TestCsvLoaderEdges:
     def test_bad_utf8_past_the_first_64_kib_exits_2(self, tmp_path, capsys):
         rows = self.HEADER + b"0,1.0,2.0\n" * 10000
         assert len(rows) > 64 * 1024
-        code, path = self.eval_csv(tmp_path, rows + b"1,3.0,\xff\n", 2)
+        code, path = eval_csv(tmp_path, rows + b"1,3.0,\xff\n", 2)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
@@ -268,7 +279,7 @@ class TestCsvLoaderEdges:
         assert ds.labels.tolist() == [2**63 - 2]
 
     def test_class_count_past_int64_exits_2(self, tmp_path, capsys):
-        assert self.eval_csv(tmp_path, self.BIG_CLASSES, 1)[0] == 2
+        assert eval_csv(tmp_path, self.BIG_CLASSES, 1)[0] == 2
         assert capsys.readouterr().err == (
             "error: line 1: classes=99999999999999999999999 does not fit int64\n")
 
@@ -283,7 +294,7 @@ class TestCsvLoaderEdges:
 
     @pytest.mark.parametrize("field", sorted(LONG_COUNTS))
     def test_count_past_the_digit_limit_exits_2(self, tmp_path, capsys, field):
-        assert self.eval_csv(tmp_path, self.LONG_COUNTS[field], 1)[0] == 2
+        assert eval_csv(tmp_path, self.LONG_COUNTS[field], 1)[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: Exceeds the limit")
         assert err.count("\n") == 1
@@ -301,19 +312,205 @@ class TestCsvLoaderEdges:
         assert loaded.labels.dtype == np.int64
 
 
-def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path):
+def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path, monkeypatch):
     # the rows stream into one float64 buffer that becomes the spectra;
     # holding the file's text, its lines or a list of boxed floats per row
-    # would each cost several times the payload
+    # would each cost several times the payload, and so would holding a
+    # worker's reply whole (the second pass splits the file)
     _, tgt = generate_pair(tiny_cfg(samples_per_class_target=1250))
     path = tmp_path / "scene.csv"
     save_csv(tgt, path)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        loaded = load_csv(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(loaded.spectra, tgt.spectra)
-    assert peak <= 2 * tgt.spectra.nbytes
+    for split_min_bytes in (data.SPLIT_MIN_BYTES, 0):
+        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", split_min_bytes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.spectra, tgt.spectra)
+        assert peak <= 2 * tgt.spectra.nbytes
+
+
+def serial_csv(ds):
+    """The bytes save_csv writes, by the per-row repr loop it ran before
+    large scenes were split: save_csv's one bit-for-bit reference."""
+    text = f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n"
+    for label, row in zip(ds.labels.tolist(), ds.spectra):
+        text += str(label) + "," + ",".join(repr(v) for v in row.tolist()) + "\n"
+    return text.encode()
+
+
+class Popens:
+    """Records every worker process started while installed."""
+
+    def __init__(self, monkeypatch):
+        self.started = []
+        outer = self
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                outer.started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+
+    def take(self):
+        """The processes started since the last take; each has exited."""
+        started, self.started = self.started, []
+        assert all(proc.returncode is not None for proc in started)
+        return started
+
+
+class TestSplitPath:
+    """A scene of at least SPLIT_MIN_BYTES has its second half of rows
+    written or read by one worker process, with the serial path's bytes,
+    arrays and errors."""
+
+    HEADER = b"# scene=s bands=2 classes=2\n"
+    GOOD = b"0,1.0,2.0\n"
+    # each malformed-row case of TestCsvRoundTrip and TestCsvLoaderEdges
+    BAD = {"fields": b"1,1.0,2.0,3.0\n", "float": b"0,1.0,oops\n",
+           "label": b"5,1.0,2.0\n", "non-finite": b"1,nan,4.0\n",
+           "blank": b"\n", "utf8": b"1,3.0,\xff\n"}
+
+    @pytest.fixture
+    def popens(self, monkeypatch):
+        return Popens(monkeypatch)
+
+    @staticmethod
+    def both_ways(path):
+        """load_csv(path) serially and split: each outcome, a ParseError
+        as its text."""
+        outcomes = []
+        for split_min_bytes in (1 << 62, 0):
+            with patch.object(data, "SPLIT_MIN_BYTES", split_min_bytes):
+                try:
+                    outcomes.append(load_csv(path))
+                except ParseError as exc:
+                    outcomes.append(f"ParseError: {exc}")
+        return outcomes
+
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @given(rows=st.integers(1, 60), bands=st.integers(0, 5),
+           ending=st.sampled_from(["lf", "crlf", "no final newline"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, bands=0, ending="no final newline", seed=0)
+    @example(rows=2, bands=0, ending="crlf", seed=0)
+    @example(rows=60, bands=5, ending="crlf", seed=1)
+    @settings(max_examples=12)   # each example starts two workers
+    def test_split_matches_serial(self, rows, bands, ending, seed):
+        rng = np.random.default_rng(seed)
+        # values of every magnitude, so reprs of every length
+        ds = SceneDataset("s", 3, rng.standard_normal((rows, bands))
+                          * 10.0 ** rng.integers(-300, 300, (rows, bands)),
+                          rng.integers(0, 3, rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scene.csv"
+            with patch.object(data, "SPLIT_MIN_BYTES", 0):
+                save_csv(ds, path)
+            assert path.read_bytes() == serial_csv(ds)
+            # the rows load_csv reads (a zero-band row is its label alone)
+            lines = [str(label) + "".join("," + repr(v) for v in row)
+                     for label, row in zip(ds.labels.tolist(), ds.spectra.tolist())]
+            newline = "\r\n" if ending == "crlf" else "\n"
+            text = newline.join(lines) + ("" if ending == "no final newline" else newline)
+            path.write_text("# scene=s bands=%d classes=3\n" % bands + text,
+                            encoding="utf-8", newline="")
+            serial, split = self.both_ways(path)
+        for got in (serial, split):
+            assert (got.name, got.classes) == ("s", 3)
+            assert got.spectra.dtype == np.float64 and got.labels.dtype == np.int64
+            assert np.array_equal(got.spectra, ds.spectra)
+            assert np.array_equal(got.labels, ds.labels)
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_error_in_the_workers_half_reads_as_serial(self, tmp_path, popens, case):
+        path = tmp_path / "scene.csv"
+        path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
+        # the bad line starts past the middle of the file
+        assert len(self.HEADER + self.GOOD * 15) >= path.stat().st_size // 2
+        serial, split = self.both_ways(path)
+        assert serial.startswith(("ParseError: line 17: ",
+                                  f"ParseError: {path}: line 17: "))
+        assert split == serial
+        assert len(popens.take()) == 1
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, popens, case):
+        later = sorted(self.BAD)[sorted(self.BAD).index(case) - 1]
+        path = tmp_path / "scene.csv"
+        path.write_bytes(self.HEADER + self.GOOD + self.BAD[case]
+                         + self.GOOD * 15 + self.BAD[later] + self.GOOD * 4)
+        serial, split = self.both_ways(path)
+        assert ": line 3: " in serial
+        assert split == serial
+        assert len(popens.take()) == 1
+
+    def test_each_call_waits_for_its_one_worker(self, tmp_path, monkeypatch, popens):
+        _, tgt = generate_pair(tiny_cfg())
+        path = tmp_path / "scene.csv"
+        save_csv(tgt, path)
+        load_csv(path)
+        assert popens.take() == []  # below SPLIT_MIN_BYTES
+        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
+        save_csv(tgt, path)
+        assert len(popens.take()) == 1
+        assert np.array_equal(load_csv(path).spectra, tgt.spectra)
+        assert len(popens.take()) == 1
+        for rows in ([self.BAD["label"]] + [self.GOOD] * 20,
+                     [self.GOOD] * 20 + [self.BAD["label"]],
+                     [self.BAD["utf8"]] + [self.GOOD] * 20 + [self.BAD["label"]]):
+            path.write_bytes(self.HEADER + b"".join(rows))
+            with pytest.raises(ParseError):
+                load_csv(path)
+            assert len(popens.take()) == 1
+
+    def test_a_bad_first_half_kills_the_worker(self, tmp_path, monkeypatch, popens,
+                                               capfd):
+        # the worker's reply (240 KB) cannot fit in its pipe, so the worker
+        # is still running when the first half raises
+        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
+        path = tmp_path / "scene.csv"
+        path.write_bytes(self.HEADER + self.BAD["label"] + self.GOOD * 20000)
+        with pytest.raises(ParseError, match="^line 2: label 5 out of range"):
+            load_csv(path)
+        [worker] = popens.take()
+        assert worker.returncode == -signal.SIGKILL
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("worker", ["cannot start", "exits 1"])
+    def test_failed_worker_exits_2(self, tmp_path, monkeypatch, popens, capsys, worker):
+        from xscene.cli import main
+        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
+        if worker == "cannot start":
+            monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        else:
+            monkeypatch.setattr(data, "_WORKER_CODE", "import sys; sys.exit(1)")
+        # the source scene's second half (268 KB) overfills the pipe of a
+        # worker that never reads it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"samples_per_class_target": 11}}))
+        for run in (lambda: main(["gen-data", "--config", str(cfg),
+                                  "--out-dir", str(tmp_path)]),
+                    lambda: eval_csv(tmp_path, self.HEADER + self.GOOD * 20, 2)[0]):
+            assert run() == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert ("the CSV worker" in err) == (worker == "exits 1")
+            assert len(popens.take()) == (worker == "exits 1")
+
+
+def test_worker_starts_without_numpy():
+    # the worker's own command line, run once its entry point has returned
+    # (on an empty share); importing numpy would cost every large file
+    # about 70 ms more
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         data._WORKER_CODE + "; print('numpy' in sys.modules, sorted("
+         "name for name in sys.modules if name.startswith('xscene')))",
+         "format", "0", "0"], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "False ['xscene', 'xscene.csvrows', 'xscene.errors']\n"
