@@ -34,14 +34,14 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     cfg = load_config(args.config)
-    report = train(cfg)
-    write_log(args.log, report)
+    run = train(cfg)
+    write_log(args.log, run)
     if args.checkpoint:
-        save_checkpoint(args.checkpoint, report.bundle,
-                        meta={"eval_head": report.eval_head})
+        save_checkpoint(args.checkpoint, run.bundle,
+                        meta={"eval_head": run.eval_head})
         print(f"wrote checkpoint {args.checkpoint}")
     print(f"wrote log {args.log}")
-    print(f"eval[{report.eval_head}] " + _fmt_metrics(report.oa, report.aa, report.kappa))
+    print(f"eval[{run.eval_head}] " + _fmt_metrics(run.oa, run.aa, run.kappa))
     return 0
 
 
@@ -51,8 +51,8 @@ def _cmd_ablate(args):
     write_ablation_log(args.log, rows)
     print(f"wrote log {args.log}")
     print(f"{'row':<4}{'config':<12}{'OA':>8}{'AA':>8}{'kappa':>8}")
-    for i, (name, _, report) in enumerate(rows, start=1):
-        print(f"{i:<4}{name:<12}{report.oa:>8.2f}{report.aa:>8.2f}{report.kappa:>8.2f}")
+    for i, (name, run) in enumerate(rows, start=1):
+        print(f"{i:<4}{name:<12}{run.oa:>8.2f}{run.aa:>8.2f}{run.kappa:>8.2f}")
     return 0
 
 

@@ -15,10 +15,10 @@ from .errors import ParseError
 
 
 def format_rows(labels, rows):
-    """The line of each label and row of floats; repr makes the round
-    trip exact."""
+    """The line of each label and row of floats (a row of no bands is its
+    label alone); repr makes the round trip exact."""
     for label, row in zip(labels, rows):
-        yield str(label) + "," + ",".join(map(repr, row)) + "\n"
+        yield ",".join((str(label), *map(repr, row))) + "\n"
 
 
 def text_lines(path, f, lineno, limit):

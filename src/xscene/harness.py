@@ -1,6 +1,6 @@
-"""Three-phase training loop, ablation ladder, evaluation, and the file
-formats the CLI speaks (JSON config, JSON-lines metric log, binary
-checkpoint).
+"""Three-phase training loop over one run state, ablation ladder,
+evaluation, and the file formats the CLI speaks (JSON config, JSON-lines
+metric log, binary checkpoint).
 
 Phase A trains the agreement branch on both scenes with optional gradient
 surgery and logit normalization on the shared encoder. Phase B trains the
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .agreement import ema_update, gradvac_update, logitnorm
-from .data import SynthConfig, check_field_types, generate_pair, sample_k_per_class
+from .data import (SceneDataset, SynthConfig, check_field_types, generate_pair,
+                   sample_k_per_class)
 from .disagreement import log_softmax, smoothed_distances
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
@@ -125,13 +126,40 @@ def load_config(path):
 
 
 @dataclass
-class RunReport:
-    oa: float      # percentages
-    aa: float
-    kappa: float
-    eval_head: str
-    steps: list
-    bundle: ModelBundle = field(default=None, repr=False)
+class Run:
+    """The state the phases of one training advance; no scene but the
+    few-shot target split. train() sets the evaluated head and its
+    metrics (percentages)."""
+    cfg: TrainConfig
+    split: SceneDataset
+    bundle: ModelBundle = field(repr=False)
+    # a string: np.random.Generator would import numpy.random with this
+    # module, not at the first train(), and raise io-eval's peak RSS 4 MB
+    rng: "np.random.Generator" = field(repr=False)
+    steps_per_epoch: int
+    steps: list = field(default_factory=list)
+    eval_head: str = None
+    oa: float = None
+    aa: float = None
+    kappa: float = None
+
+    def batches(self, epochs=1):
+        """Each step's row indices into the split, resampled with
+        replacement (the split is smaller than a batch). They are drawn
+        one epoch at a time, which gives the same indices, and leaves the
+        generator in the same state, as one draw per step."""
+        size = (self.steps_per_epoch, self.cfg.batch_size)
+        for _ in range(epochs):
+            yield from self.rng.integers(0, self.split.n, size=size)
+
+    def log(self, record):
+        """Append one step's log record; a non-finite float in it means the
+        training diverged, and the error names the phase, step and key."""
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DivergenceError(
+                    f"{record['phase']} step {record['step']}: {key} is {value}")
+        self.steps.append(record)
 
     def metrics_dict(self):
         return {"oa": round(self.oa, 2), "aa": round(self.aa, 2),
@@ -169,45 +197,24 @@ def evaluate(bundle, ds, head):
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)
 
 
-def _target_batches(rng, ds, batch_size, steps_per_epoch, epochs=1):
-    """Each step's row indices into the few-shot split, resampled with
-    replacement (the split is smaller than a batch). They are drawn one
-    epoch at a time, which gives the same indices, and leaves rng in the
-    same state, as one draw per step."""
-    for _ in range(epochs):
-        yield from rng.integers(0, ds.n, size=(steps_per_epoch, batch_size))
-
-
-def _append_step(steps, record):
-    """Append one step's log record; a non-finite float in it means the
-    training diverged, and the error names the phase, step and key."""
-    for key, value in record.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DivergenceError(
-                f"{record['phase']} step {record['step']}: {key} is {value}")
-    steps.append(record)
-
-
-def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng,
-                         steps_per_epoch, steps):
+def _run_agreement_phase(run, source):
+    cfg, bundle, split = run.cfg, run.bundle, run.split
     tau = LOGITNORM_TAU if cfg.use_logitnorm else None
     alpha = 0.0
     step = 0
     for _ in range(cfg.epochs_agree):
-        order = batch_rng.permutation(source.n)
+        order = run.rng.permutation(source.n)
         spectra, labels = source.spectra[order], source.labels[order]
-        targets = _target_batches(batch_rng, tgt_train, cfg.batch_size,
-                                  steps_per_epoch)
-        for start, idx in zip(range(0, source.n, cfg.batch_size), targets):
+        for start, idx in zip(range(0, source.n, cfg.batch_size), run.batches()):
             chunk = slice(start, start + cfg.batch_size)
             batch_s = (spectra[chunk], labels[chunk])
-            batch_t = (tgt_train.spectra[idx], tgt_train.labels[idx])
+            batch_t = (split.spectra[idx], split.labels[idx])
             res = agreement_backward(bundle, batch_s, batch_t, tau)
             surgery = gradvac_update(res.g_s, res.g_t, alpha, cfg.use_gradvac)
             np.add(surgery.g, res.g_t, out=bundle.shared_encoder.grads)
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
-            _append_step(steps, {
+            run.log({
                 "phase": "agree", "step": step,
                 "phi_raw": surgery.phi_raw, "phi_post": surgery.phi_post,
                 "alpha": alpha, "mag_sim": surgery.mag_sim,
@@ -220,93 +227,84 @@ def _run_agreement_phase(bundle, source, tgt_train, cfg, batch_rng,
             alpha = ema_update(alpha, surgery.phi_raw, EMA_BETA)
 
 
-def _run_private_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
+def _run_private_phase(run):
+    cfg, bundle, split = run.cfg, run.bundle, run.split
     # the shared side is frozen: its distances over the few-shot split are
     # computed once, and each batch's rows and columns are gathered from them
     shared_dist = None
     if cfg.use_dir:
         shared_dist = smoothed_distances(bundle.shared_encoder.predict(
-            bundle.target_extractor.predict(tgt_train.spectra)))
-    for t, idx in enumerate(_target_batches(batch_rng, tgt_train, cfg.batch_size,
-                                            steps_per_epoch, cfg.epochs_disagree),
-                            start=1):
-        loss_ce, dcor = private_backward(bundle, tgt_train.spectra[idx],
-                                         tgt_train.labels[idx], shared_dist, idx)
+            bundle.target_extractor.predict(split.spectra)))
+    for t, idx in enumerate(run.batches(cfg.epochs_disagree), start=1):
+        loss_ce, dcor = private_backward(bundle, split.spectra[idx],
+                                         split.labels[idx], shared_dist, idx)
         adam_step(bundle.private, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
-        _append_step(steps, {
+        run.log({
             "phase": "disagree", "step": t, "loss_ce": loss_ce, "dcor": dcor,
             "loss": loss_ce if dcor is None else loss_ce + dcor,
         })
 
 
-def _run_ensemble_phase(bundle, tgt_train, cfg, batch_rng, steps_per_epoch, steps):
+def _run_ensemble_phase(run):
+    cfg, bundle, split = run.cfg, run.bundle, run.split
     # the extractor and both teachers are frozen: run them once over the
     # few-shot split, take the teachers' log probabilities at their
     # temperatures once, and gather each batch's rows
-    base_all = bundle.target_extractor.predict(tgt_train.spectra)
-    agree_all = predict(bundle, "agree", tgt_train.spectra)
+    base_all = bundle.target_extractor.predict(split.spectra)
+    agree_all = predict(bundle, "agree", split.spectra)
     # under logit normalization the agreement head's trained distribution
     # is softmax of the *normalized* logits; distill from those, not from
     # the raw logits whose scale the normalized loss never controlled
     if cfg.use_logitnorm:
         agree_all = logitnorm(agree_all, LOGITNORM_TAU)
     agree_lp = log_softmax(agree_all, TEMP_AGREE)
-    disagree_lp = log_softmax(predict(bundle, "disagree", tgt_train.spectra),
+    disagree_lp = log_softmax(predict(bundle, "disagree", split.spectra),
                               TEMP_DISAGREE)
-    for t, idx in enumerate(_target_batches(batch_rng, tgt_train, cfg.batch_size,
-                                            steps_per_epoch, cfg.epochs_ensemble),
-                            start=1):
+    for t, idx in enumerate(run.batches(cfg.epochs_ensemble), start=1):
         loss_ce, e1, e2 = ensemble_backward(
-            bundle, base_all[idx], tgt_train.labels[idx],
+            bundle, base_all[idx], split.labels[idx],
             (agree_lp[idx], TEMP_AGREE), (disagree_lp[idx], TEMP_DISAGREE))
         adam_step(bundle.ensemble, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
-        _append_step(steps, {
+        run.log({
             "phase": "ensemble", "step": t, "loss_ce": loss_ce, "e_en1": e1,
             "e_en2": e2, "e_en": e1 + e2, "loss": loss_ce + (e1 + e2),
         })
 
 
-def _run_phase(steps, phase, run, *args):
-    """Run one training phase; a floating-point error inside it means the
-    training diverged, and the error names the phase and the step."""
-    start = len(steps)
-    try:
-        run(*args, steps)
-    except FloatingPointError as exc:
-        raise DivergenceError(
-            f"{phase} step {len(steps) - start + 1}: {exc}") from None
-
-
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def train(cfg):
-    """Run the full pipeline for one config; returns a RunReport with the
-    final target-eval metrics (as percentages) and per-step diagnostics.
-    Overflow, invalid values and division by zero raise, so a diverging
-    run stops at the step where it first leaves the finite floats."""
+    """Run the full pipeline for one config and return its Run. Overflow,
+    invalid values and division by zero raise, so a diverging run stops
+    at the step where it first leaves the finite floats; the error names
+    the phase and the step."""
     check_nbytes("a batch's row indices", 8 * cfg.batch_size)
     init_ss, shot_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     source, target = generate_pair(cfg.synth)
-    tgt_train, tgt_eval = sample_k_per_class(target, cfg.shots, shot_ss)
+    split, tgt_eval = sample_k_per_class(target, cfg.shots, shot_ss)
     bundle = ModelBundle.build(
         cfg.synth.bands_source, cfg.synth.bands_target,
         cfg.synth.classes_source, cfg.synth.classes_target,
         cfg.feat_dim, cfg.hidden_dim, cfg.enc_dim, np.random.default_rng(init_ss))
-    batch_rng = np.random.default_rng(batch_ss)
-    steps = []
-    steps_per_epoch = -(-source.n // cfg.batch_size)
+    run = Run(cfg, split, bundle, np.random.default_rng(batch_ss),
+              -(-source.n // cfg.batch_size))
+    # phases are looked up per call, so wrappers on the module see them
+    for phase, run_phase, enabled in (
+            ("agree", lambda run: _run_agreement_phase(run, source), True),
+            ("disagree", _run_private_phase, cfg.use_dir or cfg.use_ensemble),
+            ("ensemble", _run_ensemble_phase, cfg.use_ensemble)):
+        if not enabled:
+            continue
+        start = len(run.steps)
+        try:
+            run_phase(run)
+        except FloatingPointError as exc:
+            raise DivergenceError(
+                f"{phase} step {len(run.steps) - start + 1}: {exc}") from None
 
-    _run_phase(steps, "agree", _run_agreement_phase,
-               bundle, source, tgt_train, cfg, batch_rng, steps_per_epoch)
-    if cfg.use_dir or cfg.use_ensemble:
-        _run_phase(steps, "disagree", _run_private_phase,
-                   bundle, tgt_train, cfg, batch_rng, steps_per_epoch)
-    if cfg.use_ensemble:
-        _run_phase(steps, "ensemble", _run_ensemble_phase,
-                   bundle, tgt_train, cfg, batch_rng, steps_per_epoch)
-
-    head = "ensemble" if cfg.use_ensemble else "agree"
-    oa, aa, kappa = evaluate(bundle, tgt_eval, head)
-    return RunReport(oa * 100.0, aa * 100.0, kappa * 100.0, head, steps, bundle)
+    run.eval_head = "ensemble" if cfg.use_ensemble else "agree"
+    oa, aa, kappa = evaluate(bundle, tgt_eval, run.eval_head)
+    run.oa, run.aa, run.kappa = oa * 100.0, aa * 100.0, kappa * 100.0
+    return run
 
 
 ABLATION_LADDER = tuple(
@@ -317,12 +315,12 @@ ABLATION_LADDER = tuple(
 
 def ablate(cfg):
     """Run the cumulative five-row component ladder with a shared seed;
-    returns [(row_name, toggles, RunReport)]. Every row's config is
-    built, and so checked, before the first row trains."""
-    ladder = [(name, toggles, dataclasses.replace(
+    returns [(row_name, Run)]. Every row's config is built, and so
+    checked, before the first row trains."""
+    ladder = [(name, dataclasses.replace(
                    cfg, **{key: key in toggles for key in TOGGLES}))
               for name, toggles in ABLATION_LADDER]
-    return [(name, toggles, train(row_cfg)) for name, toggles, row_cfg in ladder]
+    return [(name, train(row_cfg)) for name, row_cfg in ladder]
 
 
 def _json_line(record):
@@ -330,21 +328,21 @@ def _json_line(record):
     return json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def write_log(path, report):
+def write_log(path, run):
     """JSON-lines metric log: one object per step, then the final metrics
     as percentages rounded to two decimals."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for step in report.steps:
+        for step in run.steps:
             f.write(_json_line(step))
-        f.write(_json_line(report.metrics_dict()))
+        f.write(_json_line(run.metrics_dict()))
 
 
 def write_ablation_log(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for i, (name, toggles, report) in enumerate(rows, start=1):
+        for i, (name, run) in enumerate(rows, start=1):
             record = {"row": i, "name": name,
-                      **{key: key in toggles for key in TOGGLES},
-                      **report.metrics_dict()}
+                      **{key: getattr(run.cfg, key) for key in TOGGLES},
+                      **run.metrics_dict()}
             f.write(_json_line(record))
 
 

@@ -174,6 +174,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="line 1"):
             load_csv(path)
 
+    # a row of no bands is its label alone, on the serial and split paths
+    @pytest.mark.parametrize("split_min_bytes", [1 << 62, 0], ids=["serial", "split"])
+    def test_zero_band_round_trip(self, tmp_path, monkeypatch, split_min_bytes):
+        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", split_min_bytes)
+        ds = SceneDataset("s", 2, np.zeros((3, 0)), np.array([0, 1, 1]))
+        path = tmp_path / "scene.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == b"# scene=s bands=0 classes=2\n0\n1\n1\n"
+        loaded = load_csv(path)
+        assert loaded.spectra.shape == (3, 0)
+        assert loaded.labels.tolist() == [0, 1, 1]
+
     def test_lf_line_endings(self, tmp_path):
         _, tgt = generate_pair(tiny_cfg())
         path = tmp_path / "scene.csv"
@@ -338,7 +350,7 @@ def serial_csv(ds):
     large scenes were split: save_csv's one bit-for-bit reference."""
     text = f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n"
     for label, row in zip(ds.labels.tolist(), ds.spectra):
-        text += str(label) + "," + ",".join(repr(v) for v in row.tolist()) + "\n"
+        text += ",".join((str(label), *map(repr, row.tolist()))) + "\n"
     return text.encode()
 
 
@@ -412,13 +424,11 @@ class TestSplitPath:
             with patch.object(data, "SPLIT_MIN_BYTES", 0):
                 save_csv(ds, path)
             assert path.read_bytes() == serial_csv(ds)
-            # the rows load_csv reads (a zero-band row is its label alone)
-            lines = [str(label) + "".join("," + repr(v) for v in row)
-                     for label, row in zip(ds.labels.tolist(), ds.spectra.tolist())]
+            # the same rows, with the line ending under test
+            header, *lines = serial_csv(ds).decode().split("\n")[:-1]
             newline = "\r\n" if ending == "crlf" else "\n"
             text = newline.join(lines) + ("" if ending == "no final newline" else newline)
-            path.write_text("# scene=s bands=%d classes=3\n" % bands + text,
-                            encoding="utf-8", newline="")
+            path.write_text(header + "\n" + text, encoding="utf-8", newline="")
             serial, split = self.both_ways(path)
         for got in (serial, split):
             assert (got.name, got.classes) == ("s", 3)

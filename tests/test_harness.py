@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import re
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -15,10 +17,10 @@ import xscene.harness as harness
 from xscene.data import SceneDataset, SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
 from xscene.harness import (ABLATION_LADDER, EMA_BETA, EVAL_BLOCK_ROWS,
-                            TOGGLES, RunReport, TrainConfig, _run_phase,
-                            _target_batches, ablate, config_from_dict, evaluate,
-                            load_checkpoint, load_config, save_checkpoint,
-                            train, write_ablation_log, write_log)
+                            TOGGLES, Run, TrainConfig, ablate, config_from_dict,
+                            evaluate, load_checkpoint, load_config,
+                            save_checkpoint, train, write_ablation_log,
+                            write_log)
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
 from xscene.model import COMPONENT_ORDER, HEADS, ModelBundle, predict
@@ -231,17 +233,18 @@ class TestDivergence:
                                  r"(overflow|invalid value) encountered in \w+)$"):
             train(quick_cfg(lr=1e6))
 
-    def test_floating_point_error_names_the_step_it_hit(self):
-        # two steps of this phase logged, the third overflows; the record
-        # of an earlier phase does not count
-        def phase(steps):
-            steps += [{"phase": "ensemble", "step": t} for t in (1, 2)]
+    def test_floating_point_error_names_the_step_it_hit(self, monkeypatch):
+        # two steps of this phase logged, the third overflows; the records
+        # of earlier phases do not count
+        def phase(run):
+            for t in (1, 2):
+                run.log({"phase": "ensemble", "step": t})
             np.float64(1e308) * 10.0
 
+        monkeypatch.setattr(harness, "_run_ensemble_phase", phase)
         with pytest.raises(DivergenceError,
                            match=r"^ensemble step 3: overflow encountered in "):
-            with np.errstate(over="raise"):
-                _run_phase([{"phase": "agree", "step": 1}], "ensemble", phase)
+            train(quick_cfg(use_ensemble=True))
 
     def test_non_finite_logged_value_names_its_key(self, monkeypatch):
         # a value that turns non-finite without a floating-point error is
@@ -253,12 +256,12 @@ class TestDivergence:
             train(quick_cfg(use_ensemble=True))
 
     def test_logs_refuse_non_finite_values(self, tmp_path):
-        report = RunReport(float("nan"), 0.0, 0.0, "agree", [])
+        run = dataclasses.replace(train(quick_cfg(epochs_agree=0)),
+                                  oa=float("nan"))
         with pytest.raises(ValueError):
-            write_log(tmp_path / "run.jsonl", report)
+            write_log(tmp_path / "run.jsonl", run)
         with pytest.raises(ValueError):
-            write_ablation_log(tmp_path / "ablate.jsonl",
-                               [("baseline", {}, report)])
+            write_ablation_log(tmp_path / "ablate.jsonl", [("baseline", run)])
 
 
 class TestPhaseStructure:
@@ -290,6 +293,62 @@ class TestPhaseStructure:
         sa = [s for s in a.steps if s["phase"] == "agree"]
         sb = [s for s in b.steps if s["phase"] == "agree"]
         assert sa == sb
+
+
+FULL = dict.fromkeys(TOGGLES, True)
+
+
+class TestRunState:
+    def test_later_phases_replay_from_a_snapshot(self, monkeypatch):
+        # the parameter block, the batch generator's state and the step
+        # count taken before phase B are all phases B and C depend on
+        private = harness._run_private_phase
+        snaps = []
+
+        def snapshot_then_run(run):
+            snaps.append((run.bundle.params.copy(), run.rng.bit_generator.state,
+                          len(run.steps)))
+            private(run)
+
+        monkeypatch.setattr(harness, "_run_private_phase", snapshot_then_run)
+        run = train(quick_cfg(**FULL))
+        steps, params = list(run.steps), run.bundle.params.copy()
+        [(snap_params, snap_state, count)] = snaps
+        run.bundle.params[:] = snap_params
+        run.rng.bit_generator.state = snap_state
+        del run.steps[count:]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            private(run)
+            harness._run_ensemble_phase(run)
+        assert {s["phase"] for s in steps[count:]} == {"disagree", "ensemble"}
+        assert run.steps == steps
+        assert run.bundle.params.tobytes() == params.tobytes()
+
+    def test_tracer_spans_every_phase(self):
+        # the benchmark fails a traced training whose spans cover too little
+        # of it: train, its set-up calls, its phases and its evaluation must
+        # each still be found by the name the tracer patches, and be called
+        # through it
+        path = Path(__file__).parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        with tracer.installed(tracing.patch_table()):
+            harness.train(quick_cfg(**FULL, epochs_agree=1, epochs_disagree=1,
+                                    epochs_ensemble=1))
+        spanned = {f"xscene.harness.{name}" for name in (
+            "train", "_run_agreement_phase", "_run_private_phase",
+            "_run_ensemble_phase", "evaluate", "generate_pair",
+            "sample_k_per_class")} | {"ModelBundle.build"}
+        assert spanned.isdisjoint(tracer.missing)
+        spans = tracer.take()
+        assert [name for name, _, _, parent, _ in spans if parent < 0] == [
+            "harness.train"]
+        assert [name for name, _, _, parent, _ in spans if parent == 0] == [
+            "data.generate_pair", "data.sample_k_per_class", "model.build",
+            "harness.agree_phase", "harness.private_phase",
+            "harness.ensemble_phase", "harness.evaluate"]
 
 
 class TestPhaseAInvariants:
@@ -333,7 +392,8 @@ class TestTargetBatches:
     def test_equals_one_draw_per_step(self, n, batch, steps, epochs, seed):
         ds = SceneDataset("t", 2, np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = list(_target_batches(rng, ds, batch, steps, epochs))
+        run = Run(TrainConfig(batch_size=batch), ds, None, rng, steps)
+        got = list(run.batches(epochs))
         want = [ref.integers(0, n, size=batch) for _ in range(steps * epochs)]
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -519,12 +579,13 @@ def ablation_rows():
 class TestAblate:
     def test_ladder_structure(self, ablation_rows):
         assert len(ablation_rows) == 5
-        names = [name for name, _, _ in ablation_rows]
+        names = [name for name, _ in ablation_rows]
         assert names == [n for n, _ in ABLATION_LADDER]
-        toggle_counts = [sum(t.values()) for _, t, _ in ablation_rows]
+        toggle_counts = [sum(getattr(run.cfg, key) for key in TOGGLES)
+                         for _, run in ablation_rows]
         assert toggle_counts == [0, 1, 2, 3, 4]
-        for _, _, rep in ablation_rows:
-            assert 0.0 <= rep.oa <= 100.0
+        for _, run in ablation_rows:
+            assert 0.0 <= run.oa <= 100.0
 
     @pytest.mark.parametrize("row, name, toggles", [
         (0, "baseline", {}),
@@ -538,10 +599,11 @@ class TestAblate:
     def test_rows_reproduce_standalone_runs(self, ablation_rows, row, name,
                                             toggles):
         lone = train(dataclasses.replace(ablate_cfg(), **toggles))
-        row_name, row_toggles, report = ablation_rows[row]
+        row_name, run = ablation_rows[row]
+        row_toggles = {key: True for key in TOGGLES if getattr(run.cfg, key)}
         assert (row_name, row_toggles) == (name, toggles)
-        assert report.oa == lone.oa
-        assert report.steps == lone.steps
+        assert run.oa == lone.oa
+        assert run.steps == lone.steps
 
     def test_every_row_validated_before_any_trains(self, monkeypatch):
         # batch_size 1 is valid for rows 1-4 but not for the +dir row
