@@ -169,13 +169,7 @@ def test_03_gradient_oracles():
         for grad, extractor, head, x, y in (
                 (g_s, bundle.source_extractor, bundle.source_head, xs, ys),
                 (g_t, bundle.target_extractor, bundle.target_head, xt, yt)):
-            fd = np.zeros_like(flat)
-            for i in range(flat.size):
-                up, down = flat.copy(), flat.copy()
-                up[i] += 1e-5
-                down[i] -= 1e-5
-                fd[i] = (loss_through(up, extractor, head, x, y)
-                         - loss_through(down, extractor, head, x, y)) / 2e-5
+            fd = _fd_vector(lambda v: loss_through(v, extractor, head, x, y), flat)
             bundle.shared_encoder.values[:] = flat
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 

@@ -194,17 +194,6 @@ class TestGradvacUpdate:
         assert not res.g.any()
         assert res.phi_post == 0.0 and res.mag_sim == 0.0
 
-    def test_alignment_guarantee_random(self):
-        rng = np.random.default_rng(101)
-        for _ in range(300):
-            dim = int(rng.integers(2, 65))
-            g_s = rng.normal(size=dim)
-            g_t = rng.normal(size=dim)
-            alpha = rng.uniform(cosine(g_s, g_t) + 1e-6, 1.0 - 1e-6)
-            res = gradvac_update(g_s, g_t, alpha, True)
-            assert cosine(res.g, g_t) == pytest.approx(alpha, abs=1e-9)
-            assert res.phi_post == pytest.approx(alpha, abs=1e-9)
-
     def test_never_shrinks_agreement(self):
         rng = np.random.default_rng(202)
         for _ in range(100):
@@ -304,15 +293,6 @@ class TestLogitNorm:
             np.testing.assert_allclose(logitnorm(c * z, tau), logitnorm(z, tau),
                                        atol=1e-12)
 
-    def test_norm_and_argmax_random(self):
-        tau = 2.0
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            z = rng.normal(size=int(rng.integers(2, 12)))
-            out = logitnorm(z, tau)
-            assert np.linalg.norm(out) == pytest.approx(1.0 / tau, abs=1e-12)
-            assert np.argmax(out) == np.argmax(z)
-
 
 class TestLogitNormCe:
     def test_gradient_matches_finite_differences(self):
@@ -332,15 +312,6 @@ class TestLogitNormCe:
         z = np.array([[4.0, -1.0, -1.0]])
         loss = logitnorm_ce(z, [0], tau)[0]
         assert loss < np.log(3.0)
-
-    def test_row_rescaling_leaves_loss_unchanged(self):
-        tau = 2.0
-        rng = np.random.default_rng(37)
-        z = rng.normal(size=(5, 4))
-        labels = rng.integers(0, 4, size=5)
-        base = logitnorm_ce(z, labels, tau)[0]
-        scaled = logitnorm_ce(10.0 * z, labels, tau)[0]
-        assert scaled == pytest.approx(base, abs=1e-10)
 
     @pytest.mark.parametrize("n, c", [(37, 7), (64, 7), (5, 2), (2, 9)])
     def test_matches_old_formulation(self, n, c):

@@ -1,4 +1,5 @@
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -148,26 +149,6 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no samples"):
             load_csv(path)
 
-    def test_wrong_field_count_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# scene=s bands=2 classes=2\n"
-                        "0,1.0,2.0\n"
-                        "1,1.0,2.0,3.0\n")
-        with pytest.raises(ParseError, match="line 3"):
-            load_csv(path)
-
-    def test_non_numeric_band_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# scene=s bands=2 classes=2\n0,1.0,oops\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_csv(path)
-
-    def test_label_out_of_range_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# scene=s bands=1 classes=2\n5,1.0\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_csv(path)
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("bands=2\n")
@@ -242,26 +223,13 @@ class TestCsvLoaderEdges:
         with pytest.raises(ParseError, match="^line 1: missing header$"):
             self.load(tmp_path, b"")
 
-    def test_non_finite_value_names_its_line(self, tmp_path):
-        with pytest.raises(ParseError, match="^line 3: non-finite band value$"):
-            self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n1,nan,4.0\n0,oops\n")
-
-    def test_bad_utf8_past_the_first_64_kib_exits_2(self, tmp_path, capsys):
+    def test_bad_utf8_past_the_first_64_kib(self, tmp_path):
         rows = self.HEADER + b"0,1.0,2.0\n" * 10000
         assert len(rows) > 64 * 1024
-        code, path = eval_csv(tmp_path, rows + b"1,3.0,\xff\n", 2)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ")
-        assert "can't decode byte 0xff" in err and err.count("\n") == 1
-
-    def test_bad_utf8_names_its_line(self, tmp_path):
-        path = tmp_path / "scene.csv"
-        path.write_bytes(self.HEADER + b"0,1.0,2.0\n1,3.0,\xff\n")
-        with pytest.raises(ParseError) as info:
-            load_csv(path)
-        assert str(info.value).startswith(
-            f"{path}: line 3: 'utf-8' codec can't decode byte 0xff in position 6")
+        message = (f"{tmp_path / 'scene.csv'}: line 10002: 'utf-8' codec can't "
+                   "decode byte 0xff in position 6: invalid start byte")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            self.load(tmp_path, rows + b"1,3.0,\xff\n")
 
     def test_zero_bands(self, tmp_path):
         ds = self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n1\n")
@@ -290,11 +258,6 @@ class TestCsvLoaderEdges:
                        b"\n9223372036854775806,1.0\n")
         assert ds.labels.tolist() == [2**63 - 2]
 
-    def test_class_count_past_int64_exits_2(self, tmp_path, capsys):
-        assert eval_csv(tmp_path, self.BIG_CLASSES, 1)[0] == 2
-        assert capsys.readouterr().err == (
-            "error: line 1: classes=99999999999999999999999 does not fit int64\n")
-
     # a count of more digits than int() converts (4,300 by default)
     LONG_COUNTS = {"bands": b"# scene=s bands=" + b"1" * 5000 + b" classes=3\n0,1.0\n",
                    "classes": b"# scene=s bands=1 classes=" + b"1" * 5000 + b"\n0,1.0\n"}
@@ -303,13 +266,6 @@ class TestCsvLoaderEdges:
     def test_count_past_the_digit_limit(self, tmp_path, field):
         with pytest.raises(ParseError, match="^line 1: Exceeds the limit"):
             self.load(tmp_path, self.LONG_COUNTS[field])
-
-    @pytest.mark.parametrize("field", sorted(LONG_COUNTS))
-    def test_count_past_the_digit_limit_exits_2(self, tmp_path, capsys, field):
-        assert eval_csv(tmp_path, self.LONG_COUNTS[field], 1)[0] == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 1: Exceeds the limit")
-        assert err.count("\n") == 1
 
     def test_round_trip_past_one_eval_block(self, tmp_path):
         from xscene.harness import EVAL_BLOCK_ROWS
@@ -382,10 +338,17 @@ class TestSplitPath:
 
     HEADER = b"# scene=s bands=2 classes=2\n"
     GOOD = b"0,1.0,2.0\n"
-    # each malformed-row case of TestCsvRoundTrip and TestCsvLoaderEdges
+    # each kind of malformed row, and its error when it is line 17
     BAD = {"fields": b"1,1.0,2.0,3.0\n", "float": b"0,1.0,oops\n",
            "label": b"5,1.0,2.0\n", "non-finite": b"1,nan,4.0\n",
            "blank": b"\n", "utf8": b"1,3.0,\xff\n"}
+    ERRORS = {"fields": "line 17: expected 3 fields, got 4",
+              "float": "line 17: could not convert string to float: 'oops'",
+              "label": "line 17: label 5 out of range [0, 2)",
+              "non-finite": "line 17: non-finite band value",
+              "blank": "line 17: expected 3 fields, got 1",
+              "utf8": "{path}: line 17: 'utf-8' codec can't decode byte 0xff "
+                      "in position 6: invalid start byte"}
 
     @pytest.fixture
     def popens(self, monkeypatch):
@@ -404,8 +367,6 @@ class TestSplitPath:
                     outcomes.append(f"ParseError: {exc}")
         return outcomes
 
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(rows=st.integers(1, 60), bands=st.integers(0, 5),
            ending=st.sampled_from(["lf", "crlf", "no final newline"]),
            seed=st.integers(0, 2**32 - 1))
@@ -443,9 +404,7 @@ class TestSplitPath:
         # the bad line starts past the middle of the file
         assert len(self.HEADER + self.GOOD * 15) >= path.stat().st_size // 2
         serial, split = self.both_ways(path)
-        assert serial.startswith(("ParseError: line 17: ",
-                                  f"ParseError: {path}: line 17: "))
-        assert split == serial
+        assert serial == split == "ParseError: " + self.ERRORS[case].format(path=path)
         assert len(popens.take()) == 1
 
     @pytest.mark.parametrize("case", sorted(BAD))

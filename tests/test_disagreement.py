@@ -324,11 +324,6 @@ def kl_logits(draw):
 
 
 class TestKernelProperties:
-    # On a failure hypothesis writes out the example through libcst, whose
-    # import warns; unfiltered, that warning ends the pytest session as an
-    # internal error instead of reporting the failure
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(dcor_batches())
     @settings(max_examples=200)
     def test_dcor_penalty_bounded_and_permutation_free(self, batch):
@@ -340,8 +335,6 @@ class TestKernelProperties:
         permuted, _ = dcor_penalty(shared_dist, idx[perm], y[perm])
         assert abs(permuted - loss) <= 1e-12
 
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(kl_logits())
     @settings(max_examples=200)
     def test_symmetric_kl_nonnegative_and_zero_at_the_teacher(self, logits):

@@ -184,18 +184,11 @@ class TestLoadConfigProperty:
                 return
         assert isinstance(cfg, TrainConfig)
 
-    # On a failure hypothesis writes out the example through libcst, whose
-    # import warns; unfiltered, that warning ends the pytest session as an
-    # internal error instead of reporting the failure
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(st.binary())
     @settings(max_examples=200)
     def test_any_bytes(self, content):
         self.check(content)
 
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(CONFIG_OBJECTS)
     @settings(max_examples=100)
     def test_any_object_of_config_keys(self, raw):
@@ -380,11 +373,6 @@ class TestPhaseAInvariants:
 
 
 class TestTargetBatches:
-    # On a failure hypothesis writes out the example through libcst, whose
-    # import warns; unfiltered, that warning ends the pytest session as an
-    # internal error instead of reporting the failure
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(n=st.integers(1, 5000), batch=st.integers(1, 70),
            steps=st.integers(1, 12), epochs=st.integers(0, 4),
            seed=st.integers(0, 2**32 - 1))
@@ -442,14 +430,19 @@ class TestEvaluate:
         for head in HEADS:
             assert len(evaluate(bundle, ds, head)) == 3
 
+    def test_overflowing_parameters_raise(self):
+        # finite weights of 1e150 overflow float64 by the third layer
+        rng = np.random.default_rng(0)
+        bundle = ModelBundle.build(4, 8, 2, 3, 8, 8, 8)
+        bundle.params[0] = 1e150 * rng.standard_normal(bundle.params.shape[1])
+        ds = SceneDataset("t", 3, rng.standard_normal((30, 8)), np.arange(30) % 3)
+        with pytest.raises(DataError, match=r"^evaluating the agree head: "
+                                            r"(overflow|invalid value) encountered in \w+$"):
+            evaluate(bundle, ds, "agree")
+
 
 class TestEvaluateInBlocks:
     """evaluate() scores EVAL_BLOCK_ROWS rows at a time."""
-
-    # each head's networks, input to logits
-    HEADS = {"agree": ("target_extractor", "shared_encoder", "target_head"),
-             "ensemble": ("target_extractor", "ensemble_encoder", "ensemble_head"),
-             "disagree": ("private_extractor", "private_encoder", "private_head")}
 
     @staticmethod
     def scene(n, bands, classes, seed=0):
@@ -457,24 +450,6 @@ class TestEvaluateInBlocks:
         return SceneDataset("t", classes, rng.standard_normal((n, bands)),
                             rng.integers(0, classes, n))
 
-    def test_matches_one_full_batch_forward(self):
-        bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, np.random.default_rng(0))
-        ds = self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 3)
-        for head, names in self.HEADS.items():
-            logits = ds.spectra
-            for name in names:
-                logits, _ = getattr(bundle, name).forward(logits)
-            preds = logits.argmax(axis=1)
-            assert len(set(preds.tolist())) == 3
-            cm = ConfusionMatrix.from_predictions(3, ds.labels, preds)
-            assert evaluate(bundle, ds, head) == (
-                overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm))
-
-    # On a failure hypothesis writes out the example through libcst, whose
-    # import warns; unfiltered, that warning ends the pytest session as an
-    # internal error instead of reporting the failure
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @given(shape=st.integers(1, 60).flatmap(
                lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))),
            block=st.integers(1, 7), head=st.sampled_from(sorted(HEADS)),
@@ -504,13 +479,6 @@ class TestEvaluateInBlocks:
         bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, np.random.default_rng(0))
         evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 3), "agree")
         assert seen == [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS, 3]
-
-    def test_shape_errors_on_a_scene_of_many_blocks(self):
-        bundle = ModelBundle.build(4, 6, 2, 3, 8, 16, 8, np.random.default_rng(0))
-        with pytest.raises(DataError, match="4 classes but the agree head predicts 3"):
-            evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 6, 4), "agree")
-        with pytest.raises(DataError, match="fan-in 6"):
-            evaluate(bundle, self.scene(2 * EVAL_BLOCK_ROWS + 3, 5, 3), "agree")
 
     # (component, its dims, scene bands, scene classes, error) against a
     # 6-band, 3-class agree head: a band, a link and a class mismatch
@@ -647,29 +615,42 @@ class TestCheckpoint:
         assert raw[raw.index(b"\n") + 1:] == bundle.params[0].astype("<f8").tobytes()
         assert list(header["layout"]) == list(COMPONENT_ORDER)
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: {k: v for k, v in h.items() if k != "layout"},
-        lambda h: {**h, "layout": {k: v for k, v in h["layout"].items()
-                                   if k != "ensemble_head"}},
-        lambda h: [h],
-        lambda h: {**h, "meta": []},
-        lambda h: {**h, "layout": {**h["layout"], "source_extractor": "4x2"}},
-        lambda h: {**h, "layout": {**h["layout"],
-                                   "source_extractor": [1000000, 1000000]}},
+    LAYOUT = ("checkpoint layout must name exactly the components "
+              + ", ".join(COMPONENT_ORDER))
+
+    @staticmethod
+    def dims_error(name):
+        return (f"checkpoint layout dims of {name} must be a list of at least "
+                "2 ints, each at least 1")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: {k: v for k, v in h.items() if k != "layout"}, LAYOUT),
+        (lambda h: {**h, "layout": {k: v for k, v in h["layout"].items()
+                                    if k != "ensemble_head"}}, LAYOUT),
+        (lambda h: [h], "not a xscene-checkpoint-v1 file"),
+        (lambda h: {**h, "meta": []}, "checkpoint meta must be an object"),
+        (lambda h: {**h, "layout": {**h["layout"], "source_extractor": "4x2"}},
+         dims_error("source_extractor")),
+        (lambda h: {**h, "layout": {**h["layout"],
+                                    "source_extractor": [1000000, 1000000]}},
+         "checkpoint holds 832 bytes of parameters, expected 8000008000704"),
         # 30 parameters, as in the saved [4, 2, 2] and [3, 2, 2], but only
         # because [-1, 5] counts -5 weights and 5 biases
-        lambda h: {**h, "layout": {**h["layout"], "source_extractor": [4, 4, 2],
-                                   "target_extractor": [-1, 5]}},
+        (lambda h: {**h, "layout": {**h["layout"], "source_extractor": [4, 4, 2],
+                                    "target_extractor": [-1, 5]}},
+         dims_error("target_extractor")),
         # 12 parameters, as in the saved two [2, 2] heads
-        lambda h: {**h, "layout": {**h["layout"], "source_head": [2],
-                                   "target_head": [2, 2, 2]}},
+        (lambda h: {**h, "layout": {**h["layout"], "source_head": [2],
+                                    "target_head": [2, 2, 2]}},
+         dims_error("source_head")),
         # 12 parameters again, with a head of zero outputs
-        lambda h: {**h, "layout": {**h["layout"], "source_head": [2, 0],
-                                   "target_head": [2, 4]}},
+        (lambda h: {**h, "layout": {**h["layout"], "source_head": [2, 0],
+                                    "target_head": [2, 4]}},
+         dims_error("source_head")),
     ], ids=["no_layout", "layout_missing_component", "header_is_list",
             "meta_not_object", "layout_dims_not_list", "layout_too_big_for_blob",
             "layout_dims_cancel", "layout_dims_single_entry", "layout_dims_zero"])
-    def test_malformed_header_rejected(self, tmp_path, edit):
+    def test_malformed_header_rejected(self, tmp_path, edit, message):
         path = tmp_path / "model.bin"
         bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2, np.random.default_rng(0))
         save_checkpoint(path, bundle)
@@ -677,7 +658,17 @@ class TestCheckpoint:
         newline = raw.index(b"\n")
         header = edit(json.loads(raw[:newline]))
         path.write_bytes(json.dumps(header).encode() + raw[newline:])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        bundle = ModelBundle.build(4, 3, 2, 2, 2, 2, 2)
+        bundle.params[0] = 0.5
+        bundle.params[0, 7] = np.nan
+        save_checkpoint(path, bundle)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: checkpoint "
+                                             "holds non-finite parameters$"):
             load_checkpoint(path)
 
     def test_saved_without_meta_evaluates_the_agree_head(self, tmp_path):

@@ -47,6 +47,14 @@ class TestForwards:
         np.testing.assert_allclose(forward_source(bundle, x), expected)
         np.testing.assert_allclose(predict(bundle, "agree", x), expected)
 
+    def test_agree_chains_the_shared_encoder(self):
+        # every component has its own weights, so no other chain gives these
+        bundle = tiny_bundle(seed=3)
+        x = np.random.default_rng(1).normal(size=(4, 5))
+        feats = bundle.shared_encoder.predict(bundle.target_extractor.predict(x))
+        expected = bundle.target_head.predict(feats)
+        np.testing.assert_allclose(predict(bundle, "agree", x), expected)
+
     def test_disagree_returns_private_logits(self):
         bundle = tiny_bundle(seed=3)
         x = np.random.default_rng(1).normal(size=(4, 5))
