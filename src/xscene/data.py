@@ -133,15 +133,12 @@ def _band_resample(mix, bands_out):
     """Average the columns of a (latent, bands_in) map into bands_out
     buckets with fractional overlap weights; identity when sizes match."""
     bands_in = mix.shape[1]
-    weights = np.zeros((bands_in, bands_out))
     width = bands_in / bands_out
-    for t in range(bands_out):
-        lo, hi = t * width, (t + 1) * width
-        for s in range(int(np.floor(lo)), int(np.ceil(hi))):
-            overlap = min(hi, s + 1) - max(lo, s)
-            if overlap > 0:
-                weights[s, t] = overlap / width
-    return mix @ weights
+    s = np.arange(bands_in)[:, None]
+    t = np.arange(bands_out)[None, :]
+    # input band s overlaps bucket [t * width, (t + 1) * width) by this much
+    overlap = np.minimum((t + 1) * width, s + 1) - np.maximum(t * width, s)
+    return mix @ np.where(overlap > 0, overlap / width, 0.0)
 
 
 def _random_rotation(n, rng):
@@ -195,14 +192,14 @@ def _render_pair(cfg):
     c = cfg.conflict_strength
     mix_target = normalize((1.0 - c) * base + c * rotated, 1.0)
 
-    source_protos = np.arange(cfg.classes_source)
-    target_protos = np.array(
-        [k if k < cfg.shared_classes else cfg.classes_source + k - cfg.shared_classes
-         for k in range(cfg.classes_target)]
-    )
+    # the first shared_classes target classes reuse source prototypes
+    ids = np.arange(cfg.classes_target)
+    target_protos = np.where(ids < cfg.shared_classes, ids,
+                             ids + cfg.classes_source - cfg.shared_classes)
 
-    def render(name, mix, proto_ids, per_class, bands, classes):
-        spectra = np.empty((classes * per_class, bands))
+    def render(name, mix, proto_ids, per_class):
+        classes = len(proto_ids)
+        spectra = np.empty((classes * per_class, mix.shape[1]))
         for k in range(classes):
             jitter = rng.standard_normal((per_class, latent))
             latent_points = protos[proto_ids[k]][None, :] + cfg.noise_sigma * jitter
@@ -211,12 +208,10 @@ def _render_pair(cfg):
         perm = rng.permutation(spectra.shape[0])
         return SceneDataset(name, classes, spectra[perm], labels[perm])
 
-    source = render("source", mix_source, source_protos,
-                    cfg.samples_per_class_source, cfg.bands_source,
-                    cfg.classes_source)
+    source = render("source", mix_source, np.arange(cfg.classes_source),
+                    cfg.samples_per_class_source)
     target = render("target", mix_target, target_protos,
-                    cfg.samples_per_class_target, cfg.bands_target,
-                    cfg.classes_target)
+                    cfg.samples_per_class_target)
     return source, target
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 from unittest.mock import patch
 
@@ -28,6 +29,60 @@ def tiny_cfg(**overrides):
     return SynthConfig(**base)
 
 
+def old_band_resample(mix, bands_out):
+    """data._band_resample as a loop over each bucket's input bands. Its
+    float bound ceil((t + 1) * width) can step one band past the last,
+    which raises IndexError on 112 of the band pairs in 1..64."""
+    bands_in = mix.shape[1]
+    weights = np.zeros((bands_in, bands_out))
+    width = bands_in / bands_out
+    for t in range(bands_out):
+        lo, hi = t * width, (t + 1) * width
+        for s in range(int(np.floor(lo)), int(np.ceil(hi))):
+            overlap = min(hi, s + 1) - max(lo, s)
+            if overlap > 0:
+                weights[s, t] = overlap / width
+    return mix @ weights
+
+
+class TestBandResample:
+    def test_matches_the_old_loop_and_maps_every_pair(self):
+        # an identity map comes back as the weights themselves
+        overruns = []
+        for bands_in in range(1, 65):
+            eye = np.eye(bands_in)
+            for bands_out in range(1, 65):
+                weights = data._band_resample(eye, bands_out)
+                try:
+                    old = old_band_resample(eye, bands_out)
+                except IndexError:
+                    overruns.append((bands_in, bands_out))
+                    assert weights.shape == (bands_in, bands_out)
+                    assert (weights >= 0.0).all()
+                    assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-12
+                else:
+                    assert weights.tobytes() == old.tobytes()
+        assert len(overruns) == 112 and (29, 7) in overruns
+
+
+def synth_fields(classes_source, classes_target):
+    """A strategy for every SynthConfig field, over its valid range at
+    small sizes (noise_sigma up to 10, far from float64 overflow)."""
+    return dict(
+        bands_source=st.integers(1, 64), bands_target=st.integers(1, 64),
+        classes_source=st.just(classes_source),
+        classes_target=st.just(classes_target),
+        shared_classes=st.integers(0, min(classes_source, classes_target)),
+        samples_per_class_source=st.integers(1, 12),
+        samples_per_class_target=st.integers(1, 12),
+        noise_sigma=st.floats(0.0, 10.0), conflict_strength=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2 ** 64))
+
+
+SYNTH_KWARGS = st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+    lambda classes: st.fixed_dictionaries(synth_fields(*classes)))
+
+
 class TestGeneratePair:
     def test_deterministic(self):
         a_src, a_tgt = generate_pair(tiny_cfg())
@@ -36,6 +91,30 @@ class TestGeneratePair:
         assert np.array_equal(a_tgt.spectra, b_tgt.spectra)
         assert np.array_equal(a_src.labels, b_src.labels)
         assert np.array_equal(a_tgt.labels, b_tgt.labels)
+
+    @given(SYNTH_KWARGS)
+    @example(asdict(SynthConfig()))
+    @example({**asdict(SynthConfig()), "bands_source": 29, "bands_target": 7})
+    @settings(max_examples=100)
+    def test_every_valid_config_renders(self, kwargs):
+        # a field added to SynthConfig must be drawn here too
+        assert kwargs.keys() == {f.name for f in fields(SynthConfig)}
+        cfg = SynthConfig(**kwargs)
+        pair = generate_pair(cfg)
+        for ds, bands, classes, per_class in (
+                (pair[0], cfg.bands_source, cfg.classes_source,
+                 cfg.samples_per_class_source),
+                (pair[1], cfg.bands_target, cfg.classes_target,
+                 cfg.samples_per_class_target)):
+            assert ds.classes == classes
+            assert ds.spectra.dtype == np.float64
+            assert ds.spectra.shape == (classes * per_class, bands)
+            assert np.isfinite(ds.spectra).all()
+            assert ds.labels.dtype == np.int64
+            assert np.bincount(ds.labels).tolist() == [per_class] * classes
+        for ds, again in zip(pair, generate_pair(cfg)):
+            assert ds.spectra.tobytes() == again.spectra.tobytes()
+            assert ds.labels.tobytes() == again.labels.tobytes()
 
     def test_different_seeds_differ(self):
         a_src, _ = generate_pair(tiny_cfg())

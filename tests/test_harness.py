@@ -216,6 +216,37 @@ class TestTrainDeterminism:
         assert a.steps != b.steps
 
 
+# small configs over every TrainConfig field and toggle, at most one epoch
+# per phase; some are invalid, some diverge
+SMALL_SYNTH = st.builds(
+    SynthConfig, bands_source=st.integers(1, 8), bands_target=st.integers(1, 8),
+    classes_source=st.integers(2, 4), classes_target=st.integers(2, 4),
+    shared_classes=st.integers(0, 2), samples_per_class_source=st.integers(1, 8),
+    samples_per_class_target=st.integers(2, 8), noise_sigma=st.floats(0.0, 1.0),
+    conflict_strength=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
+SMALL_TRAIN_KWARGS = st.fixed_dictionaries(dict(
+    seed=st.integers(0, 2 ** 32), lr=st.floats(1e-4, 1e6),
+    batch_size=st.integers(1, 8), epochs_agree=st.integers(0, 1),
+    epochs_disagree=st.integers(0, 1), epochs_ensemble=st.integers(0, 1),
+    shots=st.integers(1, 3), use_gradvac=st.booleans(),
+    use_logitnorm=st.booleans(), use_ensemble=st.booleans(),
+    use_dir=st.booleans(), feat_dim=st.integers(1, 4),
+    hidden_dim=st.integers(1, 4), enc_dim=st.integers(1, 4), synth=SMALL_SYNTH))
+
+
+class TestTrainProperty:
+    @given(SMALL_TRAIN_KWARGS)
+    @settings(max_examples=25)
+    def test_small_configs_train_or_raise_a_program_error(self, kwargs):
+        # no shape reaches the CLI as a traceback: each of these exits 2
+        try:
+            run = train(TrainConfig(**kwargs))
+        except (ConfigError, DataError, DivergenceError):
+            return
+        assert isinstance(run, Run)
+        assert all(np.isfinite([run.oa, run.aa, run.kappa]))
+
+
 class TestDivergence:
     # lr=1e6 is a valid config value, but training overflows; the run must
     # stop at that step without printing a numpy warning
