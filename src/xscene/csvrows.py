@@ -21,7 +21,7 @@ def format_rows(labels, rows):
         yield ",".join((str(label), *map(repr, row))) + "\n"
 
 
-def text_lines(path, f, lineno, limit):
+def text_lines(f, lineno, limit):
     """The lines of binary file `f` that start within its next `limit`
     bytes, as UTF-8 text; the first is line `lineno`. Each is split at its
     newline byte alone, so a carriage return stays part of it."""
@@ -33,7 +33,7 @@ def text_lines(path, f, lineno, limit):
         try:
             yield raw.removesuffix(b"\n").decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            raise ParseError(f"line {lineno}: {exc}") from exc
 
 
 def parse_rows(lines, lineno, bands, classes, spectra, labels):
@@ -98,10 +98,10 @@ def serve():
     with open(path, "rb") as f:
         lineno = _first_line_at(f, start)
         try:
-            parse_rows(text_lines(path, f, lineno, math.inf), lineno,
+            parse_rows(text_lines(f, lineno, math.inf), lineno,
                        bands, classes, spectra, labels)
         except ParseError as exc:
-            text = str(exc).encode("utf-8", "surrogateescape")
+            text = str(exc).encode()
             out.write(array("q", [-len(text)]).tobytes() + text)
             return
     out.write(array("q", [len(labels)]).tobytes())

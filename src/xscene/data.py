@@ -34,12 +34,15 @@ FINE_RATIO = 0.12
 # lets its logits and gradients dominate the shared encoder
 SOURCE_BAND_STD = 3.0
 
-_HEADER_RE = re.compile(r"^# scene=(.+?) bands=(\d+) classes=(\d+)$")
+# matched in full; counts of at most 18 digits keep every label in int64
+_HEADER_RE = re.compile(r"# scene=(.+?) bands=([0-9]{1,18}) classes=([0-9]{1,18})")
 
 # A scene CSV smaller than this (its spectra's float64 bytes when saving,
-# its file's bytes when loading) is written or read in this process alone:
-# a worker costs 20-40 ms to start and join, which the default 1,400 x 48
-# source scene (0.5 MB of spectra, 1.3 MB of file) does not win back.
+# its file's bytes when loading) is written or read in this process alone.
+# A worker takes 23-29 ms to start and join, and on the default 1.3 MB
+# source scene (2 vCPUs, three sets of 30 alternations) split medians of
+# 0.057-0.066 s to load and 0.080-0.109 s to save gave no resolved gain
+# over serial ones of 0.056-0.060 s and 0.098-0.102 s.
 SPLIT_MIN_BYTES = 2 << 20
 # values per read of a worker's reply, so the reply is never held whole
 READ_CHUNK = 1 << 13
@@ -257,34 +260,29 @@ def load_csv(path):
     held whole. A file of at least SPLIT_MIN_BYTES has the rows that start
     in its second half parsed by a worker process while this one parses
     the first; the worker's arrays are then read into the buffers in
-    chunks. A malformed line raises ParseError naming it, the earliest
-    one if there are several."""
+    chunks. A malformed line raises ParseError naming the file and the
+    line, the earliest one if there are several."""
     spectra, labels = array("d"), array("q")
-    with open(path, "rb") as f:
-        header = next(text_lines(path, f, 1, math.inf), None)
-        if header is None:
-            raise ParseError("line 1: missing header")
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise ParseError(f"line 1: bad header {header!r}")
-        name, bands, classes = m.groups()
-        try:
-            bands, classes = int(bands), int(classes)
-        except ValueError as exc:   # a count past Python's 4,300-digit limit
-            raise ParseError(f"line 1: {exc}") from exc
-        if classes > np.iinfo(np.int64).max:
-            raise ParseError(f"line 1: classes={classes} does not fit int64")
-        # the worker takes the lines that start at or past byte `split`; a
-        # pipe's size reads 0, so it stays in this process
-        size = os.fstat(f.fileno()).st_size
-        split = max(f.tell(), size // 2) if size >= SPLIT_MIN_BYTES else size
-        with (_worker(path, ["parse", os.fsdecode(path), split, bands, classes])
-              if split < size else contextlib.nullcontext()) as reply:
-            limit = math.inf if reply is None else split - f.tell()
-            parse_rows(text_lines(path, f, 2, limit), 2, bands, classes,
-                       spectra, labels)
-            if reply is not None:
-                _read_rows(path, reply, bands, spectra, labels)
+    try:
+        with open(path, "rb") as f:
+            header = next(text_lines(f, 1, math.inf), "")
+            m = _HEADER_RE.fullmatch(header)
+            if not m:
+                raise ParseError(f"line 1: bad header {header!r}")
+            name, bands, classes = m[1], int(m[2]), int(m[3])
+            # the worker takes the lines that start at or past byte `split`;
+            # a pipe's size reads 0, so it stays in this process
+            size = os.fstat(f.fileno()).st_size
+            split = max(f.tell(), size // 2) if size >= SPLIT_MIN_BYTES else size
+            with (_worker(path, ["parse", os.fsdecode(path), split, bands, classes])
+                  if split < size else contextlib.nullcontext()) as reply:
+                limit = math.inf if reply is None else split - f.tell()
+                parse_rows(text_lines(f, 2, limit), 2, bands, classes,
+                           spectra, labels)
+                if reply is not None:
+                    _read_rows(path, reply, bands, spectra, labels)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not labels:
         raise DataError(f"{path}: dataset has no samples")
     return SceneDataset(name, classes,
@@ -325,7 +323,7 @@ def _read_rows(path, reply, bands, spectra, labels):
     try:
         count.fromfile(reply, 1)
         if count[0] < 0:
-            raise ParseError(reply.read(-count[0]).decode("utf-8", "surrogateescape"))
+            raise ParseError(reply.read(-count[0]).decode())
         labels.fromfile(reply, count[0])
         for left in range(count[0] * bands, 0, -READ_CHUNK):
             spectra.fromfile(reply, min(left, READ_CHUNK))

@@ -307,19 +307,14 @@ def train(cfg):
     return run
 
 
-ABLATION_LADDER = tuple(
-    ("+" + TOGGLES[k - 1].removeprefix("use_") if k else "baseline",
-     dict.fromkeys(TOGGLES[:k], True))
-    for k in range(len(TOGGLES) + 1))
-
-
 def ablate(cfg):
     """Run the cumulative five-row component ladder with a shared seed;
     returns [(row_name, Run)]. Every row's config is built, and so
     checked, before the first row trains."""
-    ladder = [(name, dataclasses.replace(
-                   cfg, **{key: key in toggles for key in TOGGLES}))
-              for name, toggles in ABLATION_LADDER]
+    ladder = [("+" + TOGGLES[k - 1].removeprefix("use_") if k else "baseline",
+               dataclasses.replace(cfg, **{key: key in TOGGLES[:k]
+                                           for key in TOGGLES}))
+              for k in range(len(TOGGLES) + 1)]
     return [(name, train(row_cfg)) for name, row_cfg in ladder]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import signal
 import subprocess
@@ -231,7 +232,8 @@ class TestCsvRoundTrip:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("bands=2\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{path}: line 1: bad header 'bands=2'") + "$"):
             load_csv(path)
 
     # a row of no bands is its label alone, on the serial and split paths
@@ -278,13 +280,20 @@ class TestCsvLoaderEdges:
         path.write_bytes(content)
         return load_csv(path)
 
+    @staticmethod
+    def error(tmp_path, text):
+        """The match pattern of exactly load_csv's ParseError `text`, which
+        begins with the file's path."""
+        return "^" + re.escape(f"{tmp_path / 'scene.csv'}: {text}") + "$"
+
     def test_crlf_rows_parse(self, tmp_path):
         ds = self.load(tmp_path, self.HEADER + b"0,1.0,2.0\r\n1,3.0,4.0\r\n")
         assert ds.spectra.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [0, 1]
 
     def test_crlf_header_is_a_bad_header(self, tmp_path):
-        with pytest.raises(ParseError, match=r"line 1: bad header .*\\r'"):
+        with pytest.raises(ParseError, match=self.error(
+                tmp_path, r"line 1: bad header '# scene=s bands=2 classes=2\r'")):
             self.load(tmp_path, b"# scene=s bands=2 classes=2\r\n0,1.0,2.0\r\n")
 
     def test_no_final_newline(self, tmp_path):
@@ -295,11 +304,12 @@ class TestCsvLoaderEdges:
     @pytest.mark.parametrize("tail", [b"\n1,3.0,4.0\n", b"\n"],
                              ids=["middle", "end"])
     def test_blank_line_names_its_line(self, tmp_path, tail):
-        with pytest.raises(ParseError, match="^line 3: expected 3 fields, got 1$"):
+        with pytest.raises(ParseError, match=self.error(
+                tmp_path, "line 3: expected 3 fields, got 1")):
             self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n" + tail)
 
     def test_empty_file_has_no_header(self, tmp_path):
-        with pytest.raises(ParseError, match="^line 1: missing header$"):
+        with pytest.raises(ParseError, match=self.error(tmp_path, "line 1: bad header ''")):
             self.load(tmp_path, b"")
 
     def test_bad_utf8_past_the_first_64_kib(self, tmp_path):
@@ -316,47 +326,68 @@ class TestCsvLoaderEdges:
         assert ds.labels.tolist() == [0, 1]
         with pytest.raises(DataError, match="no samples"):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n")
-        with pytest.raises(ParseError, match="^line 2: expected 1 fields, got 2$"):
+        with pytest.raises(ParseError, match=self.error(
+                tmp_path, "line 2: expected 1 fields, got 2")):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n0,1.0\n")
-        with pytest.raises(ParseError, match="^line 3: invalid literal for int"):
+        with pytest.raises(ParseError, match=self.error(
+                tmp_path, "line 3: invalid literal for int() with base 10: ''")):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n\n1\n")
 
-    BIG_CLASSES = (b"# scene=s bands=1 classes=99999999999999999999999\n"
-                   b"99999999999999999999,1.0\n")
+    def test_largest_class_count_loads(self, tmp_path):
+        # 18 digits, the most a count may have, and its largest label
+        ds = self.load(tmp_path, b"# scene=s bands=1 classes=999999999999999999"
+                       b"\n999999999999999998,1.0\n")
+        assert ds.labels.tolist() == [10**18 - 2]
 
-    def test_class_count_past_int64(self, tmp_path):
-        with pytest.raises(ParseError, match="^line 1: classes="
-                           "99999999999999999999999 does not fit int64$"):
-            self.load(tmp_path, self.BIG_CLASSES)
-        with pytest.raises(ParseError, match="^line 1: classes="
-                           "9223372036854775808 does not fit int64$"):
-            self.load(tmp_path, b"# scene=s bands=1 classes=9223372036854775808"
-                      b"\n0,1.0\n")
-        # the largest int64 count still loads, and so does its last label
-        ds = self.load(tmp_path, b"# scene=s bands=1 classes=9223372036854775807"
-                       b"\n9223372036854775806,1.0\n")
-        assert ds.labels.tolist() == [2**63 - 2]
-
-    # a count of more digits than int() converts (4,300 by default)
-    LONG_COUNTS = {"bands": b"# scene=s bands=" + b"1" * 5000 + b" classes=3\n0,1.0\n",
-                   "classes": b"# scene=s bands=1 classes=" + b"1" * 5000 + b"\n0,1.0\n"}
+    # a count of more digits than int() converts (4,300 by default) is a bad
+    # header, not int()'s own error
+    LONG_COUNTS = {"bands": b"# scene=s bands=" + b"1" * 5000 + b" classes=3",
+                   "classes": b"# scene=s bands=1 classes=" + b"1" * 5000}
 
     @pytest.mark.parametrize("field", sorted(LONG_COUNTS))
     def test_count_past_the_digit_limit(self, tmp_path, field):
-        with pytest.raises(ParseError, match="^line 1: Exceeds the limit"):
-            self.load(tmp_path, self.LONG_COUNTS[field])
+        header = self.LONG_COUNTS[field].decode()
+        with pytest.raises(ParseError, match=self.error(
+                tmp_path, f"line 1: bad header {header!r}")):
+            self.load(tmp_path, self.LONG_COUNTS[field] + b"\n0,1.0\n")
 
-    def test_round_trip_past_one_eval_block(self, tmp_path):
-        from xscene.harness import EVAL_BLOCK_ROWS
-        _, tgt = generate_pair(tiny_cfg(samples_per_class_target=1100))
-        assert tgt.n > EVAL_BLOCK_ROWS
-        path = tmp_path / "scene.csv"
-        save_csv(tgt, path)
-        loaded = load_csv(path)
-        assert np.array_equal(loaded.spectra, tgt.spectra)
-        assert np.array_equal(loaded.labels, tgt.labels)
-        assert loaded.spectra.dtype == np.float64
-        assert loaded.labels.dtype == np.int64
+    # counts of ASCII, fullwidth and Arabic-Indic decimal digits
+    COUNTS = st.text("0123456789", min_size=1, max_size=18) | st.text(
+        "0123456789\uff12\u0663", max_size=25)
+    HEADERS = st.just("") | st.builds(
+        "# scene={} bands={} classes={}{}".format, st.text("ab_-. \u00e9", max_size=6),
+        COUNTS, COUNTS, st.sampled_from(["", " "]))
+
+    @staticmethod
+    def fits_grammar(header):
+        """Whether `header` is `# scene=<name> bands=<B> classes=<C>` with
+        B and C of 1-18 ASCII digits, for a name that holds no '='."""
+        rest, _, classes = header.rpartition(" classes=")
+        name, _, bands = rest.rpartition(" bands=")
+        return (name.startswith("# scene=") and name != "# scene="
+                and all(count.isascii() and count.isdigit() and len(count) <= 18
+                        for count in (bands, classes)))
+
+    @given(header=HEADERS)
+    @example(header="# scene=s bands=\uff12 classes=\uff12")
+    @example(header="# scene=s bands=1 classes=" + "9" * 19)
+    @example(header="")   # the empty file
+    @settings(max_examples=200)
+    def test_a_header_loads_if_and_only_if_it_fits_the_grammar(self, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scene.csv"
+            path.write_text(header and header + "\n0,1.0\n", encoding="utf-8")
+            try:
+                load_csv(path)
+                outcome = "loads"
+            except ParseError as exc:
+                outcome = exc
+        if not self.fits_grammar(header):
+            assert type(outcome) is ParseError
+            assert str(outcome) == f"{path}: line 1: bad header {header!r}"
+        else:
+            # the row after it loads or is the error
+            assert outcome == "loads" or str(outcome).startswith(f"{path}: line 2: ")
 
 
 def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path, monkeypatch):
@@ -421,11 +452,11 @@ class TestSplitPath:
     BAD = {"fields": b"1,1.0,2.0,3.0\n", "float": b"0,1.0,oops\n",
            "label": b"5,1.0,2.0\n", "non-finite": b"1,nan,4.0\n",
            "blank": b"\n", "utf8": b"1,3.0,\xff\n"}
-    ERRORS = {"fields": "line 17: expected 3 fields, got 4",
-              "float": "line 17: could not convert string to float: 'oops'",
-              "label": "line 17: label 5 out of range [0, 2)",
-              "non-finite": "line 17: non-finite band value",
-              "blank": "line 17: expected 3 fields, got 1",
+    ERRORS = {"fields": "{path}: line 17: expected 3 fields, got 4",
+              "float": "{path}: line 17: could not convert string to float: 'oops'",
+              "label": "{path}: line 17: label 5 out of range [0, 2)",
+              "non-finite": "{path}: line 17: non-finite band value",
+              "blank": "{path}: line 17: expected 3 fields, got 1",
               "utf8": "{path}: line 17: 'utf-8' codec can't decode byte 0xff "
                       "in position 6: invalid start byte"}
 
@@ -486,6 +517,16 @@ class TestSplitPath:
         assert serial == split == "ParseError: " + self.ERRORS[case].format(path=path)
         assert len(popens.take()) == 1
 
+    # the worker's reply holds no file name, so it is UTF-8 whatever the name
+    @pytest.mark.parametrize("case", ["label", "utf8"])
+    def test_a_file_name_that_is_not_utf8_reads_as_serial(self, tmp_path, popens,
+                                                           case):
+        path = tmp_path / os.fsdecode(b"\xff.csv")
+        path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
+        serial, split = self.both_ways(path)
+        assert serial == split == "ParseError: " + self.ERRORS[case].format(path=path)
+        assert len(popens.take()) == 1
+
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, popens, case):
         later = sorted(self.BAD)[sorted(self.BAD).index(case) - 1]
@@ -523,7 +564,8 @@ class TestSplitPath:
         monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
         path = tmp_path / "scene.csv"
         path.write_bytes(self.HEADER + self.BAD["label"] + self.GOOD * 20000)
-        with pytest.raises(ParseError, match="^line 2: label 5 out of range"):
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 2: label 5 out of range [0, 2)")):
             load_csv(path)
         [worker] = popens.take()
         assert worker.returncode == -signal.SIGKILL

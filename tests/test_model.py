@@ -275,13 +275,6 @@ class TestBranchBackward:
 
 
 class TestStructure:
-    def test_flatten_order_stable(self):
-        bundle = tiny_bundle(seed=31)
-        a = bundle.shared_encoder.values.copy()
-        b = bundle.shared_encoder.values.copy()
-        assert np.array_equal(a, b)
-        assert a.tobytes() == b.tobytes()
-
     def test_branches_share_no_arrays(self):
         bundle = tiny_bundle(seed=33)
         def views(names):
