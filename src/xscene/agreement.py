@@ -67,34 +67,31 @@ def ema_update(alpha_prev, phi_prev, beta):
     return min(max(alpha, -ALPHA_LIMIT), ALPHA_LIMIT)
 
 
+def _normalize(z, tau):
+    """(z / scale, scale), scale = tau * max(|z|, eps) over the last axis."""
+    scale = tau * np.maximum(
+        np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True)), NORM_EPS)
+    return z / scale, scale
+
+
 def logitnorm(z, tau):
     """Rescale logits to norm 1/tau: z / (tau * max(|z|, eps)).
 
     Accepts a single logit vector or an n x C batch (row-wise).
     """
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
-    return z / (tau * np.maximum(norms, NORM_EPS))
+    return _normalize(z, tau)[0]
 
 
 def logitnorm_ce(z, labels, tau):
     """Cross-entropy on normalized logits, with the exact gradient back
     through the normalization.
 
-    Returns (loss, grad_z, norm_err). Per row the normalization Jacobian
-    is (I - tau^2 * zh zh^T) / (tau * |z|), applied to the usual
-    (softmax - one_hot)/n logit gradient. norm_err is the largest
-    | |zh| - 1/tau | over the rows; rows of all-zero logits (all-dead
-    paths) fall back to the epsilon floor, carry no norm guarantee and
-    are left out (0.0 when no row is left).
+    Returns (loss, grad_z). Per row the normalization Jacobian is
+    (I - tau^2 * zh zh^T) / (tau * |z|), applied to the usual
+    (softmax - one_hot)/n logit gradient; rows of all-zero logits (all-dead
+    paths) fall back to the epsilon floor.
     """
-    raw = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True))
-    scale = tau * np.maximum(raw, NORM_EPS)
-    zh = z / scale
+    zh, scale = _normalize(z, tau)
     loss, gh = softmax_ce(zh, labels)
     dot = np.add.reduce(zh * gh, axis=1, keepdims=True)
-    grad_z = (gh - zh * dot * tau ** 2) / scale
-    live = zh[raw[:, 0] >= NORM_EPS]
-    norm_err = (float(np.maximum.reduce(np.abs(
-                    np.sqrt(np.add.reduce(live * live, axis=1)) - 1.0 / tau)))
-                if len(live) else 0.0)
-    return loss, grad_z, norm_err
+    return loss, (gh - zh * dot * tau ** 2) / scale

@@ -187,11 +187,11 @@ def evaluate(bundle, ds, head):
                         f"head predicts {width}")
     preds = np.empty(ds.n, dtype=np.intp)
     for lo in range(0, ds.n, EVAL_BLOCK_ROWS):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                logits = predict(bundle, head, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
-        except FloatingPointError as exc:
-            raise DataError(f"evaluating the {head} head: {exc}") from None
+        # errstate sees only this thread's flags, not OpenBLAS's workers'
+        with np.errstate(all="ignore"):
+            logits = predict(bundle, head, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
+        if not np.isfinite(logits).all():
+            raise DataError(f"evaluating the {head} head: logits overflow float64")
         logits.argmax(axis=1, out=preds[lo:lo + EVAL_BLOCK_ROWS])
     cm = ConfusionMatrix.from_predictions(ds.classes, ds.labels, preds)
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)
@@ -209,20 +209,19 @@ def _run_agreement_phase(run, source):
             chunk = slice(start, start + cfg.batch_size)
             batch_s = (spectra[chunk], labels[chunk])
             batch_t = (split.spectra[idx], split.labels[idx])
-            res = agreement_backward(bundle, batch_s, batch_t, tau)
-            surgery = gradvac_update(res.g_s, res.g_t, alpha, cfg.use_gradvac)
-            np.add(surgery.g, res.g_t, out=bundle.shared_encoder.grads)
+            g_s, g_t, loss_s, loss_t = agreement_backward(bundle, batch_s,
+                                                          batch_t, tau)
+            surgery = gradvac_update(g_s, g_t, alpha, cfg.use_gradvac)
+            np.add(surgery.g, g_t, out=bundle.shared_encoder.grads)
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
             run.log({
                 "phase": "agree", "step": step,
                 "phi_raw": surgery.phi_raw, "phi_post": surgery.phi_post,
                 "alpha": alpha, "mag_sim": surgery.mag_sim,
-                "loss_s": float(res.loss_s), "loss_t": float(res.loss_t),
+                "loss_s": loss_s, "loss_t": loss_t,
                 "gs_norm": surgery.gs_norm, "gt_norm": surgery.gt_norm,
                 "gradvac_applied": surgery.gradvac_applied,
-                "logitnorm_active": tau is not None,
-                "ln_err_s": res.ln_err_s, "ln_err_t": res.ln_err_t,
             })
             alpha = ema_update(alpha, surgery.phi_raw, EMA_BETA)
 

@@ -17,7 +17,6 @@ gradient is built here, by agreement_backward, private_backward and
 ensemble_backward; the harness only draws batches, steps and logs.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -96,40 +95,25 @@ def predict(bundle, head, x):
     return x
 
 
-@dataclass
-class AgreementGrads:
-    """Backward-pass results for one agreement step: the two flattened
-    shared-encoder gradients plus per-task diagnostics."""
-
-    g_s: np.ndarray
-    g_t: np.ndarray
-    loss_s: float
-    loss_t: float
-    ln_err_s: float | None = None  # max | |zhat| - 1/tau | over batch rows
-    ln_err_t: float | None = None
-
-
 def _task_backward(extractor, encoder, head, x, y, tau):
     """Forward + backward for one task path; writes the gradients of the
-    three components and returns (loss, logitnorm deviation)."""
+    three components and returns the loss."""
     feats, c_ext = extractor.forward(x)
     enc, c_enc = encoder.forward(feats)
     z, c_head = head.forward(enc)
-    if tau is None:
-        loss, dz = softmax_ce(z, y)
-        ln_err = None
-    else:
-        loss, dz, ln_err = logitnorm_ce(z, y, tau)
+    loss, dz = softmax_ce(z, y) if tau is None else logitnorm_ce(z, y, tau)
     d_enc = head.backward(c_head, dz)
     d_feats = encoder.backward(c_enc, d_enc)
     extractor.backward(c_ext, d_feats, input_grad=False)
-    return loss, ln_err
+    return loss
 
 
 def agreement_backward(bundle, batch_s, batch_t, tau=None):
     """Compute both task losses and write their gradients into the
     agreement components; with `tau`, each task's cross-entropy runs on
-    logits normalized to norm 1/tau (LogitNorm).
+    logits normalized to norm 1/tau (LogitNorm). Returns
+    (g_s, g_t, loss_s, loss_t), the two flattened shared-encoder gradients
+    and the two task losses.
 
     Each component's gradient is written by its own task's backward, so
     nothing is zeroed first. The shared encoder is written twice: g_s is
@@ -138,13 +122,13 @@ def agreement_backward(bundle, batch_s, batch_t, tau=None):
     g_s and g_t (possibly after surgery) and writes the result back
     before stepping.
     """
-    loss_s, ln_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
-                                  bundle.source_head, *batch_s, tau)
+    loss_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
+                            bundle.source_head, *batch_s, tau)
     g_s = bundle.shared_encoder.grads.copy()
-    loss_t, ln_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
-                                  bundle.target_head, *batch_t, tau)
+    loss_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
+                            bundle.target_head, *batch_t, tau)
     g_t = bundle.shared_encoder.grads.copy()
-    return AgreementGrads(g_s, g_t, loss_s, loss_t, ln_s, ln_t)
+    return g_s, g_t, loss_s, loss_t
 
 
 def private_backward(bundle, x, y, shared_dist=None, idx=None):

@@ -157,8 +157,7 @@ def test_03_gradient_oracles():
         if kink:
             continue
         done += 1
-        res = agreement_backward(bundle, (xs, ys), (xt, yt))
-        g_s, g_t = res.g_s, res.g_t
+        g_s, g_t, *_ = agreement_backward(bundle, (xs, ys), (xt, yt))
         flat = bundle.shared_encoder.values.copy()
 
         def loss_through(vec, extractor, head, x, y):

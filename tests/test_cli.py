@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from xscene.cli import main
 from xscene.data import SceneDataset, load_csv, save_csv
-from xscene.harness import save_checkpoint
+from xscene.harness import Run, evaluate, save_checkpoint
 from xscene.model import COMPONENT_ORDER, HEADS, ModelBundle
 
 
@@ -100,6 +100,25 @@ class TestEval:
         assert rc == 0
         out = capsys.readouterr().out
         assert "eval[ensemble]" in out
+
+    def test_prints_evaluates_figures(self, tmp_path, capsys):
+        # identity weights end to end, so the logits are the spectra: rows
+        # 2 and 4 are misclassified, and OA 60, AA 58.33 and kappa 16.67
+        # all differ
+        bundle = ModelBundle({name: [2, 2] for name in COMPONENT_ORDER})
+        for name in COMPONENT_ORDER:
+            getattr(bundle, name).weights[0][:] = np.eye(2)
+        model, data = tmp_path / "model.bin", tmp_path / "scene.csv"
+        save_checkpoint(model, bundle)
+        spectra = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0],
+                            [1.0, 0.0]])
+        save_csv(SceneDataset("t", 2, spectra, np.array([0, 0, 0, 1, 1])), data)
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+        oa, aa, kappa = evaluate(bundle, load_csv(data), "agree")
+        assert capsys.readouterr().out == (
+            f"eval[agree] OA {100 * oa:.2f}  AA {100 * aa:.2f}  "
+            f"kappa {100 * kappa:.2f}\n")
+        assert len({round(100 * v, 2) for v in (oa, aa, kappa)}) == 3
 
     def test_missing_model_file(self, tmp_path, capsys):
         assert main(["eval", "--model", str(tmp_path / "nope.bin"),
@@ -300,3 +319,22 @@ class TestAblateCommand:
             assert 0.0 <= r["oa"] <= 100.0
         out = capsys.readouterr().out
         assert "baseline" in out and "+dir" in out
+
+    def test_table_columns_match_the_log(self, tmp_path, capsys, monkeypatch):
+        # a trained ladder scores class-balanced splits, where OA equals AA;
+        # rows with three distinct figures show each lands in its own column
+        def ablate(cfg):
+            return [(f"row{k}", Run(cfg, None, None, None, 1, oa=50.0 + k,
+                                    aa=40.0 + k / 3, kappa=30.0 - k / 7))
+                    for k in range(5)]
+        monkeypatch.setattr("xscene.cli.ablate", ablate)
+        log = tmp_path / "ablate.jsonl"
+        assert main(["ablate", "--config", str(write_cfg(tmp_path)),
+                     "--log", str(log)]) == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert table[0].split() == ["row", "config", "OA", "AA", "kappa"]
+        records = [json.loads(l) for l in log.read_text().splitlines()]
+        assert [line.split() for line in table[1:]] == [
+            [str(r["row"]), r["name"],
+             *(f"{r[key]:.2f}" for key in ("oa", "aa", "kappa"))]
+            for r in records]

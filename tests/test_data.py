@@ -161,10 +161,10 @@ class TestGeneratePair:
                              ("target_head", "source_head")):
                     dst, srcc = (getattr(bundle, pair[0]), getattr(bundle, pair[1]))
                     dst.values[:] = srcc.values
-                res = agreement_backward(bundle,
-                                         (src.spectra[:64], src.labels[:64]),
-                                         (tgt.spectra[:64], tgt.labels[:64]))
-                phis.append(gradvac_update(res.g_s, res.g_t, 0.0, False).phi_raw)
+                g_s, g_t, *_ = agreement_backward(
+                    bundle, (src.spectra[:64], src.labels[:64]),
+                    (tgt.spectra[:64], tgt.labels[:64]))
+                phis.append(gradvac_update(g_s, g_t, 0.0, False).phi_raw)
             return float(np.mean(phis))
 
         assert mean_phi(1.0, 0) < mean_phi(0.0, 4)

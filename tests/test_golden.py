@@ -24,21 +24,21 @@ RECORDED_NUMPY = "2.4.6"
 GOLDEN = {
     "off": (
         {},
-        "1bbb2d6ca5794931d057f8ede581bee39d19c9ba311656cf1baf1ebc5bbe851d",
+        "4fac5a59b4bfbf2b952e13567f0e75359a60b5af062185d78df41792e0547474",
         "bc0372418d9381159e603ead88fea5568c77dc13046030ecf76ced960b3e80d9"),
     "gradvac+logitnorm": (
         dict(use_gradvac=True, use_logitnorm=True),
-        "0e9db0a97dc46ac79f63286596a62b2e9de73ba39be74e6acba495407d808a8a",
+        "a55ad39ca15473d193851aeb4c89f732c190ae756cb5d1260321bc07f65f8b1f",
         "13d20e7ac69471e6346f0a2665a22e37b1829432b88952a681352754f6be5a3f"),
     "full": (
         dict(use_gradvac=True, use_logitnorm=True, use_ensemble=True,
              use_dir=True),
-        "fc2df6610f4aab4586c3fd9c14ae85d6a731f73dffee52cd515e5318767ee00c",
+        "abf20157ac22352e05015f76da93c3844e7024f8e209ef70b0d7dc6272136b60",
         "af7d09d74714bd3c0cc24c6e4919c7dd777ef1c6a37fa7c6c94b4e191df9e55c"),
     "dir+ensemble-ragged": (
         dict(use_dir=True, use_ensemble=True, batch_size=37, shots=3,
              epochs_agree=8),
-        "557c76905517f8126b77669a7e8bd1698ad4c93b0110f1a46cebb1eeb8d29322",
+        "1f2afbad10e49ac603e05ede76754dec9cced3404dd294e29fda884ff196a976",
         "0905a45999e8bbc23662653f334681743e8ca1ce3f870f1f037a0a2c16a6434c"),
 }
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xscene.harness as harness
+from xscene.agreement import logitnorm_ce
 from xscene.data import SceneDataset, SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
 from xscene.harness import (EMA_BETA, EVAL_BLOCK_ROWS, TOGGLES, Run,
@@ -22,7 +23,8 @@ from xscene.harness import (EMA_BETA, EVAL_BLOCK_ROWS, TOGGLES, Run,
                             train, write_ablation_log, write_log)
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
-from xscene.model import COMPONENT_ORDER, HEADS, ModelBundle, predict
+from xscene.model import (COMPONENT_ORDER, HEADS, ModelBundle,
+                          agreement_backward, predict)
 
 
 def quick_cfg(**overrides):
@@ -383,14 +385,25 @@ class TestPhaseAInvariants:
         for s in fired:
             assert s["phi_post"] == pytest.approx(s["alpha"], abs=1e-9)
 
-    def test_logitnorm_rows_at_unit_over_tau(self):
+    def test_logged_losses_are_logitnorm_ce(self, monkeypatch):
+        # with use_logitnorm, each agree step logs logitnorm_ce of each
+        # task's logits at LOGITNORM_TAU, as the parameters stood at the step
+        want = []
+
+        def spy(bundle, batch_s, batch_t, tau):
+            want.append(tuple(
+                logitnorm_ce(head.predict(bundle.shared_encoder.predict(
+                    extractor.predict(x))), y, harness.LOGITNORM_TAU)[0]
+                for extractor, head, (x, y) in (
+                    (bundle.source_extractor, bundle.source_head, batch_s),
+                    (bundle.target_extractor, bundle.target_head, batch_t))))
+            return agreement_backward(bundle, batch_s, batch_t, tau)
+
+        monkeypatch.setattr(harness, "agreement_backward", spy)
         rep = train(quick_cfg(use_logitnorm=True))
-        ln_steps = [s for s in rep.steps
-                    if s["phase"] == "agree" and s["logitnorm_active"]]
-        assert ln_steps
-        for s in ln_steps:
-            assert s["ln_err_s"] <= 1e-9
-            assert s["ln_err_t"] <= 1e-9
+        got = [(s["loss_s"], s["loss_t"])
+               for s in rep.steps if s["phase"] == "agree"]
+        assert got and got == want
 
     def test_alpha_trajectory_matches_recursion(self):
         cfg = quick_cfg(use_gradvac=True)
@@ -467,7 +480,20 @@ class TestEvaluate:
         bundle.params[0] = 1e150 * rng.standard_normal(bundle.params.shape[1])
         ds = SceneDataset("t", 3, rng.standard_normal((30, 8)), np.arange(30) % 3)
         with pytest.raises(DataError, match=r"^evaluating the agree head: "
-                                            r"(overflow|invalid value) encountered in \w+$"):
+                                            r"logits overflow float64$"):
+            evaluate(bundle, ds, "agree")
+
+    def test_overflow_in_a_block_large_enough_to_thread_raises(self):
+        # a 4,096-row block's matmuls are large enough for a multithreaded
+        # BLAS to compute the last rows, and their overflow, on a worker
+        # thread whose floating-point flags numpy's errstate does not read
+        bundle = ModelBundle.build(4, 32, 2, 5, 32, 64, 32,
+                                   np.random.default_rng(0))
+        spectra = np.full((4096, 32), 0.1)
+        spectra[-16:] = 1e308
+        ds = SceneDataset("t", 5, spectra, np.arange(4096) % 5)
+        with pytest.raises(DataError, match=r"^evaluating the agree head: "
+                                            r"logits overflow float64$"):
             evaluate(bundle, ds, "agree")
 
 

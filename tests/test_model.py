@@ -85,8 +85,7 @@ class TestSharedGradients:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
-        res = agreement_backward(bundle, (x, y), (x.copy(), y.copy()))
-        g_s, g_t = res.g_s, res.g_t
+        g_s, g_t, *_ = agreement_backward(bundle, (x, y), (x.copy(), y.copy()))
         assert np.array_equal(g_s, g_t)
         assert gradvac_update(g_s, g_t, 0.0, False).phi_raw == pytest.approx(1.0)
 
@@ -99,8 +98,8 @@ class TestSharedGradients:
         yt1 = rng.integers(0, 3, size=5)
         xt2 = rng.normal(size=(5, 5))
         yt2 = rng.integers(0, 3, size=5)
-        g_s1 = agreement_backward(bundle, (xs, ys), (xt1, yt1)).g_s
-        g_s2 = agreement_backward(bundle, (xs, ys), (xt2, yt2)).g_s
+        g_s1 = agreement_backward(bundle, (xs, ys), (xt1, yt1))[0]
+        g_s2 = agreement_backward(bundle, (xs, ys), (xt2, yt2))[0]
         assert np.array_equal(g_s1, g_s2)
 
     def _fd_shared(self, bundle, x, y, forward_parts, tau=None):
@@ -124,8 +123,7 @@ class TestSharedGradients:
         ys = rng.integers(0, 3, size=5)
         xt = rng.normal(size=(4, 5))
         yt = rng.integers(0, 3, size=4)
-        res = agreement_backward(bundle, (xs, ys), (xt, yt), tau)
-        g_s, g_t = res.g_s, res.g_t
+        g_s, g_t, *_ = agreement_backward(bundle, (xs, ys), (xt, yt), tau)
         fd_s = self._fd_shared(bundle, xs, ys,
                                (bundle.source_extractor, bundle.source_head), tau)
         fd_t = self._fd_shared(bundle, xt, yt,
@@ -146,8 +144,8 @@ class TestSharedGradients:
         stale.params[1] = rng.normal(size=stale.params.shape[1])
         others = np.concatenate([stale.private[1], stale.ensemble[1]])
         res = agreement_backward(stale, (xs, ys), (xt, yt))
-        assert np.array_equal(res.g_s, want.g_s)
-        assert np.array_equal(res.g_t, want.g_t)
+        assert np.array_equal(res[0], want[0])
+        assert np.array_equal(res[1], want[1])
         assert np.array_equal(stale.agreement[1], clean.agreement[1])
         assert np.array_equal(
             np.concatenate([stale.private[1], stale.ensemble[1]]), others)
@@ -344,8 +342,8 @@ class TestStructure:
 
         def step(t):
             xs, ys, xt, yt = batches[t - 1]
-            res = agreement_backward(bundle, (xs, ys), (xt, yt), tau=2.0)
-            bundle.shared_encoder.grads[:] = res.g_s + res.g_t
+            g_s, g_t, *_ = agreement_backward(bundle, (xs, ys), (xt, yt), tau=2.0)
+            bundle.shared_encoder.grads[:] = g_s + g_t
             private_backward(bundle, xt, yt, smoothed_distances(xt), np.arange(6))
             teachers = ((log_softmax(predict(bundle, "agree", xt), 1.0), 1.0),
                         (log_softmax(predict(bundle, "disagree", xt), 0.05), 0.05))
