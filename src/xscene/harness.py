@@ -212,7 +212,7 @@ def _run_agreement_phase(run, source):
             g_s, g_t, loss_s, loss_t = agreement_backward(bundle, batch_s,
                                                           batch_t, tau)
             surgery = gradvac_update(g_s, g_t, alpha, cfg.use_gradvac)
-            np.add(surgery.g, g_t, out=bundle.shared_encoder.grads)
+            g_t += surgery.g  # g_t is the shared encoder's gradient buffer
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
             run.log({

@@ -117,9 +117,9 @@ def agreement_backward(bundle, batch_s, batch_t, tau=None):
 
     Each component's gradient is written by its own task's backward, so
     nothing is zeroed first. The shared encoder is written twice: g_s is
-    copied out before the target task overwrites it, and after the call
-    its buffers hold only the target-task gradient; the caller combines
-    g_s and g_t (possibly after surgery) and writes the result back
+    copied out before the target task overwrites it, and g_t is the
+    shared encoder's `grads` buffer itself, so the caller that combines
+    g_s and g_t (possibly after surgery) writes the result into g_t
     before stepping.
     """
     loss_s = _task_backward(bundle.source_extractor, bundle.shared_encoder,
@@ -127,8 +127,7 @@ def agreement_backward(bundle, batch_s, batch_t, tau=None):
     g_s = bundle.shared_encoder.grads.copy()
     loss_t = _task_backward(bundle.target_extractor, bundle.shared_encoder,
                             bundle.target_head, *batch_t, tau)
-    g_t = bundle.shared_encoder.grads.copy()
-    return g_s, g_t, loss_s, loss_t
+    return g_s, bundle.shared_encoder.grads, loss_s, loss_t
 
 
 def private_backward(bundle, x, y, shared_dist=None, idx=None):

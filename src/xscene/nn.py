@@ -88,23 +88,23 @@ class Mlp:
                 self.weights[-1][:] = glorot_uniform(fan_in, fan_out, rng)
             offset = end
 
-    def forward(self, x, keep_cache=True):
-        """Returns (output, cache); the cache feeds backward(). Without
-        keep_cache the cache is None and each layer's input is freed once
-        the next layer has it. x is a float64 (rows, dims[0]) array."""
-        cache = [] if keep_cache else None
+    def forward(self, x):
+        """Returns (output, cache); cache[i], layer i's input (x first),
+        feeds backward(). Each hidden ReLU runs in place on the array its
+        layer computed. x is a float64 (rows, dims[0]) array."""
+        cache = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = x @ w
-            z += b
-            if keep_cache:
-                cache.append((x, z))
-            x = np.maximum(z, 0.0) if i < last else z
+            cache.append(x)
+            x = x @ w
+            x += b
+            if i < last:
+                np.maximum(x, 0.0, out=x)
         return x, cache
 
     def predict(self, x):
-        """The output alone; keeps no backward cache."""
-        return self.forward(x, keep_cache=False)[0]
+        """The output alone; the cache is dropped on return."""
+        return self.forward(x)[0]
 
     def backward(self, cache, upstream, input_grad=True):
         """Writes (does not add to) the parameter gradients; returns the
@@ -113,13 +113,13 @@ class Mlp:
         subgradient at 0 is 0."""
         g = upstream
         for i in reversed(range(len(self.weights))):
-            np.matmul(cache[i][0].T, g, out=self.grad_weights[i])
+            np.matmul(cache[i].T, g, out=self.grad_weights[i])
             np.add.reduce(g, axis=0, out=self.grad_biases[i])
             if i == 0 and not input_grad:
                 return None
             g = g @ self.weights[i].T
             if i > 0:
-                g *= cache[i - 1][1] > 0.0
+                g *= cache[i] > 0.0
         return g
 
 

@@ -149,10 +149,12 @@ def test_03_gradient_oracles():
         # redraw when an encoder pre-activation sits within the probe step
         margin = 1e-3
         kink = False
+        enc = bundle.shared_encoder
         for x in (bundle.source_extractor.predict(xs),
                   bundle.target_extractor.predict(xt)):
-            _, cache = bundle.shared_encoder.forward(x)
-            if min(np.abs(z).min() for _, z in cache) < margin:
+            _, cache = enc.forward(x)
+            if min(np.abs(a @ w + b).min()
+                   for a, w, b in zip(cache, enc.weights, enc.biases)) < margin:
                 kink = True
         if kink:
             continue

@@ -8,11 +8,20 @@ the agreement-only pipeline with both toggles, and full all three phases.
 dir+ensemble-ragged draws 37-row batches with replacement from a 15-row
 few-shot split, so most rows of every private and ensemble batch repeat.
 The digests depend on numpy's floating-point kernels, so they are pinned
-to the numpy version they were recorded with.
+to the numpy version they were recorded with and to one OpenBLAS kernel:
+the four configs train in one child process with OPENBLAS_CORETYPE set to
+KERNEL, and so give the same bits on every CPU that can run it. Run as a
+script, this file trains them and prints their digests as JSON.
 """
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,26 +29,30 @@ import pytest
 from xscene.harness import TrainConfig, save_checkpoint, train, write_log
 
 RECORDED_NUMPY = "2.4.6"
+# OpenBLAS's AVX2 kernel; the instruction sets it needs, as /proc/cpuinfo
+# names them
+KERNEL = "Haswell"
+KERNEL_FLAGS = {"avx2", "fma"}
 # config name -> (toggles, log SHA-256, checkpoint SHA-256)
 GOLDEN = {
     "off": (
         {},
-        "4fac5a59b4bfbf2b952e13567f0e75359a60b5af062185d78df41792e0547474",
-        "bc0372418d9381159e603ead88fea5568c77dc13046030ecf76ced960b3e80d9"),
+        "3f9f24222ef5cbebe8a948b28ab41010a7429dd7c47284e9ef71a59adcd043a2",
+        "2d32883a079aeeab14d23fd7795fc5ed94a025c9c10215e752b46c28dfa839d1"),
     "gradvac+logitnorm": (
         dict(use_gradvac=True, use_logitnorm=True),
-        "a55ad39ca15473d193851aeb4c89f732c190ae756cb5d1260321bc07f65f8b1f",
-        "13d20e7ac69471e6346f0a2665a22e37b1829432b88952a681352754f6be5a3f"),
+        "66be72ab6011d454a93c68457b7648feac1c8d071f4f026ea990611c8deb9f24",
+        "fc734f9f44758e9f856412f5d205bf663de61b2c2eb47a906d90e55fe03214fa"),
     "full": (
         dict(use_gradvac=True, use_logitnorm=True, use_ensemble=True,
              use_dir=True),
-        "abf20157ac22352e05015f76da93c3844e7024f8e209ef70b0d7dc6272136b60",
-        "af7d09d74714bd3c0cc24c6e4919c7dd777ef1c6a37fa7c6c94b4e191df9e55c"),
+        "3f63588ae045c361653569b2eef20e8e3c84ede637221758f7038b78e6a9e130",
+        "950a5d7eb07ea0c52c6820ae89cb6ebd54b3cec19d3b90d46dfa98ba00ed14ab"),
     "dir+ensemble-ragged": (
         dict(use_dir=True, use_ensemble=True, batch_size=37, shots=3,
              epochs_agree=8),
-        "1f2afbad10e49ac603e05ede76754dec9cced3404dd294e29fda884ff196a976",
-        "0905a45999e8bbc23662653f334681743e8ca1ce3f870f1f037a0a2c16a6434c"),
+        "972e33f62697304b638ce19d4d6b3a5eafb4920534a479ddd3cd09887ff8c011",
+        "6eb18d03eaa0464805cfcc8ae90c24d0a8d7fc67937f1fd36ace6ac40ff1924d"),
 }
 
 
@@ -47,16 +60,55 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _cpu_flags():
+    """The CPU's feature flags from /proc/cpuinfo; empty where it has none."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+def _digests():
+    """{config name: [log SHA-256, checkpoint SHA-256]}, trained here."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        log, ckpt = Path(tmp, "run.jsonl"), Path(tmp, "model.bin")
+        for name, (toggles, *_) in GOLDEN.items():
+            rep = train(dataclasses.replace(TrainConfig(seed=0), **toggles))
+            write_log(log, rep)
+            save_checkpoint(ckpt, rep.bundle, meta={"eval_head": rep.eval_head})
+            digests[name] = [_sha256(log), _sha256(ckpt)]
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests():
+    # OPENBLAS_VERBOSE=2 makes OpenBLAS name the kernel it loaded on stderr
+    env = dict(os.environ, OPENBLAS_CORETYPE=KERNEL, OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, __file__], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    if f"Core: {KERNEL}" not in proc.stderr.splitlines():
+        pytest.skip(f"golden digests recorded under OpenBLAS's {KERNEL} "
+                    f"kernel, which numpy did not load: {proc.stderr!r}")
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.skipif(
     np.__version__ != RECORDED_NUMPY,
     reason=f"golden digests recorded on numpy {RECORDED_NUMPY}, "
            f"running numpy {np.__version__}")
+@pytest.mark.skipif(
+    not KERNEL_FLAGS <= _cpu_flags(),
+    reason=f"golden digests recorded under OpenBLAS's {KERNEL} kernel, "
+           f"which needs {sorted(KERNEL_FLAGS)}; this CPU lacks them")
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_seed0_bytes(name, tmp_path):
-    toggles, log_sha, ckpt_sha = GOLDEN[name]
-    rep = train(dataclasses.replace(TrainConfig(seed=0), **toggles))
-    log, ckpt = tmp_path / "run.jsonl", tmp_path / "model.bin"
-    write_log(log, rep)
-    save_checkpoint(ckpt, rep.bundle, meta={"eval_head": rep.eval_head})
-    assert _sha256(log) == log_sha
-    assert _sha256(ckpt) == ckpt_sha
+def test_seed0_bytes(name, digests):
+    assert digests[name] == list(GOLDEN[name][1:])
+
+
+if __name__ == "__main__":
+    print(json.dumps(_digests()))

@@ -280,6 +280,17 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match="^ensemble step 1: e_en1 is inf$"):
             train(quick_cfg(use_ensemble=True))
 
+    def test_nan_logged_value_names_its_key(self):
+        # a NaN computed on an OpenBLAS worker thread raises no
+        # FloatingPointError; the log is where it is caught
+        run = Run(quick_cfg(), split=None, bundle=None, rng=None,
+                  steps_per_epoch=1)
+        with pytest.raises(DivergenceError,
+                           match=r"^disagree step 4: dcor is nan$"):
+            run.log({"phase": "disagree", "step": 4, "loss_ce": 0.5,
+                     "dcor": float("nan"), "loss": 0.5})
+        assert run.steps == []
+
     def test_logs_refuse_non_finite_values(self, tmp_path):
         run = dataclasses.replace(train(quick_cfg(epochs_agree=0)),
                                   oa=float("nan"))

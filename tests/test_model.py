@@ -154,7 +154,8 @@ class TestSharedGradients:
 def relu_margin(mlp, x):
     """Smallest |pre-activation| that feeds a ReLU in mlp over batch x."""
     _, cache = mlp.forward(x)
-    return min(np.abs(z).min() for _, z in cache[:-1])
+    return min(np.abs(a @ w + b).min()
+               for a, w, b in zip(cache[:-1], mlp.weights, mlp.biases))
 
 
 def private_loss(bundle, x, y, shared_dist=None, idx=None):

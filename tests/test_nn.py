@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,10 +69,31 @@ class TestLinear:
     def test_predict_is_forward_without_a_cache(self):
         mlp = make_mlp([5, 7, 4, 3], np.random.default_rng(2))
         x = np.random.default_rng(3).standard_normal((6, 5))
+        given = x.copy()
         out, cache = mlp.forward(x)
-        assert len(cache) == 3
-        assert mlp.forward(x, keep_cache=False)[1] is None
+        # one array per layer, its input: the caller's x, then each hidden
+        # layer's ReLU output
+        assert cache[0] is x
+        assert [a.shape for a in cache] == [(6, 5), (6, 7), (6, 4)]
+        assert all((a >= 0.0).all() for a in cache[1:])
+        assert np.array_equal(x, given)
         assert np.array_equal(mlp.predict(x), out)
+
+    @pytest.mark.parametrize("call", ["forward", "predict"])
+    def test_peak_memory_is_the_hidden_and_output_arrays(self, call):
+        # each hidden layer's ReLU runs in place on the array the layer
+        # computed, so a call holds one hidden and one output array
+        rng = np.random.default_rng(5)
+        mlp = make_mlp([32, 64, 32], rng)
+        x = rng.standard_normal((4096, 32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            getattr(mlp, call)(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096 * (64 + 32) * 8 + 128 * 1024
 
 
 # two identity layers: the output is relu(x), the input gradient relu'(x) * g
@@ -243,7 +266,7 @@ class TestParamBlock:
         assert n_params([2, 3, 2]) == 17
         assert n_params([5, 1]) == 6
 
-    def test_mlp_needs_a_4_by_n_params_block(self):
+    def test_mlp_builds_on_a_4_by_n_params_block(self):
         assert Mlp([2, 3, 2], np.zeros((4, 17))).params.shape == (4, 17)
 
     def test_mlp_views_the_block_it_is_given(self):
@@ -324,7 +347,7 @@ class TestMlpGradients:
         mlp = make_mlp([3, 5, 4], rng)
         _, cache = mlp.forward(rng.normal(size=(6, 3)))
         upstream = rng.normal(size=(6, 4))
-        saved = [upstream.copy()] + [a.copy() for pair in cache for a in pair]
+        saved = [upstream.copy()] + [a.copy() for a in cache]
         mlp.backward(cache, upstream)
-        now = [upstream] + [a for pair in cache for a in pair]
+        now = [upstream, *cache]
         assert all(np.array_equal(a, b) for a, b in zip(now, saved))
