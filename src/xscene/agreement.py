@@ -5,8 +5,6 @@ Covers gradient-direction surgery toward an EMA-tracked cosine target
 similarity, and logit normalization (LogitNorm) folded into cross-entropy.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import softmax_ce
@@ -17,22 +15,14 @@ NORM_EPS = 1e-12
 ALPHA_LIMIT = 1.0 - 1e-6
 
 
-@dataclass
-class GradVacStep:
-    """One agreement step's surgery: the source gradient to apply and the
-    figures the step logs."""
-
-    g: np.ndarray          # g_s after surgery; g_s itself when it did not fire
-    phi_raw: float         # cos(g_s, g_t)
-    phi_post: float        # cos(g, g_t)
-    mag_sim: float         # 2|g_s||g_t| / (|g_s|^2 + |g_t|^2)
-    gs_norm: float
-    gt_norm: float
-    gradvac_applied: bool
-
-
 def gradvac_update(g_s, g_t, alpha, enabled):
     """GradVac on one step's shared-encoder gradients.
+
+    Returns (g, figures): g is the source gradient to apply (g_s itself
+    when surgery did not fire), and figures holds what the agree step
+    logs: phi_raw = cos(g_s, g_t), phi_post = cos(g, g_t),
+    mag_sim = 2|g_s||g_t| / (|g_s|^2 + |g_t|^2), gs_norm and gt_norm as
+    floats, and gradvac_applied as a bool.
 
     Surgery fires when `enabled`, cos(g_s, g_t) < alpha and |g_t| is at
     least NORM_EPS: g = g_s + eta*g_t then has cosine alpha with g_t (up to
@@ -57,7 +47,9 @@ def gradvac_update(g_s, g_t, alpha, enabled):
         g = g_s + eta * g_t
         n_post = np.sqrt(g @ g)
         phi_post = 0.0 if n_post < NORM_EPS else float(g @ g_t / (n_post * nt))
-    return GradVacStep(g, phi, phi_post, mag, float(ns), float(nt), applied)
+    return g, {"phi_raw": phi, "phi_post": phi_post, "mag_sim": mag,
+               "gs_norm": float(ns), "gt_norm": float(nt),
+               "gradvac_applied": applied}
 
 
 def ema_update(alpha_prev, phi_prev, beta):

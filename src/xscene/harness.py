@@ -211,19 +211,13 @@ def _run_agreement_phase(run, source):
             batch_t = (split.spectra[idx], split.labels[idx])
             g_s, g_t, loss_s, loss_t = agreement_backward(bundle, batch_s,
                                                           batch_t, tau)
-            surgery = gradvac_update(g_s, g_t, alpha, cfg.use_gradvac)
-            g_t += surgery.g  # g_t is the shared encoder's gradient buffer
+            g, figures = gradvac_update(g_s, g_t, alpha, cfg.use_gradvac)
+            g_t += g  # g_t is the shared encoder's gradient buffer
             step += 1
             adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
-            run.log({
-                "phase": "agree", "step": step,
-                "phi_raw": surgery.phi_raw, "phi_post": surgery.phi_post,
-                "alpha": alpha, "mag_sim": surgery.mag_sim,
-                "loss_s": loss_s, "loss_t": loss_t,
-                "gs_norm": surgery.gs_norm, "gt_norm": surgery.gt_norm,
-                "gradvac_applied": surgery.gradvac_applied,
-            })
-            alpha = ema_update(alpha, surgery.phi_raw, EMA_BETA)
+            run.log({"phase": "agree", "step": step, "alpha": alpha,
+                     "loss_s": loss_s, "loss_t": loss_t, **figures})
+            alpha = ema_update(alpha, figures["phi_raw"], EMA_BETA)
 
 
 def _run_private_phase(run):

@@ -10,7 +10,7 @@ from oracles import central_differences
 
 # Reference oracles: the three primitives the training step once called one
 # after another, and that sequence itself, with norms through np.linalg.norm.
-# gradvac_update must give every field of it bit for bit, fired or not.
+# gradvac_update must give every value of it bit for bit, fired or not.
 
 def cosine_similarity(g_s, g_t):
     ns = np.linalg.norm(g_s)
@@ -85,16 +85,16 @@ def cosine(a, b):
 
 
 def assert_matches_reference(g_s, g_t, alpha, enabled):
-    res = gradvac_update(g_s, g_t, alpha, enabled)
+    g, figures = gradvac_update(g_s, g_t, alpha, enabled)
     want = reference_step(g_s, g_t, alpha, enabled)
-    got = (res.g, res.phi_raw, res.phi_post, res.mag_sim, res.gs_norm,
-           res.gt_norm, res.gradvac_applied)
+    got = (g, *(figures[k] for k in ("phi_raw", "phi_post", "mag_sim", "gs_norm",
+                                     "gt_norm", "gradvac_applied")))
     assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
     for name, a, b in zip(("phi_raw", "phi_post", "mag_sim", "gs_norm",
                            "gt_norm"), got[1:6], want[1:6]):
         assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes(), name
     assert got[6] is want[6]
-    return res
+    return figures
 
 
 class TestMatchesReference:
@@ -111,7 +111,8 @@ class TestMatchesReference:
                 alpha = float(np.clip(cosine(g_s, g_t) + rng.uniform(-1e-3, 1e-3),
                                       -ALPHA_LIMIT, ALPHA_LIMIT))
             enabled = i % 4 != 0
-            fired += assert_matches_reference(g_s, g_t, alpha, enabled).gradvac_applied
+            figures = assert_matches_reference(g_s, g_t, alpha, enabled)
+            fired += figures["gradvac_applied"]
         assert 50 < fired < 350
 
     @pytest.mark.parametrize("g_s, g_t, alpha, enabled, fires", [
@@ -124,78 +125,82 @@ class TestMatchesReference:
         ([1.0, 0.0], [-1.0, 1.0], 0.5, True, True),
     ])
     def test_edge_cases(self, g_s, g_t, alpha, enabled, fires):
-        res = assert_matches_reference(np.array(g_s), np.array(g_t), alpha, enabled)
-        assert res.gradvac_applied is fires
+        figures = assert_matches_reference(np.array(g_s), np.array(g_t), alpha,
+                                           enabled)
+        assert figures["gradvac_applied"] is fires
 
 
 class TestCosineSimilarity:
     def test_orthogonal(self):
         assert gradvac_update(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0,
-                              True).phi_raw == 0.0
+                              True)[1]["phi_raw"] == 0.0
 
     def test_parallel_scale_free(self):
-        res = gradvac_update(np.array([2.0, 0.0]), np.array([5.0, 0.0]), 0.5, True)
-        assert res.phi_raw == pytest.approx(1.0)
-        assert (res.gs_norm, res.gt_norm) == (2.0, 5.0)
+        _, figures = gradvac_update(np.array([2.0, 0.0]), np.array([5.0, 0.0]),
+                                    0.5, True)
+        assert figures["phi_raw"] == pytest.approx(1.0)
+        assert (figures["gs_norm"], figures["gt_norm"]) == (2.0, 5.0)
 
     def test_hand_value(self):
-        res = gradvac_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.0, False)
-        assert res.phi_raw == pytest.approx(1.0 / np.sqrt(2.0))
+        _, figures = gradvac_update(np.array([1.0, 0.0]), np.array([1.0, 1.0]),
+                                    0.0, False)
+        assert figures["phi_raw"] == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_zero_norm_returns_zero(self):
         assert gradvac_update(np.array([0.0, 0.0]), np.array([1.0, 2.0]), 0.0,
-                              False).phi_raw == 0.0
+                              False)[1]["phi_raw"] == 0.0
 
 
 class TestGradvacUpdate:
     def test_hand_case(self):
         g_s = np.array([1.0, 0.0])
         g_t = np.array([0.0, 1.0])
-        res = gradvac_update(g_s, g_t, 0.5, True)
+        g, figures = gradvac_update(g_s, g_t, 0.5, True)
         eta = 0.5 / np.sqrt(0.75)
-        assert res.gradvac_applied is True
-        assert res.g == pytest.approx(np.array([1.0, eta]))
-        assert cosine(res.g, g_t) == pytest.approx(0.5, abs=1e-12)
-        assert res.phi_post == pytest.approx(0.5, abs=1e-12)
-        assert res.phi_raw == 0.0
+        assert figures["gradvac_applied"] is True
+        assert g == pytest.approx(np.array([1.0, eta]))
+        assert cosine(g, g_t) == pytest.approx(0.5, abs=1e-12)
+        assert figures["phi_post"] == pytest.approx(0.5, abs=1e-12)
+        assert figures["phi_raw"] == 0.0
 
     # cos([3, 4], [4, 3]) is 24/25 = 0.96 exactly
     def test_guard_no_update_when_phi_at_least_alpha(self):
         g_s = np.array([3.0, 4.0])
-        res = gradvac_update(g_s, np.array([4.0, 3.0]), 0.5, True)
-        assert res.phi_raw == 0.96
-        assert res.gradvac_applied is False
-        assert np.array_equal(res.g, g_s)
-        assert res.phi_post == res.phi_raw
+        g, figures = gradvac_update(g_s, np.array([4.0, 3.0]), 0.5, True)
+        assert figures["phi_raw"] == 0.96
+        assert figures["gradvac_applied"] is False
+        assert np.array_equal(g, g_s)
+        assert figures["phi_post"] == figures["phi_raw"]
 
     def test_alpha_equals_phi_is_noop(self):
         g_s = np.array([3.0, 4.0])
-        res = gradvac_update(g_s, np.array([4.0, 3.0]), 0.96, True)
-        assert res.phi_raw == 0.96
-        assert res.gradvac_applied is False
-        assert np.array_equal(res.g, g_s)
+        g, figures = gradvac_update(g_s, np.array([4.0, 3.0]), 0.96, True)
+        assert figures["phi_raw"] == 0.96
+        assert figures["gradvac_applied"] is False
+        assert np.array_equal(g, g_s)
 
     def test_tiny_target_norm_left_unchanged(self):
         g_s = np.array([1.0, 0.0])
-        res = gradvac_update(g_s, np.array([0.0, 1e-15]), 0.5, True)
-        assert res.gradvac_applied is False
-        assert np.array_equal(res.g, g_s)
+        g, figures = gradvac_update(g_s, np.array([0.0, 1e-15]), 0.5, True)
+        assert figures["gradvac_applied"] is False
+        assert np.array_equal(g, g_s)
 
     def test_disabled_measures_but_never_rotates(self):
         g_s = np.array([1.0, 0.0])
         g_t = np.array([-1.0, 1.0])
-        off = gradvac_update(g_s, g_t, 0.9, False)
-        on = gradvac_update(g_s, g_t, 0.9, True)
-        assert off.gradvac_applied is False and on.gradvac_applied is True
-        assert np.array_equal(off.g, g_s) and off.phi_post == off.phi_raw
-        assert (off.phi_raw, off.mag_sim, off.gs_norm, off.gt_norm) == (
-            on.phi_raw, on.mag_sim, on.gs_norm, on.gt_norm)
+        g_off, off = gradvac_update(g_s, g_t, 0.9, False)
+        _, on = gradvac_update(g_s, g_t, 0.9, True)
+        assert off["gradvac_applied"] is False and on["gradvac_applied"] is True
+        assert np.array_equal(g_off, g_s) and off["phi_post"] == off["phi_raw"]
+        measured = ("phi_raw", "mag_sim", "gs_norm", "gt_norm")
+        assert [off[k] for k in measured] == [on[k] for k in measured]
 
     def test_zero_source_gradient_stays_zero(self):
-        res = gradvac_update(np.zeros(3), np.array([1.0, 2.0, 3.0]), 0.5, True)
-        assert res.gradvac_applied is True
-        assert not res.g.any()
-        assert res.phi_post == 0.0 and res.mag_sim == 0.0
+        g, figures = gradvac_update(np.zeros(3), np.array([1.0, 2.0, 3.0]), 0.5,
+                                    True)
+        assert figures["gradvac_applied"] is True
+        assert not g.any()
+        assert figures["phi_post"] == 0.0 and figures["mag_sim"] == 0.0
 
     def test_never_shrinks_agreement(self):
         rng = np.random.default_rng(202)
@@ -204,22 +209,25 @@ class TestGradvacUpdate:
             g_t = rng.normal(size=8)
             phi = cosine(g_s, g_t)
             alpha = rng.uniform(phi, 1.0 - 1e-6)
-            res = gradvac_update(g_s, g_t, alpha, True)
-            assert cosine(res.g, g_t) >= phi - 1e-12
+            g, _ = gradvac_update(g_s, g_t, alpha, True)
+            assert cosine(g, g_t) >= phi - 1e-12
 
 
 class TestGradvacMagSim:
     def test_equal_norms(self):
-        res = gradvac_update(np.array([3.0, 0.0]), np.array([0.0, 3.0]), 0.0, False)
-        assert res.mag_sim == pytest.approx(1.0)
+        _, figures = gradvac_update(np.array([3.0, 0.0]), np.array([0.0, 3.0]),
+                                    0.0, False)
+        assert figures["mag_sim"] == pytest.approx(1.0)
 
     def test_two_to_one(self):
-        res = gradvac_update(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 0.0, False)
-        assert res.mag_sim == pytest.approx(0.8)
+        _, figures = gradvac_update(np.array([2.0, 0.0]), np.array([1.0, 0.0]),
+                                    0.0, False)
+        assert figures["mag_sim"] == pytest.approx(0.8)
 
     def test_zero_vector(self):
-        res = gradvac_update(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0.0, False)
-        assert res.mag_sim == 0.0
+        _, figures = gradvac_update(np.array([1.0, 1.0]), np.array([0.0, 0.0]),
+                                    0.0, False)
+        assert figures["mag_sim"] == 0.0
 
     def test_symmetric_and_scale_invariant(self):
         rng = np.random.default_rng(17)
@@ -227,10 +235,10 @@ class TestGradvacMagSim:
             a = rng.normal(size=6)
             b = rng.normal(size=6)
             s = float(rng.uniform(0.1, 10.0))
-            mag = gradvac_update(a, b, 0.0, False).mag_sim
-            assert gradvac_update(b, a, 0.0, False).mag_sim == pytest.approx(mag)
-            assert gradvac_update(s * a, s * b, 0.0, False).mag_sim == pytest.approx(
-                mag, rel=1e-9)
+            mag = gradvac_update(a, b, 0.0, False)[1]["mag_sim"]
+            assert gradvac_update(b, a, 0.0, False)[1]["mag_sim"] == pytest.approx(mag)
+            assert gradvac_update(s * a, s * b, 0.0, False)[1]["mag_sim"] == (
+                pytest.approx(mag, rel=1e-9))
 
 
 class TestEmaUpdate:

@@ -164,7 +164,7 @@ class TestGeneratePair:
                 g_s, g_t, *_ = agreement_backward(
                     bundle, (src.spectra[:64], src.labels[:64]),
                     (tgt.spectra[:64], tgt.labels[:64]))
-                phis.append(gradvac_update(g_s, g_t, 0.0, False).phi_raw)
+                phis.append(gradvac_update(g_s, g_t, 0.0, False)[1]["phi_raw"])
             return float(np.mean(phis))
 
         assert mean_phi(1.0, 0) < mean_phi(0.0, 4)

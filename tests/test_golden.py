@@ -37,21 +37,21 @@ KERNEL_FLAGS = {"avx2", "fma"}
 GOLDEN = {
     "off": (
         {},
-        "3f9f24222ef5cbebe8a948b28ab41010a7429dd7c47284e9ef71a59adcd043a2",
+        "2cdf453e2ae43e00a9b8c3ca52bea8bce3e4beb83d4def418d70bf4d12d1ddca",
         "2d32883a079aeeab14d23fd7795fc5ed94a025c9c10215e752b46c28dfa839d1"),
     "gradvac+logitnorm": (
         dict(use_gradvac=True, use_logitnorm=True),
-        "66be72ab6011d454a93c68457b7648feac1c8d071f4f026ea990611c8deb9f24",
+        "a8ea19c93c2c16caac3c4384f1826c308fca332db3cfd844f99e9012f612b5c3",
         "fc734f9f44758e9f856412f5d205bf663de61b2c2eb47a906d90e55fe03214fa"),
     "full": (
         dict(use_gradvac=True, use_logitnorm=True, use_ensemble=True,
              use_dir=True),
-        "3f63588ae045c361653569b2eef20e8e3c84ede637221758f7038b78e6a9e130",
+        "6a18c269f459c68d00305a1d271e418056f5234510e4096219e58c2f5749a7a1",
         "950a5d7eb07ea0c52c6820ae89cb6ebd54b3cec19d3b90d46dfa98ba00ed14ab"),
     "dir+ensemble-ragged": (
         dict(use_dir=True, use_ensemble=True, batch_size=37, shots=3,
              epochs_agree=8),
-        "972e33f62697304b638ce19d4d6b3a5eafb4920534a479ddd3cd09887ff8c011",
+        "e800be0739290732cfb02132755d8e043c52472eb626b85e5ac1176543932d14",
         "6eb18d03eaa0464805cfcc8ae90c24d0a8d7fc67937f1fd36ace6ac40ff1924d"),
 }
 

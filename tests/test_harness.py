@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xscene.harness as harness
-from xscene.agreement import logitnorm_ce
+from xscene.agreement import gradvac_update, logitnorm_ce
 from xscene.data import SceneDataset, SynthConfig, generate_pair, sample_k_per_class
 from xscene.errors import ConfigError, DataError, DivergenceError, ParseError
 from xscene.harness import (EMA_BETA, EVAL_BLOCK_ROWS, TOGGLES, Run,
@@ -416,6 +416,26 @@ class TestPhaseAInvariants:
                for s in rep.steps if s["phase"] == "agree"]
         assert got and got == want
 
+    def test_agree_record_is_gradvac_update_figures(self, monkeypatch):
+        # each agree step logs the figures gradvac_update returned, as they
+        # came, beside its own phase, step, alpha and losses
+        returned = []
+
+        def spy(g_s, g_t, alpha, enabled):
+            g, figures = gradvac_update(g_s, g_t, alpha, enabled)
+            returned.append(dict(figures))
+            return g, figures
+
+        monkeypatch.setattr(harness, "gradvac_update", spy)
+        rep = train(quick_cfg(use_gradvac=True))
+        agree = [s for s in rep.steps if s["phase"] == "agree"]
+        assert len(agree) == len(returned) > 0
+        assert any(figures["gradvac_applied"] for figures in returned)
+        for record, figures in zip(agree, returned):
+            assert set(record) == {"phase", "step", "alpha", "loss_s",
+                                   "loss_t"} | set(figures)
+            assert {key: record[key] for key in figures} == figures
+
     def test_alpha_trajectory_matches_recursion(self):
         cfg = quick_cfg(use_gradvac=True)
         rep = train(cfg)
@@ -483,6 +503,21 @@ class TestEvaluate:
         assert set(HEADS) == {"agree", "disagree", "ensemble"}
         for head in HEADS:
             assert len(evaluate(bundle, ds, head)) == 3
+
+    def test_hidden_overflow_that_relu_clips_is_scored_exactly(self):
+        # a first layer of -1 weights sends a row of 1e308 to -inf, which
+        # ReLU maps to 0 as it maps the -2 of a row of 1.0: the overflow
+        # cannot change a prediction, so the scored result is the exact one
+        bundle = ModelBundle.build(3, 2, 2, 2, 4, 4, 4, np.random.default_rng(0))
+        first = bundle.target_extractor
+        first.weights[0][:] = -1.0
+        first.biases[0][:] = 0.0
+        scores = [evaluate(bundle, SceneDataset("t", 2, np.full((2, 2), v),
+                                                np.array([0, 1])), "agree")
+                  for v in (1e308, 1.0)]
+        assert scores[0] == scores[1] == (0.5, 0.5, 0.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            np.full((2, 2), 1e308) @ first.weights[0]
 
     def test_overflowing_parameters_raise(self):
         # finite weights of 1e150 overflow float64 by the third layer

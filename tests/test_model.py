@@ -87,7 +87,7 @@ class TestSharedGradients:
         y = rng.integers(0, 3, size=6)
         g_s, g_t, *_ = agreement_backward(bundle, (x, y), (x.copy(), y.copy()))
         assert np.array_equal(g_s, g_t)
-        assert gradvac_update(g_s, g_t, 0.0, False).phi_raw == pytest.approx(1.0)
+        assert gradvac_update(g_s, g_t, 0.0, False)[1]["phi_raw"] == pytest.approx(1.0)
 
     def test_source_gradient_ignores_target_batch(self):
         bundle = tiny_bundle(seed=9)
