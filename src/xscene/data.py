@@ -9,19 +9,17 @@ scenes from consistent to decorrelated. Shared classes reuse prototypes
 across scenes; the rest get fresh ones.
 """
 
-import contextlib
 import math
-import os
 import re
-import shutil
-import subprocess
-import sys
 from array import array
 from dataclasses import dataclass, fields
+from itertools import chain, islice
+from operator import countOf
 
 import numpy as np
+import orjson
 
-from .csvrows import format_rows, parse_rows, serve, text_lines
+from .csvrows import format_rows, parse_rows, text_lines
 from .errors import ConfigError, DataError, ParseError
 from .nn import check_nbytes
 
@@ -37,21 +35,11 @@ SOURCE_BAND_STD = 3.0
 # matched in full; counts of at most 18 digits keep every label in int64
 _HEADER_RE = re.compile(r"# scene=(.+?) bands=([0-9]{1,18}) classes=([0-9]{1,18})")
 
-# A scene CSV smaller than this (its spectra's float64 bytes when saving,
-# its file's bytes when loading) is written or read in this process alone.
-# A worker takes 23-29 ms to start and join, and on the default 1.3 MB
-# source scene (2 vCPUs, three sets of 30 alternations) split medians of
-# 0.057-0.066 s to load and 0.080-0.109 s to save gave no resolved gain
-# over serial ones of 0.056-0.060 s and 0.098-0.102 s.
-SPLIT_MIN_BYTES = 2 << 20
-# values per read of a worker's reply, so the reply is never held whole
-READ_CHUNK = 1 << 13
-# a worker imports csvrows alone, from this package's folder: no site
-# packages, no numpy
-_WORKER_CODE = (
-    "import sys; "
-    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(os.path.abspath(__file__)))!r}); "
-    f"from {serve.__module__} import {serve.__name__}; {serve.__name__}()")
+# Rows per block of save_csv and load_csv. A block's lines, and when loading
+# orjson's lists of boxed floats for them, are held whole, so this bounds
+# what load_csv holds above the spectra:
+# test_load_csv_peak_memory_is_within_twice_the_spectra.
+BLOCK_ROWS = 256
 
 # the value types each field annotation accepts (a bool is not an int here)
 _FIELD_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
@@ -236,51 +224,55 @@ def sample_k_per_class(ds, k, seed):
 
 def save_csv(ds, path):
     """Header line `# scene=<name> bands=<B> classes=<C>`, then one
-    `label,b0,...` row per sample. Floats use repr so the round-trip is
-    exact. A scene of at least SPLIT_MIN_BYTES of spectra has its second
-    half of rows formatted by a worker process while this one formats the
-    first; the worker's lines are then copied into the file in chunks."""
-    mine = ds.n // 2 if ds.spectra.nbytes >= SPLIT_MIN_BYTES else ds.n
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n")
-        with (_worker(path, ["format", ds.bands, ds.n - mine], feed=(
-                np.ascontiguousarray(ds.labels[mine:], dtype=np.int64),
-                np.ascontiguousarray(ds.spectra[mine:], dtype=np.float64)))
-              if mine < ds.n else contextlib.nullcontext()) as reply:
-            f.writelines(format_rows(ds.labels[:mine].tolist(),
-                                     (row.tolist() for row in ds.spectra[:mine])))
-            if reply is not None:
-                f.flush()
-                shutil.copyfileobj(reply, f.buffer)
+    `label,b0,...` row per sample, BLOCK_ROWS rows at a time. Every float
+    is written as its repr, so the round trip is exact: a row takes
+    orjson's text only when every value is ±0 or of magnitude in [1e-4,
+    1e16), where that text is repr's, and csvrows.format_rows writes the
+    others and every row of a scene with no bands."""
+    with open(path, "wb") as f:
+        f.write(f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n".encode())
+        for lo in range(0, ds.n, BLOCK_ROWS):
+            f.writelines(_format_block(
+                ds.labels[lo:lo + BLOCK_ROWS].tolist(),
+                np.ascontiguousarray(ds.spectra[lo:lo + BLOCK_ROWS], dtype=np.float64)))
+
+
+def _format_block(labels, values):
+    """The lines of a block of labels and float64 rows, as bytes."""
+    if not values.shape[1]:
+        return [line.encode() for line in format_rows(labels, values.tolist())]
+    size = np.abs(values)
+    # orjson writes 9.99e-05 as 0.0000999, 1e16 as 1e16 and NaN or inf as
+    # null; the test is written positively so that a NaN fails it
+    exact = ((values == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1)
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    lines = [f"{label},".encode() + text + b"\n" for label, text in zip(labels, texts)]
+    for i in np.flatnonzero(~exact):
+        lines[i] = next(format_rows([labels[i]], [values[i].tolist()])).encode()
+    return lines
 
 
 def load_csv(path):
-    """Read a save_csv file. Rows stream into one float64 and one int64
-    buffer that become the dataset's arrays, so the file's text is never
-    held whole. A file of at least SPLIT_MIN_BYTES has the rows that start
-    in its second half parsed by a worker process while this one parses
-    the first; the worker's arrays are then read into the buffers in
-    chunks. A malformed line raises ParseError naming the file and the
-    line, the earliest one if there are several."""
+    """Read a save_csv file, BLOCK_ROWS lines at a time, into one float64
+    and one int64 buffer that become the dataset's arrays, so the file's
+    text is never held whole. A block is taken from orjson when it reads
+    the lines as csvrows.parse_rows would (see _take_block), and from
+    parse_rows otherwise. A malformed line raises ParseError naming the
+    file and the line, the first one if there are several."""
     spectra, labels = array("d"), array("q")
     try:
         with open(path, "rb") as f:
-            header = next(text_lines(f, 1, math.inf), "")
+            header = next(text_lines(f, 1), "")
             m = _HEADER_RE.fullmatch(header)
             if not m:
                 raise ParseError(f"line 1: bad header {header!r}")
             name, bands, classes = m[1], int(m[2]), int(m[3])
-            # the worker takes the lines that start at or past byte `split`;
-            # a pipe's size reads 0, so it stays in this process
-            size = os.fstat(f.fileno()).st_size
-            split = max(f.tell(), size // 2) if size >= SPLIT_MIN_BYTES else size
-            with (_worker(path, ["parse", os.fsdecode(path), split, bands, classes])
-                  if split < size else contextlib.nullcontext()) as reply:
-                limit = math.inf if reply is None else split - f.tell()
-                parse_rows(text_lines(f, 2, limit), 2, bands, classes,
-                           spectra, labels)
-                if reply is not None:
-                    _read_rows(path, reply, bands, spectra, labels)
+            lineno = 2
+            while lines := list(islice(f, BLOCK_ROWS)):
+                if not _take_block(lines, bands, classes, spectra, labels):
+                    parse_rows(text_lines(lines, lineno), lineno, bands, classes,
+                               spectra, labels)
+                lineno += len(lines)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not labels:
@@ -290,42 +282,28 @@ def load_csv(path):
                         np.frombuffer(labels, dtype=np.int64))
 
 
-@contextlib.contextmanager
-def _worker(path, args, feed=()):
-    """One csvrows.serve process on `args`, given the buffers in `feed`
-    on its stdin; the body gets its stdout. The worker is killed if the
-    body raises and waited for on every path; a worker that cannot start
-    or exits non-zero raises OSError."""
-    with subprocess.Popen([sys.executable, "-I", "-S", "-c", _WORKER_CODE,
-                           *map(str, args)],
-                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
-        try:
-            # a worker that ends before reading its input is reported by its
-            # exit status, not by the broken pipe
-            with contextlib.suppress(BrokenPipeError):
-                try:
-                    for buffer in feed:
-                        proc.stdin.write(buffer)
-                finally:
-                    proc.stdin.close()
-            yield proc.stdout
-        except BaseException:
-            proc.kill()
-            raise
-    if proc.returncode:
-        raise OSError(f"{path}: the CSV worker exited with status {proc.returncode}")
-
-
-def _read_rows(path, reply, bands, spectra, labels):
-    """Append a parse worker's reply (see csvrows.serve) to the caller's
-    buffers, READ_CHUNK values at a time."""
-    count = array("q")
+def _take_block(lines, bands, classes, spectra, labels):
+    """Append a block of raw lines' labels and values as orjson reads them,
+    and return True, if that is what csvrows.parse_rows would append: one
+    list per line of bands + 1 items, an int label in [0, classes) and
+    finite floats. Otherwise append nothing and return False. The types
+    matter: JSON reads `-0` as the int 0, losing its sign, and `true` as a
+    bool, which numpy would turn into 1.0."""
     try:
-        count.fromfile(reply, 1)
-        if count[0] < 0:
-            raise ParseError(reply.read(-count[0]).decode())
-        labels.fromfile(reply, count[0])
-        for left in range(count[0] * bands, 0, -READ_CHUNK):
-            spectra.fromfile(reply, min(left, READ_CHUNK))
-    except EOFError:
-        raise OSError(f"{path}: the CSV worker's reply ended early") from None
+        rows = orjson.loads(b"[[" + b"],[".join(lines) + b"]]")
+    except orjson.JSONDecodeError:
+        return False
+    n = len(lines)
+    if (len(rows) != n or countOf(map(type, rows), list) != n
+            or any(len(row) != bands + 1 for row in rows)):
+        return False
+    heads = [row[0] for row in rows]
+    if (countOf(map(type, heads), int) != n or min(heads) < 0 or max(heads) >= classes
+            or countOf(map(type, chain.from_iterable(rows)), float) != n * bands):
+        return False
+    values = np.array(rows, dtype=np.float64)[:, 1:]
+    if not np.isfinite(values).all():
+        return False
+    labels.fromlist(heads)
+    spectra.frombytes(values.tobytes())
+    return True

@@ -1,11 +1,9 @@
-import json
+import math
 import os
 import re
-import signal
-import subprocess
-import sys
 import tempfile
 import tracemalloc
+from array import array
 from dataclasses import asdict, fields
 from pathlib import Path
 from unittest.mock import patch
@@ -16,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xscene import data
+from xscene.csvrows import parse_rows, text_lines
 from xscene.data import (SceneDataset, SynthConfig, generate_pair, load_csv,
                          sample_k_per_class, save_csv)
 from xscene.errors import ConfigError, DataError, ParseError
@@ -236,10 +235,10 @@ class TestCsvRoundTrip:
                 f"{path}: line 1: bad header 'bands=2'") + "$"):
             load_csv(path)
 
-    # a row of no bands is its label alone, on the serial and split paths
-    @pytest.mark.parametrize("split_min_bytes", [1 << 62, 0], ids=["serial", "split"])
-    def test_zero_band_round_trip(self, tmp_path, monkeypatch, split_min_bytes):
-        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", split_min_bytes)
+    # a row of no bands is its label alone, in one block or a block per row
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 1], ids=["serial", "split"])
+    def test_zero_band_round_trip(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
         ds = SceneDataset("s", 2, np.zeros((3, 0)), np.array([0, 1, 1]))
         path = tmp_path / "scene.csv"
         save_csv(ds, path)
@@ -390,61 +389,133 @@ class TestCsvLoaderEdges:
             assert outcome == "loads" or str(outcome).startswith(f"{path}: line 2: ")
 
 
-def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path, monkeypatch):
+def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path):
     # the rows stream into one float64 buffer that becomes the spectra;
     # holding the file's text, its lines or a list of boxed floats per row
-    # would each cost several times the payload, and so would holding a
-    # worker's reply whole (the second pass splits the file)
+    # would each cost several times the payload, and BLOCK_ROWS bounds the
+    # lines and boxed floats of the one block held at a time
     _, tgt = generate_pair(tiny_cfg(samples_per_class_target=1250))
     path = tmp_path / "scene.csv"
     save_csv(tgt, path)
-    for split_min_bytes in (data.SPLIT_MIN_BYTES, 0):
-        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", split_min_bytes)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loaded = load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(loaded.spectra, tgt.spectra)
-        assert peak <= 2 * tgt.spectra.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.spectra, tgt.spectra)
+    assert peak <= 2 * tgt.spectra.nbytes
 
 
 def serial_csv(ds):
-    """The bytes save_csv writes, by the per-row repr loop it ran before
-    large scenes were split: save_csv's one bit-for-bit reference."""
+    """The bytes save_csv writes, by a per-row repr loop: save_csv's one
+    bit-for-bit reference."""
     text = f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n"
     for label, row in zip(ds.labels.tolist(), ds.spectra):
         text += ",".join((str(label), *map(repr, row.tolist()))) + "\n"
     return text.encode()
 
 
-class Popens:
-    """Records every worker process started while installed."""
+def bits(labels, spectra):
+    """Loaded arrays as their dtypes, shape and bytes, so that equal means
+    equal bit for bit and the sign of -0.0 shows."""
+    return labels.dtype, labels.tobytes(), spectra.dtype, spectra.shape, spectra.tobytes()
 
-    def __init__(self, monkeypatch):
-        self.started = []
-        outer = self
 
-        class Recorded(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                outer.started.append(self)
+def serial_load(path):
+    """What load_csv gives for `path` by csvrows.parse_rows over all its
+    lines, one at a time: the bits of its arrays, or the text of its
+    ParseError or DataError."""
+    with open(path, "rb") as f:
+        header, *lines = f
+    bands = int(re.search(rb"bands=(\d+)", header)[1])
+    classes = int(re.search(rb"classes=(\d+)", header)[1])
+    spectra, labels = array("d"), array("q")
+    try:
+        parse_rows(text_lines(lines, 2), 2, bands, classes, spectra, labels)
+    except ParseError as exc:
+        return f"ParseError: {path}: {exc}"
+    if not labels:
+        return f"DataError: {path}: dataset has no samples"
+    return bits(np.array(labels, dtype=np.int64),
+                np.array(spectra, dtype=np.float64).reshape(len(labels), bands))
 
-        monkeypatch.setattr(subprocess, "Popen", Recorded)
 
-    def take(self):
-        """The processes started since the last take; each has exited."""
-        started, self.started = self.started, []
-        assert all(proc.returncode is not None for proc in started)
-        return started
+def block_load(path):
+    """load_csv(path) as serial_load gives it."""
+    try:
+        ds = load_csv(path)
+    except (ParseError, DataError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return bits(ds.labels, ds.spectra)
+
+
+# float64 values of every kind save_csv meets: the edges of the range where
+# orjson writes repr's text (1e-4 and 1e16, and their neighbours), signed
+# zeros, subnormals, the extremes and the non-finite values
+EDGES = [1e-4, 1e16, 0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, 1e-300, 1e300, 1e22, 1e23, 123456789012345.67,
+         float("nan"), float("inf")]
+EDGE_VALUES = st.sampled_from(
+    [sign * v for v in EDGES + [math.nextafter(1e-4, 0), math.nextafter(1e16, 0),
+                                math.nextafter(1e-4, 1), math.nextafter(1e16, math.inf)]
+     for sign in (1.0, -1.0)])
+FLOATS = EDGE_VALUES | st.floats(width=64) | st.floats(1e-6, 1e18) | st.floats(-1e3, 1e3)
+BLOCK_SIZES = st.integers(1, 7) | st.just(data.BLOCK_ROWS)
+
+
+@st.composite
+def scenes(draw):
+    """A scene of 0-5 bands and 0-20 rows of any float64 values, finite or
+    not (save_csv writes what it is given)."""
+    bands = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=bands, max_size=bands), max_size=20))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    return SceneDataset("s", 3, np.array(rows, dtype=np.float64).reshape(len(rows), bands),
+                        np.array(labels, dtype=np.int64))
+
+
+# fields that JSON reads otherwise than int() and float() do, or not at all;
+# those with "],[" make one line two rows in JSON's eyes
+ODD_FIELDS = ["-0", "2", "true", "false", "null", "1e400", "-1e400", "1e-400",
+              "99999999999999999999999", "+1.5", ".5", "1_0.5", "\u0661", "1,2],[3,4",
+              "0.5],[1,0.5", "1],[0", "[1]", '"1"', "{}", "1.0", " 2.5 ", "nan", "inf",
+              "", "\ufeff1.5"]
+# labels out of range or of another type than JSON's int
+ODD_LABELS = ["-1", "3", "-0", "true", "1.0", "99999999999999999999999",
+              "18446744073709551615"]
+
+
+@st.composite
+def scene_files(draw):
+    """The bytes of a scene CSV of 0-4 bands and 3 classes: rows as save_csv
+    writes them, some with an odd label or one field replaced by an odd
+    one, some blank or not UTF-8; with LF or CRLF endings and perhaps no
+    final newline."""
+    bands = draw(st.integers(0, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 16))):
+        fields = [str(draw(st.integers(0, 2)))] + [
+            repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+            for _ in range(bands)]
+        kind = draw(st.sampled_from(["row"] * 5 + ["label", "field", "blank", "bytes"]))
+        if kind == "label":
+            fields[0] = draw(st.sampled_from(ODD_LABELS))
+        elif kind == "field":
+            fields[draw(st.integers(0, bands))] = draw(st.sampled_from(ODD_FIELDS))
+        line = {"blank": b"", "bytes": b"0,\xff"}.get(kind, ",".join(fields).encode())
+        lines.append(line + draw(st.sampled_from([b"\n", b"\r\n"])))
+    body = b"".join(lines)
+    if draw(st.booleans()):
+        body = body.removesuffix(b"\n")
+    return f"# scene=s bands={bands} classes=3\n".encode() + body
 
 
 class TestSplitPath:
-    """A scene of at least SPLIT_MIN_BYTES has its second half of rows
-    written or read by one worker process, with the serial path's bytes,
-    arrays and errors."""
+    """save_csv and load_csv work BLOCK_ROWS rows at a time through orjson,
+    with the bytes, arrays and errors of the per-line csvrows path at
+    every block size."""
 
     HEADER = b"# scene=s bands=2 classes=2\n"
     GOOD = b"0,1.0,2.0\n"
@@ -459,148 +530,76 @@ class TestSplitPath:
               "blank": "{path}: line 17: expected 3 fields, got 1",
               "utf8": "{path}: line 17: 'utf-8' codec can't decode byte 0xff "
                       "in position 6: invalid start byte"}
+    # line 17 falls in the first block, inside a later one, at the start of
+    # one and at the end of one
+    SIZES = [data.BLOCK_ROWS, 7, 5, 4]
 
-    @pytest.fixture
-    def popens(self, monkeypatch):
-        return Popens(monkeypatch)
-
-    @staticmethod
-    def both_ways(path):
-        """load_csv(path) serially and split: each outcome, a ParseError
-        as its text."""
+    def every_block_size(self, path):
+        """load_csv(path) at each block size of SIZES: each outcome, a
+        ParseError as its text."""
         outcomes = []
-        for split_min_bytes in (1 << 62, 0):
-            with patch.object(data, "SPLIT_MIN_BYTES", split_min_bytes):
+        for block_rows in self.SIZES:
+            with patch.object(data, "BLOCK_ROWS", block_rows):
                 try:
                     outcomes.append(load_csv(path))
                 except ParseError as exc:
                     outcomes.append(f"ParseError: {exc}")
         return outcomes
 
-    @given(rows=st.integers(1, 60), bands=st.integers(0, 5),
-           ending=st.sampled_from(["lf", "crlf", "no final newline"]),
-           seed=st.integers(0, 2**32 - 1))
-    @example(rows=1, bands=0, ending="no final newline", seed=0)
-    @example(rows=2, bands=0, ending="crlf", seed=0)
-    @example(rows=60, bands=5, ending="crlf", seed=1)
-    @settings(max_examples=12)   # each example starts two workers
-    def test_split_matches_serial(self, rows, bands, ending, seed):
-        rng = np.random.default_rng(seed)
-        # values of every magnitude, so reprs of every length
-        ds = SceneDataset("s", 3, rng.standard_normal((rows, bands))
-                          * 10.0 ** rng.integers(-300, 300, (rows, bands)),
-                          rng.integers(0, 3, rows))
+    @given(ds=scenes(), block_rows=BLOCK_SIZES)
+    @example(ds=SceneDataset("s", 3, np.zeros((3, 0)), np.array([0, 1, 2])), block_rows=2)
+    @example(ds=SceneDataset("s", 3, np.array([[9.99e-05, 1e16, -0.0, float("nan")]] * 3),
+                             np.array([0, 1, 2])), block_rows=2)
+    @settings(max_examples=150)
+    def test_split_matches_serial(self, ds, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scene.csv"
-            with patch.object(data, "SPLIT_MIN_BYTES", 0):
+            with patch.object(data, "BLOCK_ROWS", block_rows):
                 save_csv(ds, path)
             assert path.read_bytes() == serial_csv(ds)
-            # the same rows, with the line ending under test
-            header, *lines = serial_csv(ds).decode().split("\n")[:-1]
-            newline = "\r\n" if ending == "crlf" else "\n"
-            text = newline.join(lines) + ("" if ending == "no final newline" else newline)
-            path.write_text(header + "\n" + text, encoding="utf-8", newline="")
-            serial, split = self.both_ways(path)
-        for got in (serial, split):
-            assert (got.name, got.classes) == ("s", 3)
-            assert got.spectra.dtype == np.float64 and got.labels.dtype == np.int64
-            assert np.array_equal(got.spectra, ds.spectra)
-            assert np.array_equal(got.labels, ds.labels)
+
+    @given(content=scene_files(), block_rows=st.integers(1, 7))
+    @example(content=b"# scene=s bands=1 classes=3\n-0,1.5\n0,-0\n1,true\n", block_rows=3)
+    @example(content=b"# scene=s bands=2 classes=3\n0,1.5,2.5\n1,2],[3,4\n", block_rows=2)
+    @example(content=b"# scene=s bands=1 classes=3\n0,1.5\n0,oops\n0,1.5\n0,\xff\n",
+             block_rows=2)
+    @example(content=b"# scene=s bands=0 classes=3\n0\n1],[0\n", block_rows=2)
+    # lines that JSON reads as lists and a number: one item more than there
+    # are lines, and (the first list nesting two lines) one item per line
+    @example(content=b"# scene=s bands=1 classes=3\n0,1.5],5,[[\n0]\n", block_rows=2)
+    @example(content=b"# scene=s bands=3 classes=3\n0,[1.5\n2.5\n3.5]],5,[0,1.5,2.5,3.5\n",
+             block_rows=3)
+    @example(content=b"# scene=s bands=1 classes=3\n0,1.5\n-1,1.5\n3,1.5\n", block_rows=3)
+    @example(content=b"# scene=s bands=1 classes=3\n", block_rows=1)
+    @settings(max_examples=200)
+    def test_split_reads_as_serial(self, content, block_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scene.csv"
+            path.write_bytes(content)
+            with patch.object(data, "BLOCK_ROWS", block_rows):
+                assert block_load(path) == serial_load(path)
 
     @pytest.mark.parametrize("case", sorted(BAD))
-    def test_error_in_the_workers_half_reads_as_serial(self, tmp_path, popens, case):
+    def test_error_in_the_workers_half_reads_as_serial(self, tmp_path, case):
         path = tmp_path / "scene.csv"
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
-        # the bad line starts past the middle of the file
-        assert len(self.HEADER + self.GOOD * 15) >= path.stat().st_size // 2
-        serial, split = self.both_ways(path)
-        assert serial == split == "ParseError: " + self.ERRORS[case].format(path=path)
-        assert len(popens.take()) == 1
+        assert self.every_block_size(path) == [
+            "ParseError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
 
-    # the worker's reply holds no file name, so it is UTF-8 whatever the name
+    # the error's text holds the file name, whatever its bytes
     @pytest.mark.parametrize("case", ["label", "utf8"])
-    def test_a_file_name_that_is_not_utf8_reads_as_serial(self, tmp_path, popens,
-                                                           case):
+    def test_a_file_name_that_is_not_utf8_reads_as_serial(self, tmp_path, case):
         path = tmp_path / os.fsdecode(b"\xff.csv")
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
-        serial, split = self.both_ways(path)
-        assert serial == split == "ParseError: " + self.ERRORS[case].format(path=path)
-        assert len(popens.take()) == 1
+        assert self.every_block_size(path) == [
+            "ParseError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
 
     @pytest.mark.parametrize("case", sorted(BAD))
-    def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, popens, case):
+    def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, case):
         later = sorted(self.BAD)[sorted(self.BAD).index(case) - 1]
         path = tmp_path / "scene.csv"
         path.write_bytes(self.HEADER + self.GOOD + self.BAD[case]
                          + self.GOOD * 15 + self.BAD[later] + self.GOOD * 4)
-        serial, split = self.both_ways(path)
-        assert ": line 3: " in serial
-        assert split == serial
-        assert len(popens.take()) == 1
-
-    def test_each_call_waits_for_its_one_worker(self, tmp_path, monkeypatch, popens):
-        _, tgt = generate_pair(tiny_cfg())
-        path = tmp_path / "scene.csv"
-        save_csv(tgt, path)
-        load_csv(path)
-        assert popens.take() == []  # below SPLIT_MIN_BYTES
-        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
-        save_csv(tgt, path)
-        assert len(popens.take()) == 1
-        assert np.array_equal(load_csv(path).spectra, tgt.spectra)
-        assert len(popens.take()) == 1
-        for rows in ([self.BAD["label"]] + [self.GOOD] * 20,
-                     [self.GOOD] * 20 + [self.BAD["label"]],
-                     [self.BAD["utf8"]] + [self.GOOD] * 20 + [self.BAD["label"]]):
-            path.write_bytes(self.HEADER + b"".join(rows))
-            with pytest.raises(ParseError):
-                load_csv(path)
-            assert len(popens.take()) == 1
-
-    def test_a_bad_first_half_kills_the_worker(self, tmp_path, monkeypatch, popens,
-                                               capfd):
-        # the worker's reply (240 KB) cannot fit in its pipe, so the worker
-        # is still running when the first half raises
-        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
-        path = tmp_path / "scene.csv"
-        path.write_bytes(self.HEADER + self.BAD["label"] + self.GOOD * 20000)
-        with pytest.raises(ParseError, match=re.escape(
-                f"{path}: line 2: label 5 out of range [0, 2)")):
-            load_csv(path)
-        [worker] = popens.take()
-        assert worker.returncode == -signal.SIGKILL
-        assert capfd.readouterr().err == ""
-
-    @pytest.mark.parametrize("worker", ["cannot start", "exits 1"])
-    def test_failed_worker_exits_2(self, tmp_path, monkeypatch, popens, capsys, worker):
-        from xscene.cli import main
-        monkeypatch.setattr(data, "SPLIT_MIN_BYTES", 0)
-        if worker == "cannot start":
-            monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
-        else:
-            monkeypatch.setattr(data, "_WORKER_CODE", "import sys; sys.exit(1)")
-        # the source scene's second half (268 KB) overfills the pipe of a
-        # worker that never reads it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"synth": {"samples_per_class_target": 11}}))
-        for run in (lambda: main(["gen-data", "--config", str(cfg),
-                                  "--out-dir", str(tmp_path)]),
-                    lambda: eval_csv(tmp_path, self.HEADER + self.GOOD * 20, 2)[0]):
-            assert run() == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert ("the CSV worker" in err) == (worker == "exits 1")
-            assert len(popens.take()) == (worker == "exits 1")
-
-
-def test_worker_starts_without_numpy():
-    # the worker's own command line, run once its entry point has returned
-    # (on an empty share); importing numpy would cost every large file
-    # about 70 ms more
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c",
-         data._WORKER_CODE + "; print('numpy' in sys.modules, sorted("
-         "name for name in sys.modules if name.startswith('xscene')))",
-         "format", "0", "0"], capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "False ['xscene', 'xscene.csvrows', 'xscene.errors']\n"
+        first, *others = self.every_block_size(path)
+        assert ": line 3: " in first
+        assert others == [first] * len(others)

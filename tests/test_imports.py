@@ -6,11 +6,17 @@ dead-code check: every top-level function and class, and every method
 and property of a class, under src/xscene/ is referred to by the program
 or the benchmark, not only by tests; and a traceback check: every `raise`
 under src/xscene/ raises a class that the CLI turns into exit code 2, and
-every class in errors.py is raised."""
+every class in errors.py is raised. And a packaging check: every module
+that src/xscene/ imports is in the standard library or declared in
+pyproject.toml's dependencies."""
 
 import ast
 import builtins
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import xscene
 import xscene.cli
@@ -145,6 +151,38 @@ def test_unused_imports_are_found():
               "def k():\n"
               "    return h\n")
     assert unused_imports(source) == [(4, "js"), (5, "DataError"), (7, "h")]
+
+
+def imported_modules(source):
+    """The top-level name of every module the source imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="reading pyproject.toml needs tomllib (Python 3.11)")
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    import tomllib
+    with open(TESTS.parent / "pyproject.toml", "rb") as f:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", requirement)[0].lower()
+                    for requirement in tomllib.load(f)["project"]["dependencies"]}
+    imported = set().union(*map(imported_modules, sources(SRC)))
+    assert imported - set(sys.stdlib_module_names) - declared == set()
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path, orjson\n"
+              "import numpy as np\n"
+              "from .errors import DataError\n"
+              "from . import cli\n"
+              "def f():\n"
+              "    from yaml.nodes import Node\n")
+    assert imported_modules(source) == {"os", "orjson", "numpy", "yaml"}
 
 
 def references(node):
