@@ -19,7 +19,6 @@ from operator import countOf
 import numpy as np
 import orjson
 
-from .csvrows import format_rows, parse_rows, text_lines
 from .errors import ConfigError, DataError, ParseError
 from .nn import check_nbytes
 
@@ -40,6 +39,12 @@ _HEADER_RE = re.compile(r"# scene=(.+?) bands=([0-9]{1,18}) classes=([0-9]{1,18}
 # what load_csv holds above the spectra:
 # test_load_csv_peak_memory_is_within_twice_the_spectra.
 BLOCK_ROWS = 256
+
+# save_csv's and load_csv's file buffer, and about the most text save_csv
+# joins at once. It takes a fifteenth of the write and read system calls of
+# Python's default 8 KiB on io-eval's scenes, and stays under glibc's 128 KiB
+# mmap threshold: joining a whole block's text, above it, moved peak RSS.
+FILE_BUFFER = 64 * 1024
 
 # the value types each field annotation accepts (a bool is not an int here)
 _FIELD_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
@@ -227,9 +232,9 @@ def save_csv(ds, path):
     `label,b0,...` row per sample, BLOCK_ROWS rows at a time. Every float
     is written as its repr, so the round trip is exact: a row takes
     orjson's text only when every value is ±0 or of magnitude in [1e-4,
-    1e16), where that text is repr's, and csvrows.format_rows writes the
-    others and every row of a scene with no bands."""
-    with open(path, "wb") as f:
+    1e16), where that text is repr's, and format_rows writes the others
+    and every row of a scene with no bands."""
+    with open(path, "wb", buffering=FILE_BUFFER) as f:
         f.write(f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n".encode())
         for lo in range(0, ds.n, BLOCK_ROWS):
             f.writelines(_format_block(
@@ -238,30 +243,42 @@ def save_csv(ds, path):
 
 
 def _format_block(labels, values):
-    """The lines of a block of labels and float64 rows, as bytes."""
+    """A block of labels and float64 rows as bytes chunks of about
+    FILE_BUFFER bytes, each joined in C from its rows' `label,`, orjson
+    text and newline (a row that orjson writes otherwise than repr is its
+    format_rows line): cheaper than a write call per piece or a bytes
+    object per line."""
     if not values.shape[1]:
         return [line.encode() for line in format_rows(labels, values.tolist())]
     size = np.abs(values)
     # orjson writes 9.99e-05 as 0.0000999, 1e16 as 1e16 and NaN or inf as
     # null; the test is written positively so that a NaN fails it
     exact = ((values == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1)
-    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    lines = [f"{label},".encode() + text + b"\n" for label, text in zip(labels, texts)]
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = [(b"%d," % label, row, b"\n") for label, row in zip(labels, text[2:-2].split(b"],["))]
     for i in np.flatnonzero(~exact):
-        lines[i] = next(format_rows([labels[i]], [values[i].tolist()])).encode()
-    return lines
+        rows[i] = (next(format_rows([labels[i]], [values[i].tolist()])).encode(),)
+    step = max(1, FILE_BUFFER * len(rows) // len(text))
+    return [b"".join(chain.from_iterable(rows[lo:lo + step])) for lo in range(0, len(rows), step)]
+
+
+def format_rows(labels, rows):
+    """The line of each label and row of floats (a row of no bands is its
+    label alone); repr makes the round trip exact."""
+    for label, row in zip(labels, rows):
+        yield ",".join((str(label), *map(repr, row))) + "\n"
 
 
 def load_csv(path):
     """Read a save_csv file, BLOCK_ROWS lines at a time, into one float64
     and one int64 buffer that become the dataset's arrays, so the file's
     text is never held whole. A block is taken from orjson when it reads
-    the lines as csvrows.parse_rows would (see _take_block), and from
+    the lines as parse_rows would (see _take_block), and from
     parse_rows otherwise. A malformed line raises ParseError naming the
     file and the line, the first one if there are several."""
     spectra, labels = array("d"), array("q")
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=FILE_BUFFER) as f:
             header = next(text_lines(f, 1), "")
             m = _HEADER_RE.fullmatch(header)
             if not m:
@@ -284,7 +301,7 @@ def load_csv(path):
 
 def _take_block(lines, bands, classes, spectra, labels):
     """Append a block of raw lines' labels and values as orjson reads them,
-    and return True, if that is what csvrows.parse_rows would append: one
+    and return True, if that is what parse_rows would append: one
     list per line of bands + 1 items, an int label in [0, classes) and
     finite floats. Otherwise append nothing and return False. The types
     matter: JSON reads `-0` as the int 0, losing its sign, and `true` as a
@@ -307,3 +324,36 @@ def _take_block(lines, bands, classes, spectra, labels):
     labels.fromlist(heads)
     spectra.frombytes(values.tobytes())
     return True
+
+
+def text_lines(lines, lineno):
+    """Each raw line (bytes, split at its newline byte alone, so a carriage
+    return stays part of it) as UTF-8 text; the first is line `lineno`."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        try:
+            yield raw.removesuffix(b"\n").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+
+
+def parse_rows(lines, lineno, bands, classes, spectra, labels):
+    """Append each line's label to `labels` (array "q") and its values to
+    `spectra` (array "d"); the first line is line `lineno`. A malformed
+    line raises ParseError naming it."""
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split(",")
+        if len(parts) != bands + 1:
+            raise ParseError(
+                f"line {lineno}: expected {bands + 1} fields, got {len(parts)}"
+            )
+        try:
+            label = int(parts[0])
+            values = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if not 0 <= label < classes:
+            raise ParseError(f"line {lineno}: label {label} out of range [0, {classes})")
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"line {lineno}: non-finite band value")
+        labels.append(label)
+        spectra.fromlist(values)

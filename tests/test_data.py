@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -14,9 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xscene import data
-from xscene.csvrows import parse_rows, text_lines
 from xscene.data import (SceneDataset, SynthConfig, generate_pair, load_csv,
-                         sample_k_per_class, save_csv)
+                         parse_rows, sample_k_per_class, save_csv, text_lines)
 from xscene.errors import ConfigError, DataError, ParseError
 
 
@@ -236,7 +236,7 @@ class TestCsvRoundTrip:
             load_csv(path)
 
     # a row of no bands is its label alone, in one block or a block per row
-    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 1], ids=["serial", "split"])
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 1], ids=["one-block", "block-per-row"])
     def test_zero_band_round_trip(self, tmp_path, monkeypatch, block_rows):
         monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
         ds = SceneDataset("s", 2, np.zeros((3, 0)), np.array([0, 1, 1]))
@@ -408,7 +408,7 @@ def test_load_csv_peak_memory_is_within_twice_the_spectra(tmp_path):
     assert peak <= 2 * tgt.spectra.nbytes
 
 
-def serial_csv(ds):
+def repr_csv(ds):
     """The bytes save_csv writes, by a per-row repr loop: save_csv's one
     bit-for-bit reference."""
     text = f"# scene={ds.name} bands={ds.bands} classes={ds.classes}\n"
@@ -423,8 +423,8 @@ def bits(labels, spectra):
     return labels.dtype, labels.tobytes(), spectra.dtype, spectra.shape, spectra.tobytes()
 
 
-def serial_load(path):
-    """What load_csv gives for `path` by csvrows.parse_rows over all its
+def line_load(path):
+    """What load_csv gives for `path` by data.parse_rows over all its
     lines, one at a time: the bits of its arrays, or the text of its
     ParseError or DataError."""
     with open(path, "rb") as f:
@@ -443,7 +443,7 @@ def serial_load(path):
 
 
 def block_load(path):
-    """load_csv(path) as serial_load gives it."""
+    """load_csv(path) as line_load gives it."""
     try:
         ds = load_csv(path)
     except (ParseError, DataError) as exc:
@@ -512,9 +512,9 @@ def scene_files(draw):
     return f"# scene=s bands={bands} classes=3\n".encode() + body
 
 
-class TestSplitPath:
+class TestCsvBlocks:
     """save_csv and load_csv work BLOCK_ROWS rows at a time through orjson,
-    with the bytes, arrays and errors of the per-line csvrows path at
+    with the bytes, arrays and errors of the per-line row grammar at
     every block size."""
 
     HEADER = b"# scene=s bands=2 classes=2\n"
@@ -551,12 +551,21 @@ class TestSplitPath:
     @example(ds=SceneDataset("s", 3, np.array([[9.99e-05, 1e16, -0.0, float("nan")]] * 3),
                              np.array([0, 1, 2])), block_rows=2)
     @settings(max_examples=150)
-    def test_split_matches_serial(self, ds, block_rows):
+    def test_save_matches_repr_csv(self, ds, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scene.csv"
             with patch.object(data, "BLOCK_ROWS", block_rows):
                 save_csv(ds, path)
-            assert path.read_bytes() == serial_csv(ds)
+            assert path.read_bytes() == repr_csv(ds)
+
+    # a default scene's block is 100-240 KB of text, so it is written in
+    # several chunks of about FILE_BUFFER bytes; each holds rows that orjson
+    # writes otherwise than repr
+    def test_default_scenes_save_as_repr_csv(self, tmp_path):
+        for ds in generate_pair(SynthConfig()):
+            ds.spectra[::37, 3] = 9.99e-05
+            save_csv(ds, tmp_path / "scene.csv")
+            assert (tmp_path / "scene.csv").read_bytes() == repr_csv(ds)
 
     @given(content=scene_files(), block_rows=st.integers(1, 7))
     @example(content=b"# scene=s bands=1 classes=3\n-0,1.5\n0,-0\n1,true\n", block_rows=3)
@@ -572,15 +581,15 @@ class TestSplitPath:
     @example(content=b"# scene=s bands=1 classes=3\n0,1.5\n-1,1.5\n3,1.5\n", block_rows=3)
     @example(content=b"# scene=s bands=1 classes=3\n", block_rows=1)
     @settings(max_examples=200)
-    def test_split_reads_as_serial(self, content, block_rows):
+    def test_load_matches_line_load(self, content, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scene.csv"
             path.write_bytes(content)
             with patch.object(data, "BLOCK_ROWS", block_rows):
-                assert block_load(path) == serial_load(path)
+                assert block_load(path) == line_load(path)
 
     @pytest.mark.parametrize("case", sorted(BAD))
-    def test_error_in_the_workers_half_reads_as_serial(self, tmp_path, case):
+    def test_error_in_any_block_names_its_line(self, tmp_path, case):
         path = tmp_path / "scene.csv"
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
         assert self.every_block_size(path) == [
@@ -588,11 +597,27 @@ class TestSplitPath:
 
     # the error's text holds the file name, whatever its bytes
     @pytest.mark.parametrize("case", ["label", "utf8"])
-    def test_a_file_name_that_is_not_utf8_reads_as_serial(self, tmp_path, case):
+    def test_a_file_name_that_is_not_utf8_stays_in_the_error(self, tmp_path, case):
         path = tmp_path / os.fsdecode(b"\xff.csv")
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
         assert self.every_block_size(path) == [
             "ParseError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
+
+    # orjson 3.8 refuses 1e400; a reader that reads it as inf and NaN as nan,
+    # as the standard library's json does, leaves such a block to
+    # _take_block's finite check, which hands it to parse_rows
+    @pytest.mark.parametrize("line", [BAD["non-finite"], b"1,1e400,4.0\n", b"1,NaN,4.0\n"],
+                             ids=["nan", "1e400", "NaN"])
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 2])
+    def test_non_finite_values_read_as_inf_still_raise(self, tmp_path, line, block_rows):
+        path = tmp_path / "scene.csv"
+        path.write_bytes(self.HEADER + self.GOOD * 15 + line + self.GOOD * 4)
+        with patch.multiple(data.orjson, loads=json.loads,
+                            JSONDecodeError=json.JSONDecodeError), \
+                patch.object(data, "BLOCK_ROWS", block_rows), \
+                pytest.raises(ParseError, match="^" + re.escape(
+                    self.ERRORS["non-finite"].format(path=path)) + "$"):
+            load_csv(path)
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, case):
