@@ -12,7 +12,7 @@ across scenes; the rest get fresh ones.
 import math
 import re
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from operator import countOf
 
@@ -51,9 +51,16 @@ _FIELD_TYPES = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
                 float: ("a finite number", (int, float))}
 
 
-def check_field_types(cfg):
-    """Check a frozen config's fields against their annotations and store
-    float fields as floats; a bad value is a ConfigError naming its field."""
+def at_least(bound, *, default):
+    """A config field of `default` whose values check_fields holds at
+    `bound` or above."""
+    return field(default=default, metadata={"at_least": bound})
+
+
+def check_fields(cfg):
+    """Check a frozen config's fields, in declaration order, against their
+    annotations and at_least bounds, and store float fields as floats; a
+    bad value is a ConfigError naming its field."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         what, types = _FIELD_TYPES.get(f.type, (f"a {f.type.__name__}", (f.type,)))
@@ -62,10 +69,14 @@ def check_field_types(cfg):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if f.type is float:
             try:
-                object.__setattr__(cfg, f.name, float(value))
+                value = float(value)
             except OverflowError:
                 raise ConfigError(f"{f.name} must be {what}, got an integer "
                                   "past the float range") from None
+            object.__setattr__(cfg, f.name, value)
+        bound = f.metadata.get("at_least")
+        if bound is not None and value < bound:
+            raise ConfigError(f"{f.name} must be >= {bound}, got {value}")
 
 
 @dataclass
@@ -91,36 +102,24 @@ class SceneDataset:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    bands_source: int = 48
-    bands_target: int = 32
-    classes_source: int = 7
-    classes_target: int = 5
-    shared_classes: int = 3
-    samples_per_class_source: int = 200
-    samples_per_class_target: int = 60
-    noise_sigma: float = 0.1
+    bands_source: int = at_least(1, default=48)
+    bands_target: int = at_least(1, default=32)
+    # a classifier needs two classes
+    classes_source: int = at_least(2, default=7)
+    classes_target: int = at_least(2, default=5)
+    shared_classes: int = at_least(0, default=3)
+    samples_per_class_source: int = at_least(1, default=200)
+    samples_per_class_target: int = at_least(1, default=60)
+    noise_sigma: float = at_least(0, default=0.1)
     conflict_strength: float = 0.6
-    seed: int = 0
+    seed: int = at_least(0, default=0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        counts = (self.bands_source, self.bands_target, self.classes_source,
-                  self.classes_target, self.samples_per_class_source,
-                  self.samples_per_class_target)
-        if any(c < 1 for c in counts):
-            raise ConfigError("all band/class/sample counts must be >= 1")
-        for key in ("classes_source", "classes_target"):
-            if getattr(self, key) < 2:
-                raise ConfigError(f"{key} must be >= 2: a classifier needs "
-                                  f"two classes, got {getattr(self, key)}")
-        if not 0 <= self.shared_classes <= min(self.classes_source, self.classes_target):
+        check_fields(self)
+        if self.shared_classes > min(self.classes_source, self.classes_target):
             raise ConfigError(
                 f"shared_classes={self.shared_classes} exceeds the class counts"
             )
-        if self.noise_sigma < 0.0:
-            raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.conflict_strength <= 1.0:
             raise ConfigError("conflict_strength must lie in [0, 1]")
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .agreement import ema_update, gradvac_update, logitnorm
-from .data import (SceneDataset, SynthConfig, check_field_types, generate_pair,
-                   sample_k_per_class)
+from .data import (SceneDataset, SynthConfig, at_least, check_fields,
+                   generate_pair, sample_k_per_class)
 from .disagreement import log_softmax, smoothed_distances
 from .errors import ConfigError, DataError, DivergenceError, ParseError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
@@ -50,39 +50,29 @@ TEMP_DISAGREE = 0.05
 
 @dataclass(frozen=True)
 class TrainConfig:
-    seed: int = 0
+    seed: int = at_least(0, default=0)
     lr: float = 5e-4
-    batch_size: int = 64
-    epochs_agree: int = 40
-    epochs_disagree: int = 20
-    epochs_ensemble: int = 20
-    shots: int = 10
+    batch_size: int = at_least(1, default=64)
+    epochs_agree: int = at_least(0, default=40)
+    epochs_disagree: int = at_least(0, default=20)
+    epochs_ensemble: int = at_least(0, default=20)
+    shots: int = at_least(1, default=10)
     use_gradvac: bool = False
     use_logitnorm: bool = False
     use_ensemble: bool = False
     use_dir: bool = False
-    feat_dim: int = 32
-    hidden_dim: int = 64
-    enc_dim: int = 32
+    feat_dim: int = at_least(1, default=32)
+    hidden_dim: int = at_least(1, default=64)
+    enc_dim: int = at_least(1, default=32)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self)
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.use_dir and self.batch_size < 2:
             raise ConfigError("use_dir needs batch_size >= 2: distance "
                               "correlation compares the rows of a batch")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
-        if min(self.epochs_agree, self.epochs_disagree, self.epochs_ensemble) < 0:
-            raise ConfigError("epoch counts must be >= 0")
-        if min(self.feat_dim, self.hidden_dim, self.enc_dim) < 1:
-            raise ConfigError("architecture dims must be >= 1")
         if self.shots >= self.synth.samples_per_class_target:
             raise ConfigError(
                 f"shots={self.shots} leaves no evaluation rows: each target "

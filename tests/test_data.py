@@ -236,7 +236,8 @@ class TestCsvRoundTrip:
             load_csv(path)
 
     # a row of no bands is its label alone, in one block or a block per row
-    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 1], ids=["serial", "split"])
+    @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 1],
+                             ids=["one-block", "block-per-row"])
     def test_zero_band_round_trip(self, tmp_path, monkeypatch, block_rows):
         monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
         ds = SceneDataset("s", 2, np.zeros((3, 0)), np.array([0, 1, 1]))
@@ -254,19 +255,6 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
-
-
-def eval_csv(tmp_path, content, bands):
-    """`xscene eval` of `content` as a CSV against a checkpoint of `bands`
-    input bands: (exit code, the CSV's path)."""
-    from xscene.cli import main
-    from xscene.harness import save_checkpoint
-    from xscene.model import ModelBundle
-    path = tmp_path / "scene.csv"
-    path.write_bytes(content)
-    model = tmp_path / "model.bin"
-    save_checkpoint(model, ModelBundle.build(3, bands, 2, 2, 2, 2, 2))
-    return main(["eval", "--model", str(model), "--data", str(path)]), path
 
 
 class TestCsvLoaderEdges:
@@ -512,9 +500,10 @@ def scene_files(draw):
     return f"# scene=s bands={bands} classes=3\n".encode() + body
 
 
-class CsvCases:
-    """Malformed rows, their errors, and load_csv at several block sizes,
-    shared by TestCsvBlocks and TestSplitPath."""
+class TestCsvBlocks:
+    """save_csv and load_csv work BLOCK_ROWS rows at a time through orjson,
+    with the bytes, arrays and errors of the per-line row grammar at
+    every block size."""
 
     HEADER = b"# scene=s bands=2 classes=2\n"
     GOOD = b"0,1.0,2.0\n"
@@ -544,12 +533,6 @@ class CsvCases:
                 except ParseError as exc:
                     outcomes.append(f"ParseError: {exc}")
         return outcomes
-
-
-class TestCsvBlocks(CsvCases):
-    """save_csv and load_csv work BLOCK_ROWS rows at a time through orjson,
-    with the bytes, arrays and errors of the per-line row grammar at
-    every block size."""
 
     @given(ds=scenes(), block_rows=BLOCK_SIZES)
     @example(ds=SceneDataset("s", 3, np.zeros((3, 0)), np.array([0, 1, 2])), block_rows=2)
@@ -593,7 +576,7 @@ class TestCsvBlocks(CsvCases):
             with patch.object(data, "BLOCK_ROWS", block_rows):
                 assert block_load(path) == line_load(path)
 
-    @pytest.mark.parametrize("case", sorted(CsvCases.BAD))
+    @pytest.mark.parametrize("case", sorted(BAD))
     def test_error_in_any_block_names_its_line(self, tmp_path, case):
         path = tmp_path / "scene.csv"
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
@@ -603,8 +586,7 @@ class TestCsvBlocks(CsvCases):
     # orjson 3.8 refuses 1e400; a reader that reads it as inf and NaN as nan,
     # as the standard library's json does, leaves such a block to
     # _take_block's finite check, which hands it to parse_rows
-    @pytest.mark.parametrize("line", [CsvCases.BAD["non-finite"], b"1,1e400,4.0\n",
-                                      b"1,NaN,4.0\n"],
+    @pytest.mark.parametrize("line", [BAD["non-finite"], b"1,1e400,4.0\n", b"1,NaN,4.0\n"],
                              ids=["nan", "1e400", "NaN"])
     @pytest.mark.parametrize("block_rows", [data.BLOCK_ROWS, 2])
     def test_non_finite_values_read_as_inf_still_raise(self, tmp_path, line, block_rows):
@@ -617,22 +599,15 @@ class TestCsvBlocks(CsvCases):
                     self.ERRORS["non-finite"].format(path=path)) + "$"):
             load_csv(path)
 
-
-# These two keep their earlier class and names, as TestCsvRoundTrip's
-# zero-band ids do, so that their test ids carry over; a later change can
-# move them into TestCsvBlocks and rename those ids.
-class TestSplitPath(CsvCases):
-    """load_csv's errors at every block size (see CsvCases)."""
-
     # the error's text holds the file name, whatever its bytes
     @pytest.mark.parametrize("case", ["label", "utf8"])
-    def test_a_file_name_that_is_not_utf8_reads_as_serial(self, tmp_path, case):
+    def test_an_error_names_a_file_name_that_is_not_utf8(self, tmp_path, case):
         path = tmp_path / os.fsdecode(b"\xff.csv")
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
         assert self.every_block_size(path) == [
             "ParseError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
 
-    @pytest.mark.parametrize("case", sorted(CsvCases.BAD))
+    @pytest.mark.parametrize("case", sorted(BAD))
     def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, case):
         later = sorted(self.BAD)[sorted(self.BAD).index(case) - 1]
         path = tmp_path / "scene.csv"

@@ -90,14 +90,13 @@ class TestConfigIo:
                 config_from_dict({"synth": {key: 1, "shared_classes": 1}})
 
     @pytest.mark.parametrize("raw, message", [
-        ({"shots": 0}, "shots must be >= 1"),
-        ({"epochs_disagree": -1}, "epoch counts must be >= 0"),
-        ({"enc_dim": 0}, "architecture dims must be >= 1"),
+        ({"shots": 0}, "shots must be >= 1, got 0"),
+        ({"epochs_disagree": -1}, "epochs_disagree must be >= 0, got -1"),
+        ({"enc_dim": 0}, "enc_dim must be >= 1, got 0"),
         ({"synth": []}, "synth must be an object of SynthConfig keys"),
         ([], "config must be a JSON object"),
-        ({"synth": {"bands_target": 0}},
-         "all band/class/sample counts must be >= 1"),
-        ({"synth": {"noise_sigma": -0.1}}, "noise_sigma must be >= 0"),
+        ({"synth": {"bands_target": 0}}, "bands_target must be >= 1, got 0"),
+        ({"synth": {"noise_sigma": -0.1}}, "noise_sigma must be >= 0, got -0.1"),
     ], ids=["shots-0", "epochs-negative", "enc-dim-0", "synth-list",
             "top-level-list", "bands-target-0", "noise-negative"])
     def test_bounds_rejected_with_their_message(self, tmp_path, raw, message):
@@ -105,6 +104,26 @@ class TestConfigIo:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=f"{re.escape(message)}$"):
             load_config(path)
+
+    def test_every_int_field_declares_a_lower_bound(self):
+        # every int field is a seed, a count or a width, which has a floor
+        for cls in (TrainConfig, SynthConfig):
+            assert all("at_least" in f.metadata
+                       for f in dataclasses.fields(cls) if f.type is int)
+
+    # each field that declares a lower bound, given bound - 1 (under "synth"
+    # for a SynthConfig field, whose id is its key there)
+    @pytest.mark.parametrize("f, prefix", [
+        pytest.param(f, prefix, id=prefix + f.name)
+        for cls, prefix in ((TrainConfig, ""), (SynthConfig, "synth."))
+        for f in dataclasses.fields(cls) if "at_least" in f.metadata])
+    def test_every_lower_bound_names_its_key(self, f, prefix):
+        bound = f.metadata["at_least"]
+        value = f.type(bound - 1)
+        raw = {f.name: value}
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{f.name} must be >= {bound}, got {value}") + "$"):
+            config_from_dict({"synth": raw} if prefix else raw)
 
     def test_ints_accepted_for_float_fields(self):
         cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})
