@@ -12,7 +12,7 @@ import os
 import sys
 
 from .data import generate_pair, load_csv, save_csv
-from .errors import ConfigError, DataError, DivergenceError, ParseError
+from .errors import DivergenceError, InputError
 from .harness import (ablate, evaluate, load_checkpoint, load_config,
                       save_checkpoint, train, write_ablation_log, write_log)
 
@@ -97,7 +97,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, DivergenceError, ParseError, OSError) as exc:
+    except (InputError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

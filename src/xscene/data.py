@@ -19,7 +19,7 @@ from operator import countOf
 import numpy as np
 import orjson
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import InputError
 from .nn import check_nbytes
 
 LATENT_DIM = 16
@@ -60,23 +60,23 @@ def at_least(bound, *, default):
 def check_fields(cfg):
     """Check a frozen config's fields, in declaration order, against their
     annotations and at_least bounds, and store float fields as floats; a
-    bad value is a ConfigError naming its field."""
+    bad value is an InputError naming its field."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         what, types = _FIELD_TYPES.get(f.type, (f"a {f.type.__name__}", (f.type,)))
         if type(value) not in types or (type(value) is float
                                         and not math.isfinite(value)):
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            raise InputError(f"{f.name} must be {what}, got {value!r}")
         if f.type is float:
             try:
                 value = float(value)
             except OverflowError:
-                raise ConfigError(f"{f.name} must be {what}, got an integer "
-                                  "past the float range") from None
+                raise InputError(f"{f.name} must be {what}, got an integer "
+                                 "past the float range") from None
             object.__setattr__(cfg, f.name, value)
         bound = f.metadata.get("at_least")
         if bound is not None and value < bound:
-            raise ConfigError(f"{f.name} must be >= {bound}, got {value}")
+            raise InputError(f"{f.name} must be >= {bound}, got {value}")
 
 
 @dataclass
@@ -117,11 +117,11 @@ class SynthConfig:
     def __post_init__(self):
         check_fields(self)
         if self.shared_classes > min(self.classes_source, self.classes_target):
-            raise ConfigError(
+            raise InputError(
                 f"shared_classes={self.shared_classes} exceeds the class counts"
             )
         if not 0.0 <= self.conflict_strength <= 1.0:
-            raise ConfigError("conflict_strength must lie in [0, 1]")
+            raise InputError("conflict_strength must lie in [0, 1]")
 
 
 def _band_resample(mix, bands_out):
@@ -154,7 +154,7 @@ def generate_pair(cfg):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _render_pair(cfg)
     except (OverflowError, FloatingPointError) as exc:
-        raise ConfigError(f"synth: scene values overflow float64: {exc}") from None
+        raise InputError(f"synth: scene values overflow float64: {exc}") from None
 
 
 def _render_pair(cfg):
@@ -273,7 +273,7 @@ def load_csv(path):
     and one int64 buffer that become the dataset's arrays, so the file's
     text is never held whole. A block is taken from orjson when it reads
     the lines as parse_rows would (see _take_block), and from
-    parse_rows otherwise. A malformed line raises ParseError naming the
+    parse_rows otherwise. A malformed line raises InputError naming the
     file and the line, the first one if there are several."""
     spectra, labels = array("d"), array("q")
     try:
@@ -281,7 +281,7 @@ def load_csv(path):
             header = next(text_lines(f, 1), "")
             m = _HEADER_RE.fullmatch(header)
             if not m:
-                raise ParseError(f"line 1: bad header {header!r}")
+                raise InputError(f"line 1: bad header {header!r}")
             name, bands, classes = m[1], int(m[2]), int(m[3])
             lineno = 2
             while lines := list(islice(f, BLOCK_ROWS)):
@@ -289,10 +289,10 @@ def load_csv(path):
                     parse_rows(text_lines(lines, lineno), lineno, bands, classes,
                                spectra, labels)
                 lineno += len(lines)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if not labels:
-        raise DataError(f"{path}: dataset has no samples")
+        raise InputError(f"{path}: dataset has no samples")
     return SceneDataset(name, classes,
                         np.frombuffer(spectra).reshape(len(labels), bands),
                         np.frombuffer(labels, dtype=np.int64))
@@ -332,27 +332,27 @@ def text_lines(lines, lineno):
         try:
             yield raw.removesuffix(b"\n").decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
 
 
 def parse_rows(lines, lineno, bands, classes, spectra, labels):
     """Append each line's label to `labels` (array "q") and its values to
     `spectra` (array "d"); the first line is line `lineno`. A malformed
-    line raises ParseError naming it."""
+    line raises InputError naming it."""
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split(",")
         if len(parts) != bands + 1:
-            raise ParseError(
+            raise InputError(
                 f"line {lineno}: expected {bands + 1} fields, got {len(parts)}"
             )
         try:
             label = int(parts[0])
             values = [float(p) for p in parts[1:]]
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
         if not 0 <= label < classes:
-            raise ParseError(f"line {lineno}: label {label} out of range [0, {classes})")
+            raise InputError(f"line {lineno}: label {label} out of range [0, {classes})")
         if not all(map(math.isfinite, values)):
-            raise ParseError(f"line {lineno}: non-finite band value")
+            raise InputError(f"line {lineno}: non-finite band value")
         labels.append(label)
         spectra.fromlist(values)

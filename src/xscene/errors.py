@@ -1,16 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one for bad input, one for
+a training that diverged."""
 
 
-class ConfigError(ValueError):
-    """Invalid configuration value or unknown configuration key."""
-
-
-class DataError(ValueError):
-    """Dataset violates a required property."""
-
-
-class ParseError(ValueError):
-    """Malformed file content; the message names the offending line."""
+class InputError(ValueError):
+    """A config, CSV or checkpoint that the program cannot take, or data
+    that does not fit it; the message names the key, file or line."""
 
 
 class DivergenceError(ArithmeticError):

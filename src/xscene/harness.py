@@ -22,7 +22,7 @@ from .agreement import ema_update, gradvac_update, logitnorm
 from .data import (SceneDataset, SynthConfig, at_least, check_fields,
                    generate_pair, sample_k_per_class)
 from .disagreement import log_softmax, smoothed_distances
-from .errors import ConfigError, DataError, DivergenceError, ParseError
+from .errors import DivergenceError, InputError
 from .metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                       overall_accuracy)
 from .model import (COMPONENT_ORDER, HEADS, ModelBundle, agreement_backward,
@@ -69,12 +69,12 @@ class TrainConfig:
     def __post_init__(self):
         check_fields(self)
         if self.lr <= 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+            raise InputError(f"lr must be positive, got {self.lr}")
         if self.use_dir and self.batch_size < 2:
-            raise ConfigError("use_dir needs batch_size >= 2: distance "
-                              "correlation compares the rows of a batch")
+            raise InputError("use_dir needs batch_size >= 2: distance "
+                             "correlation compares the rows of a batch")
         if self.shots >= self.synth.samples_per_class_target:
-            raise ConfigError(
+            raise InputError(
                 f"shots={self.shots} leaves no evaluation rows: each target "
                 f"class has {self.synth.samples_per_class_target} samples")
 
@@ -87,31 +87,31 @@ def config_from_dict(raw, _cls=None):
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
         if key == "synth":
             if not isinstance(value, dict):
-                raise ConfigError("synth must be an object of SynthConfig keys")
+                raise InputError("synth must be an object of SynthConfig keys")
             value = config_from_dict(value, _cls=SynthConfig)
         kwargs[key] = value
     return cls(**kwargs)
 
 
-def _decode_json(data, error, context):
+def _decode_json(data, context):
     """Parse UTF-8 JSON bytes. Bytes that are not UTF-8, an integer past
     Python's digit limit and nesting past the recursion limit raise
-    `error`, prefixed by `context`, like any other malformed JSON."""
+    InputError, prefixed by `context`, like any other malformed JSON."""
     try:
         return json.loads(data.decode("utf-8"))
     # ValueError covers UnicodeDecodeError and json.JSONDecodeError
     except (ValueError, RecursionError) as exc:
-        raise error(f"{context}: {exc}") from exc
+        raise InputError(f"{context}: {exc}") from exc
 
 
 def load_config(path):
     with open(path, "rb") as f:
-        raw = _decode_json(f.read(), ConfigError, path)
+        raw = _decode_json(f.read(), path)
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise InputError(f"{path}: config must be a JSON object")
     return config_from_dict(raw)
 
 
@@ -164,24 +164,24 @@ def evaluate(bundle, ds, head):
     bands to its classes, which is checked before any row is scored. Rows
     are scored EVAL_BLOCK_ROWS at a time, so beyond the dataset it holds
     one block's activations and the predictions; logits that overflow
-    raise DataError."""
+    raise InputError."""
     width, given = ds.bands, f"the dataset's {ds.bands} bands"
     for name in HEADS[head]:
         mlp = getattr(bundle, name)
         if mlp.dims[0] != width:
-            raise DataError(f"{name} of the {head} head has fan-in "
-                            f"{mlp.dims[0]} but is given {given}")
+            raise InputError(f"{name} of the {head} head has fan-in "
+                             f"{mlp.dims[0]} but is given {given}")
         width, given = mlp.dims[-1], f"{name}'s {mlp.dims[-1]} outputs"
     if width != ds.classes:
-        raise DataError(f"dataset has {ds.classes} classes but the {head} "
-                        f"head predicts {width}")
+        raise InputError(f"dataset has {ds.classes} classes but the {head} "
+                         f"head predicts {width}")
     preds = np.empty(ds.n, dtype=np.intp)
     for lo in range(0, ds.n, EVAL_BLOCK_ROWS):
         # errstate sees only this thread's flags, not OpenBLAS's workers'
         with np.errstate(all="ignore"):
             logits = predict(bundle, head, ds.spectra[lo:lo + EVAL_BLOCK_ROWS])
         if not np.isfinite(logits).all():
-            raise DataError(f"evaluating the {head} head: logits overflow float64")
+            raise InputError(f"evaluating the {head} head: logits overflow float64")
         logits.argmax(axis=1, out=preds[lo:lo + EVAL_BLOCK_ROWS])
     cm = ConfusionMatrix.from_predictions(ds.classes, ds.labels, preds)
     return overall_accuracy(cm), average_accuracy(cm), cohen_kappa(cm)
@@ -340,34 +340,33 @@ def load_checkpoint(path):
         raw = f.read()
     newline = raw.find(b"\n")
     if newline < 0:
-        raise ParseError(f"{path}: missing checkpoint header")
-    header = _decode_json(raw[:newline], ParseError,
-                          f"{path}: bad checkpoint header")
+        raise InputError(f"{path}: missing checkpoint header")
+    header = _decode_json(raw[:newline], f"{path}: bad checkpoint header")
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} file")
+        raise InputError(f"{path}: not a {CHECKPOINT_MAGIC} file")
     layout = header.get("layout")
     if not isinstance(layout, dict) or set(layout) != set(COMPONENT_ORDER):
-        raise ParseError(f"{path}: checkpoint layout must name exactly the "
+        raise InputError(f"{path}: checkpoint layout must name exactly the "
                          f"components {', '.join(COMPONENT_ORDER)}")
     for name, dims in layout.items():
         if not (isinstance(dims, list) and len(dims) >= 2
                 and all(type(d) is int and d >= 1 for d in dims)):
-            raise ParseError(f"{path}: checkpoint layout dims of {name} must be "
+            raise InputError(f"{path}: checkpoint layout dims of {name} must be "
                              "a list of at least 2 ints, each at least 1")
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
-        raise ParseError(f"{path}: checkpoint meta must be an object")
+        raise InputError(f"{path}: checkpoint meta must be an object")
     head = meta.get("eval_head", "agree")
     if not isinstance(head, str) or head not in HEADS:
-        raise ParseError(f"{path}: unknown evaluation head {head!r}")
+        raise InputError(f"{path}: unknown evaluation head {head!r}")
     # size the blob against the layout before allocating anything for it
     expected = sum(n_params(dims) for dims in layout.values())
     blob = raw[newline + 1:]
     if len(blob) != 8 * expected:
-        raise ParseError(f"{path}: checkpoint holds {len(blob)} bytes of "
+        raise InputError(f"{path}: checkpoint holds {len(blob)} bytes of "
                          f"parameters, expected {8 * expected}")
     bundle = ModelBundle(layout)
     bundle.params[0] = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(bundle.params[0]).all():
-        raise ParseError(f"{path}: checkpoint holds non-finite parameters")
+        raise InputError(f"{path}: checkpoint holds non-finite parameters")
     return bundle, head

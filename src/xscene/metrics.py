@@ -3,7 +3,7 @@ average per-class recall, and Cohen's kappa."""
 
 import numpy as np
 
-from .errors import DataError
+from .errors import InputError
 
 
 class ConfusionMatrix:
@@ -39,7 +39,7 @@ def average_accuracy(cm):
     row_sums = cm.counts.sum(axis=1)
     empty = np.flatnonzero(row_sums == 0)
     if empty.size:
-        raise DataError(f"class {int(empty[0])} has no samples")
+        raise InputError(f"class {int(empty[0])} has no samples")
     recalls = np.diag(cm.counts) / row_sums
     return float(recalls.mean())
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from xscene import data
 from xscene.data import (SceneDataset, SynthConfig, generate_pair, load_csv,
                          parse_rows, sample_k_per_class, save_csv, text_lines)
-from xscene.errors import ConfigError, DataError, ParseError
+from xscene.errors import InputError
 
 
 def tiny_cfg(**overrides):
@@ -169,9 +169,9 @@ class TestGeneratePair:
         assert mean_phi(1.0, 0) < mean_phi(0.0, 4)
 
     def test_config_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             generate_pair(tiny_cfg(shared_classes=9))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             generate_pair(tiny_cfg(conflict_strength=1.5))
 
 
@@ -225,13 +225,13 @@ class TestCsvRoundTrip:
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# scene=s bands=3 classes=2\n")
-        with pytest.raises(DataError, match="no samples"):
+        with pytest.raises(InputError, match="no samples"):
             load_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("bands=2\n")
-        with pytest.raises(ParseError, match="^" + re.escape(
+        with pytest.raises(InputError, match="^" + re.escape(
                 f"{path}: line 1: bad header 'bands=2'") + "$"):
             load_csv(path)
 
@@ -269,7 +269,7 @@ class TestCsvLoaderEdges:
 
     @staticmethod
     def error(tmp_path, text):
-        """The match pattern of exactly load_csv's ParseError `text`, which
+        """The match pattern of exactly load_csv's InputError `text`, which
         begins with the file's path."""
         return "^" + re.escape(f"{tmp_path / 'scene.csv'}: {text}") + "$"
 
@@ -279,7 +279,7 @@ class TestCsvLoaderEdges:
         assert ds.labels.tolist() == [0, 1]
 
     def test_crlf_header_is_a_bad_header(self, tmp_path):
-        with pytest.raises(ParseError, match=self.error(
+        with pytest.raises(InputError, match=self.error(
                 tmp_path, r"line 1: bad header '# scene=s bands=2 classes=2\r'")):
             self.load(tmp_path, b"# scene=s bands=2 classes=2\r\n0,1.0,2.0\r\n")
 
@@ -291,12 +291,12 @@ class TestCsvLoaderEdges:
     @pytest.mark.parametrize("tail", [b"\n1,3.0,4.0\n", b"\n"],
                              ids=["middle", "end"])
     def test_blank_line_names_its_line(self, tmp_path, tail):
-        with pytest.raises(ParseError, match=self.error(
+        with pytest.raises(InputError, match=self.error(
                 tmp_path, "line 3: expected 3 fields, got 1")):
             self.load(tmp_path, self.HEADER + b"0,1.0,2.0\n" + tail)
 
     def test_empty_file_has_no_header(self, tmp_path):
-        with pytest.raises(ParseError, match=self.error(tmp_path, "line 1: bad header ''")):
+        with pytest.raises(InputError, match=self.error(tmp_path, "line 1: bad header ''")):
             self.load(tmp_path, b"")
 
     def test_bad_utf8_past_the_first_64_kib(self, tmp_path):
@@ -304,19 +304,19 @@ class TestCsvLoaderEdges:
         assert len(rows) > 64 * 1024
         message = (f"{tmp_path / 'scene.csv'}: line 10002: 'utf-8' codec can't "
                    "decode byte 0xff in position 6: invalid start byte")
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             self.load(tmp_path, rows + b"1,3.0,\xff\n")
 
     def test_zero_bands(self, tmp_path):
         ds = self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n1\n")
         assert ds.spectra.shape == (2, 0)
         assert ds.labels.tolist() == [0, 1]
-        with pytest.raises(DataError, match="no samples"):
+        with pytest.raises(InputError, match="no samples"):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n")
-        with pytest.raises(ParseError, match=self.error(
+        with pytest.raises(InputError, match=self.error(
                 tmp_path, "line 2: expected 1 fields, got 2")):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n0,1.0\n")
-        with pytest.raises(ParseError, match=self.error(
+        with pytest.raises(InputError, match=self.error(
                 tmp_path, "line 3: invalid literal for int() with base 10: ''")):
             self.load(tmp_path, b"# scene=s bands=0 classes=2\n0\n\n1\n")
 
@@ -334,7 +334,7 @@ class TestCsvLoaderEdges:
     @pytest.mark.parametrize("field", sorted(LONG_COUNTS))
     def test_count_past_the_digit_limit(self, tmp_path, field):
         header = self.LONG_COUNTS[field].decode()
-        with pytest.raises(ParseError, match=self.error(
+        with pytest.raises(InputError, match=self.error(
                 tmp_path, f"line 1: bad header {header!r}")):
             self.load(tmp_path, self.LONG_COUNTS[field] + b"\n0,1.0\n")
 
@@ -367,10 +367,10 @@ class TestCsvLoaderEdges:
             try:
                 load_csv(path)
                 outcome = "loads"
-            except ParseError as exc:
+            except InputError as exc:
                 outcome = exc
         if not self.fits_grammar(header):
-            assert type(outcome) is ParseError
+            assert type(outcome) is InputError
             assert str(outcome) == f"{path}: line 1: bad header {header!r}"
         else:
             # the row after it loads or is the error
@@ -414,7 +414,7 @@ def bits(labels, spectra):
 def line_load(path):
     """What load_csv gives for `path` by data.parse_rows over all its
     lines, one at a time: the bits of its arrays, or the text of its
-    ParseError or DataError."""
+    InputError."""
     with open(path, "rb") as f:
         header, *lines = f
     bands = int(re.search(rb"bands=(\d+)", header)[1])
@@ -422,10 +422,10 @@ def line_load(path):
     spectra, labels = array("d"), array("q")
     try:
         parse_rows(text_lines(lines, 2), 2, bands, classes, spectra, labels)
-    except ParseError as exc:
-        return f"ParseError: {path}: {exc}"
+    except InputError as exc:
+        return f"InputError: {path}: {exc}"
     if not labels:
-        return f"DataError: {path}: dataset has no samples"
+        return f"InputError: {path}: dataset has no samples"
     return bits(np.array(labels, dtype=np.int64),
                 np.array(spectra, dtype=np.float64).reshape(len(labels), bands))
 
@@ -434,7 +434,7 @@ def block_load(path):
     """load_csv(path) as line_load gives it."""
     try:
         ds = load_csv(path)
-    except (ParseError, DataError) as exc:
+    except InputError as exc:
         return f"{type(exc).__name__}: {exc}"
     return bits(ds.labels, ds.spectra)
 
@@ -523,15 +523,15 @@ class TestCsvBlocks:
     SIZES = [data.BLOCK_ROWS, 7, 5, 4]
 
     def every_block_size(self, path):
-        """load_csv(path) at each block size of SIZES: each outcome, a
-        ParseError as its text."""
+        """load_csv(path) at each block size of SIZES: each outcome, an
+        InputError as its text."""
         outcomes = []
         for block_rows in self.SIZES:
             with patch.object(data, "BLOCK_ROWS", block_rows):
                 try:
                     outcomes.append(load_csv(path))
-                except ParseError as exc:
-                    outcomes.append(f"ParseError: {exc}")
+                except InputError as exc:
+                    outcomes.append(f"InputError: {exc}")
         return outcomes
 
     @given(ds=scenes(), block_rows=BLOCK_SIZES)
@@ -581,7 +581,7 @@ class TestCsvBlocks:
         path = tmp_path / "scene.csv"
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
         assert self.every_block_size(path) == [
-            "ParseError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
+            "InputError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
 
     # orjson 3.8 refuses 1e400; a reader that reads it as inf and NaN as nan,
     # as the standard library's json does, leaves such a block to
@@ -595,7 +595,7 @@ class TestCsvBlocks:
         with patch.multiple(data.orjson, loads=json.loads,
                             JSONDecodeError=json.JSONDecodeError), \
                 patch.object(data, "BLOCK_ROWS", block_rows), \
-                pytest.raises(ParseError, match="^" + re.escape(
+                pytest.raises(InputError, match="^" + re.escape(
                     self.ERRORS["non-finite"].format(path=path)) + "$"):
             load_csv(path)
 
@@ -605,7 +605,7 @@ class TestCsvBlocks:
         path = tmp_path / os.fsdecode(b"\xff.csv")
         path.write_bytes(self.HEADER + self.GOOD * 15 + self.BAD[case] + self.GOOD * 4)
         assert self.every_block_size(path) == [
-            "ParseError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
+            "InputError: " + self.ERRORS[case].format(path=path)] * len(self.SIZES)
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_the_earlier_of_two_bad_lines_wins(self, tmp_path, case):

@@ -289,35 +289,24 @@ def test_unreferenced_members_are_found():
 
 
 def raised_names(source):
-    """(line, function, name) for every `raise` that names what it raises:
-    the name of the class it raises or calls, or of the variable it
-    raises, with the function the statement is in ("" at module level).
-    A bare `raise` re-raises what a handler caught and is left out."""
+    """(line, name) for every `raise` that names what it raises: the name
+    of the class it raises or calls, or of the variable it raises. A bare
+    `raise` re-raises what a handler caught and is left out."""
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
-                found.append((child.lineno, function, name))
-            visit(child, function)
-
-    visit(ast.parse(source), "")
-    return found
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
+            found.append((node.lineno, name))
+    return sorted(found)
 
 
-def uncaught_raises(source, scope, caught, allowed):
+def uncaught_raises(source, scope, caught):
     """(line, name) for every raise in `source` whose name, looked up in
-    `scope`, is not a subclass of one of the `caught` classes, unless
-    (function, name) is in `allowed`."""
-    return [(line, name) for line, function, name in raised_names(source)
-            if (function, name) not in allowed
-            and not (isinstance(scope.get(name), type)
-                     and issubclass(scope[name], caught))]
+    `scope`, is not a subclass of one of the `caught` classes."""
+    return [(line, name) for line, name in raised_names(source)
+            if not (isinstance(scope.get(name), type)
+                    and issubclass(scope[name], caught))]
 
 
 def exit_2_classes():
@@ -331,20 +320,13 @@ def exit_2_classes():
                  for node in ast.walk(handler.type) if isinstance(node, ast.Name))
 
 
-# raises of a parameter, not a class, each with the reason it exits 2
-RAISED_PARAMETERS = {
-    ("_decode_json", "error"): "its callers pass ConfigError and ParseError",
-}
-
-
 def test_every_raise_exits_2():
     # every exception class the program raises is a builtin or in errors.py
     scope = {**vars(builtins), **vars(xscene.errors)}
     caught = exit_2_classes()
     offenders = {}
     for path in sorted(SRC.glob("*.py")):
-        found = uncaught_raises(path.read_text(encoding="utf-8"), scope, caught,
-                                RAISED_PARAMETERS)
+        found = uncaught_raises(path.read_text(encoding="utf-8"), scope, caught)
         if found:
             offenders[path.name] = found
     assert offenders == {}
@@ -360,13 +342,13 @@ def test_uncaught_raises_are_found():
               "        raise KeyError\n"
               "    except KeyError:\n"
               "        raise\n"
-              "    raise error('allowed here')\n"
+              "    raise error('a parameter')\n"
               "def h(error):\n"
               "    raise error('not here')\n"
               "raise Undefined()\n")
     scope = vars(builtins)
-    assert uncaught_raises(source, scope, (LookupError,), {("g", "error")}) == [
-        (4, "ZeroDivisionError"), (12, "error"), (13, "Undefined")]
+    assert uncaught_raises(source, scope, (LookupError,)) == [
+        (4, "ZeroDivisionError"), (10, "error"), (12, "error"), (13, "Undefined")]
 
 
 def unraised_classes(errors_source, raising):
@@ -374,7 +356,7 @@ def unraised_classes(errors_source, raising):
     `raising` sources names."""
     defined = {stmt.name for stmt in ast.parse(errors_source).body
                if isinstance(stmt, ast.ClassDef)}
-    raised = {name for source in raising for _, _, name in raised_names(source)}
+    raised = {name for source in raising for _, name in raised_names(source)}
     return defined - raised
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xscene.errors import DataError
+from xscene.errors import InputError
 from xscene.metrics import (ConfusionMatrix, average_accuracy, cohen_kappa,
                             overall_accuracy)
 
@@ -59,7 +59,7 @@ class TestAverageAccuracy:
         assert average_accuracy(cm) == pytest.approx(overall_accuracy(cm))
 
     def test_empty_class_named(self):
-        with pytest.raises(DataError, match="class 1"):
+        with pytest.raises(InputError, match="class 1"):
             average_accuracy(cm_from([[4, 0], [0, 0]]))
 
 
