@@ -302,23 +302,36 @@ def _take_block(lines, bands, classes, spectra, labels):
     """Append a block of raw lines' labels and values as orjson reads them,
     and return True, if that is what parse_rows would append: one
     list per line of bands + 1 items, an int label in [0, classes) and
-    finite floats. Otherwise append nothing and return False. The types
-    matter: JSON reads `-0` as the int 0, losing its sign, and `true` as a
-    bool, which numpy would turn into 1.0."""
+    finite values. Otherwise append nothing and return False. The value
+    checks cost per block, not per value. A quote rejects the block, since
+    numpy would read the JSON string "2.5" as 2.5. A value numpy cannot
+    convert (a list, an object, an int past the float range) rejects it.
+    A value equal to 0 or 1 must be a float: JSON reads `-0` as the int 0,
+    losing its sign, and `true` and `false` as bools. Every other int
+    token reads as float() reads its text."""
+    text = b"[[" + b"],[".join(lines) + b"]]"
+    if b'"' in text:
+        return False
     try:
-        rows = orjson.loads(b"[[" + b"],[".join(lines) + b"]]")
+        rows = orjson.loads(text)
     except orjson.JSONDecodeError:
         return False
+    del text
     n = len(lines)
     if (len(rows) != n or countOf(map(type, rows), list) != n
             or any(len(row) != bands + 1 for row in rows)):
         return False
     heads = [row[0] for row in rows]
-    if (countOf(map(type, heads), int) != n or min(heads) < 0 or max(heads) >= classes
-            or countOf(map(type, chain.from_iterable(rows)), float) != n * bands):
+    if countOf(map(type, heads), int) != n or min(heads) < 0 or max(heads) >= classes:
         return False
-    values = np.array(rows, dtype=np.float64)[:, 1:]
+    try:
+        values = np.array(rows, dtype=np.float64)[:, 1:]
+    except (TypeError, ValueError, OverflowError):
+        return False
     if not np.isfinite(values).all():
+        return False
+    zero_one = np.argwhere((values == 0) | (values == 1)).tolist()
+    if any(type(rows[r][c + 1]) is not float for r, c in zero_one):
         return False
     labels.fromlist(heads)
     spectra.frombytes(values.tobytes())

@@ -468,8 +468,8 @@ def scenes(draw):
 # those with "],[" make one line two rows in JSON's eyes
 ODD_FIELDS = ["-0", "2", "true", "false", "null", "1e400", "-1e400", "1e-400",
               "99999999999999999999999", "+1.5", ".5", "1_0.5", "\u0661", "1,2],[3,4",
-              "0.5],[1,0.5", "1],[0", "[1]", '"1"', "{}", "1.0", " 2.5 ", "nan", "inf",
-              "", "\ufeff1.5"]
+              "0.5],[1,0.5", "1],[0", "[1]", '"1"', '"2.5"', "{}", "1.0", " 2.5 ",
+              "nan", "inf", "", "\ufeff1.5"]
 # labels out of range or of another type than JSON's int
 ODD_LABELS = ["-1", "3", "-0", "true", "1.0", "99999999999999999999999",
               "18446744073709551615"]
@@ -568,6 +568,11 @@ class TestCsvBlocks:
              block_rows=3)
     @example(content=b"# scene=s bands=1 classes=3\n0,1.5\n-1,1.5\n3,1.5\n", block_rows=3)
     @example(content=b"# scene=s bands=1 classes=3\n", block_rows=1)
+    # a JSON string, which numpy would read as its number, and bare ints
+    # other than 0 and 1, which are taken as orjson reads them
+    @example(content=b'# scene=s bands=2 classes=3\n0,1.5,"2.5"\n0,5,2\n', block_rows=1)
+    # values numpy cannot convert: a list and an object
+    @example(content=b"# scene=s bands=2 classes=3\n0,[1.5],2.5\n0,{},2.5\n", block_rows=1)
     @settings(max_examples=200)
     def test_load_matches_line_load(self, content, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
@@ -575,6 +580,16 @@ class TestCsvBlocks:
             path.write_bytes(content)
             with patch.object(data, "BLOCK_ROWS", block_rows):
                 assert block_load(path) == line_load(path)
+
+    # every block of a default scene as save_csv writes it (io-eval's
+    # traffic) is taken whole from orjson: no line goes through parse_rows
+    def test_default_scenes_load_without_the_line_parser(self, tmp_path):
+        for ds in generate_pair(SynthConfig()):
+            ds.spectra[::37, 3] = 9.99e-05
+            save_csv(ds, tmp_path / "scene.csv")
+            with patch.object(data, "parse_rows", side_effect=AssertionError("parse_rows")):
+                loaded = load_csv(tmp_path / "scene.csv")
+            assert bits(loaded.labels, loaded.spectra) == bits(ds.labels, ds.spectra)
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_error_in_any_block_names_its_line(self, tmp_path, case):
