@@ -17,13 +17,48 @@ import numpy as np
 DVAR_FLOOR = 1e-15
 # smoothing inside sqrt keeps the penalty differentiable at coincident rows
 DIST_SMOOTHING = 1e-12
+# _pair_cells keeps the index arrays of row counts up to this: at most
+# 24 * (n // 2) * n bytes each, 1.06 MB for all of 1..64 (the default
+# batch size, so every unique-row count of a default private batch)
+PAIR_CACHE_ROWS = 64
+_PAIR_CELLS = {}
+
+
+def _pair_cells(n):
+    """Read-only index arrays (partners, cells) of the row pairs that
+    _squared_distances visits: block k (k = 1 .. n // 2) pairs each row m
+    with row (m + k) % n, so `partners` holds those rows block by block,
+    and `cells` the flat table cells of each pair, (m, partner) for every
+    pair and then (partner, m). For even n the last block visits each of
+    its pairs twice, into the same two cells."""
+    cached = _PAIR_CELLS.get(n)
+    if cached is not None:
+        return cached
+    rows = np.tile(np.arange(n), n // 2)
+    partners = rows + np.repeat(np.arange(1, n // 2 + 1), n)
+    partners %= n
+    cells = np.concatenate((rows * n + partners, partners * n + rows))
+    partners.flags.writeable = cells.flags.writeable = False
+    if n <= PAIR_CACHE_ROWS:
+        _PAIR_CELLS[n] = partners, cells
+    return partners, cells
 
 
 def _squared_distances(x):
-    """n x n squared Euclidean distances between rows, summed over the
-    n x n x d difference tensor, which is squared in place."""
-    diff = x[:, None, :] - x[None, :, :]
-    return np.add.reduce(np.square(diff, out=diff), axis=-1)
+    """n x n squared Euclidean distances between the rows of a finite x,
+    with a zero diagonal. Each pair of rows is subtracted, squared and
+    summed over the row once, in one (n // 2 * n, d) array (about half
+    the n x n x d broadcast), and the sum is written to both of the pair's
+    cells. x_i - x_j is -(x_j - x_i) exactly, so the table has the bits of
+    the broadcast it replaces."""
+    n, d = x.shape
+    partners, cells = _pair_cells(n)
+    diff = x.take(partners, axis=0).reshape(n // 2, n, d)
+    np.subtract(x, diff, out=diff)
+    sums = np.add.reduce(np.square(diff, out=diff), axis=-1)
+    table = np.zeros((n, n))
+    table.put(cells, sums)   # put repeats `sums` over both halves of `cells`
+    return table
 
 
 def double_center(d):

@@ -51,11 +51,14 @@ def softmax_ce(z, labels):
     where the scene enters (load_csv) or is built (generate_pair).
     """
     probs = softmax(z)
-    n = probs.shape[0]
-    rows = np.arange(n)
-    picked = np.maximum(probs[rows, labels], PROB_FLOOR)
-    loss = float(-np.add.reduce(np.log(picked)) / n)
-    probs[rows, labels] -= 1.0
+    n, c = probs.shape
+    cells = np.arange(0, n * c, c)   # each row's label cell, as a flat index
+    cells += labels
+    flat = probs.reshape(-1)
+    picked = flat.take(cells)
+    flat[cells] -= 1.0
+    np.maximum(picked, PROB_FLOOR, out=picked)
+    loss = float(-np.add.reduce(np.log(picked, out=picked)) / n)
     probs /= n
     return loss, probs
 
@@ -129,14 +132,29 @@ def adam_step(block, lr, weight_decay, t):
     Decoupled weight decay shrinks parameters by lr*weight_decay before the
     bias-corrected Adam delta is applied. Every operation is elementwise,
     so one call over a block equals one per column slice of it, bit for bit.
-    t counts the steps from 1.
+    t counts the steps from 1. Each product and quotient is the one the
+    plain expression w -= lr * (m / c1) / (sqrt(v / c2) + eps) takes, so
+    writing into two scratch arrays keeps every bit.
     """
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     w, g, m, v = block
-    w -= lr * weight_decay * w
+    scratch = w * (lr * weight_decay)
+    w -= scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+    m += scratch
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    w -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v += scratch
+    denom = np.divide(v, c2, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    if c1 == 1.0:   # from t = 356 on; m / 1.0 == m
+        delta = m * lr
+    else:
+        delta = m / c1
+        delta *= lr
+    delta /= denom
+    w -= delta

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ class TestDcorPrivate:
             assert g_private.shape == (9, 3) and np.all(g_private == 0.0)
 
 
+def test_distances_hold_one_pair_array_not_the_broadcast_tensor():
+    # smoothed_distances subtracts each pair of rows once, in a (pairs, d)
+    # array, so an n x n x d broadcast (8 * n * n * d bytes) or a second
+    # (pairs, d) gather fails this bound. numpy's ufunc takes an
+    # 8,192-value buffer (64 KiB) for the subtraction from the batch
+    # broadcast over the pairs.
+    n, d = 64, 32
+    x = np.random.default_rng(43).standard_normal((n, d))
+    smoothed_distances(x)          # builds and keeps the pair indices of n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        smoothed_distances(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    pairs = n * (n - 1) // 2
+    assert peak <= 8 * pairs * d + 2 * 8 * n * n + 64 * 1024
+
+
 def kl_to_logits(student, teacher_logits, temp):
     """symmetric_kl against a teacher given by its logits."""
     return symmetric_kl(student, log_softmax(teacher_logits, temp), temp)
@@ -267,14 +288,22 @@ def old_symmetric_kl(student_logits, teacher_logits, temp):
 
 
 class TestMatchesOldFormulation:
-    @pytest.mark.parametrize("n", [2, 5, 37, 50])
+    @pytest.mark.parametrize("n", [1, 2, 5, 37, 50, 64])
     def test_distances(self, n):
         rng = np.random.default_rng(61 + n)
         for d in (1, 3, 32):
             x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
-            assert np.array_equal(smoothed_distances(x), old_smoothed_distances(x))
             y = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
-            assert distance_correlation(x, y) == old_distance_correlation(x, y)
+            # a batch whose rows repeat exactly, and one where every other
+            # row of it moves in one band
+            repeats = x[rng.integers(0, n, size=n)]
+            one_band = repeats.copy()
+            one_band[::2, rng.integers(0, d)] += rng.normal(size=(n + 1) // 2)
+            for batch in (x, repeats, one_band):
+                assert np.array_equal(smoothed_distances(batch),
+                                      old_smoothed_distances(batch))
+                assert (distance_correlation(batch, y)
+                        == old_distance_correlation(batch, y))
 
     @pytest.mark.parametrize("n", [2, 3, 37, 64])
     def test_double_center(self, n):

@@ -34,6 +34,20 @@ def ce_logit_grad(pred_probs, labels):
     return grad / n
 
 
+def old_adam_step(block, lr, weight_decay, t):
+    """adam_step as it was written before it kept its temporaries in
+    scratch arrays and skipped m / c1 once c1 rounds to 1.0."""
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    w, g, m, v = block
+    w -= lr * weight_decay * w
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * (g * g)
+    w -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-4)
+
+
 def make_mlp(dims, rng=None):
     """Standalone Mlp over a parameter block of its own."""
     return Mlp(dims, np.zeros((4, n_params(dims))), rng)
@@ -223,6 +237,21 @@ class TestAdam:
                 adam_step(mlp.params, lr=1e-2, weight_decay=1e-2, t=t)
             results.append(mlp.weights[0][0, 0])
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("t", [1, 2, 355, 356, 357, 880, 5000])
+    def test_matches_old_formulation_bit_for_bit(self, t):
+        # 1 - 0.9**t is 0.9999999999999999 at t = 355 and 1.0 from 356 on,
+        # where adam_step skips m / c1
+        rng = np.random.default_rng(t)
+        for n in (1, 3, 37, 14061):
+            for scale in (0.0, -1.0, 1.0, 1e6):
+                block = rng.standard_normal((4, n))
+                block[1] *= scale * rng.uniform(0.5, 2.0, size=n)
+                block[3] = np.abs(block[3]) * 10.0 ** rng.uniform(-8, 2, size=n)
+                expected = block.copy()
+                old_adam_step(expected, 3e-3, 5e-4, t)
+                adam_step(block, 3e-3, 5e-4, t)
+                assert np.array_equal(block, expected)
 
 
 class TestParamBlock:
