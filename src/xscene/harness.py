@@ -40,12 +40,14 @@ TOGGLES = ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir")
 
 # the hyperparameters of those components are held fixed, not studied:
 # Adam's weight decay, GradVac's EMA rate, LogitNorm's tau, and the
-# distillation temperatures of the agreement and private teachers
+# distillation temperatures of the agreement and private teachers; so are
+# the network widths (extractor features, hidden layers, encoder outputs)
 WEIGHT_DECAY = 5e-3
 EMA_BETA = 0.1
 LOGITNORM_TAU = 2.0
 TEMP_AGREE = 1.0
 TEMP_DISAGREE = 0.05
+FEAT_DIM, HIDDEN_DIM, ENC_DIM = 32, 64, 32
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,6 @@ class TrainConfig:
     use_logitnorm: bool = False
     use_ensemble: bool = False
     use_dir: bool = False
-    feat_dim: int = at_least(1, default=32)
-    hidden_dim: int = at_least(1, default=64)
-    enc_dim: int = at_least(1, default=32)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def __post_init__(self):
@@ -267,7 +266,7 @@ def train(cfg):
     bundle = ModelBundle.build(
         cfg.synth.bands_source, cfg.synth.bands_target,
         cfg.synth.classes_source, cfg.synth.classes_target,
-        cfg.feat_dim, cfg.hidden_dim, cfg.enc_dim, np.random.default_rng(init_ss))
+        FEAT_DIM, HIDDEN_DIM, ENC_DIM, np.random.default_rng(init_ss))
     run = Run(cfg, split, bundle, np.random.default_rng(batch_ss),
               -(-source.n // cfg.batch_size))
     # phases are looked up per call, so wrappers on the module see them

@@ -23,7 +23,7 @@ import numpy as np
 
 from .agreement import logitnorm_ce
 from .disagreement import dcor_penalty, symmetric_kl
-from .nn import Mlp, check_nbytes, n_params, softmax_ce
+from .nn import Mlp, n_params, softmax_ce
 
 COMPONENT_ORDER = (
     "source_extractor",
@@ -49,7 +49,6 @@ class ModelBundle:
 
     def __init__(self, layout, rng=None):
         bounds = [0, *accumulate(n_params(layout[n]) for n in COMPONENT_ORDER)]
-        check_nbytes("the parameter block", 32 * bounds[-1])
         self.params = np.zeros((4, bounds[-1]))
         for name, lo, hi in zip(COMPONENT_ORDER, bounds, bounds[1:]):
             setattr(self, name, Mlp(layout[name], self.params[:, lo:hi], rng))

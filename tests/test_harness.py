@@ -34,8 +34,7 @@ def quick_cfg(**overrides):
                         samples_per_class_source=40,
                         samples_per_class_target=30, seed=5)
     base = dict(seed=1, epochs_agree=3, epochs_disagree=2, epochs_ensemble=2,
-                batch_size=32, shots=10, feat_dim=8, hidden_dim=8, enc_dim=8,
-                synth=synth)
+                batch_size=32, shots=10, synth=synth)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -61,7 +60,8 @@ class TestConfigIo:
         for key in ("adam_beta1", "adam_beta2", "adam_eps", "temp_scaled",
                     "phi_mag_threshold", "dcor_weight", "ensemble_weight",
                     "source_weight", "target_weight", "weight_decay", "beta",
-                    "tau", "temp_agree", "temp_disagree"):
+                    "tau", "temp_agree", "temp_disagree", "feat_dim",
+                    "hidden_dim", "enc_dim"):
             with pytest.raises(InputError, match=f"unknown config key '{key}'"):
                 config_from_dict({key: 1.0})
 
@@ -95,7 +95,7 @@ class TestConfigIo:
             load_config(path)
 
     def test_every_int_field_declares_a_lower_bound(self):
-        # every int field is a seed, a count or a width, which has a floor
+        # every int field is a seed or a count, which has a floor
         for cls in (TrainConfig, SynthConfig):
             assert all("at_least" in f.metadata
                        for f in dataclasses.fields(cls) if f.type is int)
@@ -225,26 +225,30 @@ class TestTrainDeterminism:
         assert a.steps != b.steps
 
 
-# small configs over every TrainConfig field and toggle, at most one epoch
+# small configs over every TrainConfig and SynthConfig field, at most one epoch
 # per phase; some are invalid, some diverge
-SMALL_SYNTH = st.builds(
-    SynthConfig, bands_source=st.integers(1, 8), bands_target=st.integers(1, 8),
+SMALL_SYNTH_FIELDS = dict(
+    bands_source=st.integers(1, 8), bands_target=st.integers(1, 8),
     classes_source=st.integers(2, 4), classes_target=st.integers(2, 4),
     shared_classes=st.integers(0, 2), samples_per_class_source=st.integers(1, 8),
     samples_per_class_target=st.integers(2, 8), noise_sigma=st.floats(0.0, 1.0),
     conflict_strength=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
-SMALL_TRAIN_KWARGS = st.fixed_dictionaries(dict(
+SMALL_TRAIN_FIELDS = dict(
     seed=st.integers(0, 2 ** 32), lr=st.floats(1e-4, 1e6),
     batch_size=st.integers(1, 8), epochs_agree=st.integers(0, 1),
     epochs_disagree=st.integers(0, 1), epochs_ensemble=st.integers(0, 1),
     shots=st.integers(1, 3), use_gradvac=st.booleans(),
     use_logitnorm=st.booleans(), use_ensemble=st.booleans(),
-    use_dir=st.booleans(), feat_dim=st.integers(1, 4),
-    hidden_dim=st.integers(1, 4), enc_dim=st.integers(1, 4), synth=SMALL_SYNTH))
+    use_dir=st.booleans(), synth=st.builds(SynthConfig, **SMALL_SYNTH_FIELDS))
 
 
 class TestTrainProperty:
-    @given(SMALL_TRAIN_KWARGS)
+    def test_draws_every_config_field(self):
+        # a field added to either config must be drawn here too
+        assert SMALL_TRAIN_FIELDS.keys() == set(TRAIN_KEYS)
+        assert SMALL_SYNTH_FIELDS.keys() == set(SYNTH_KEYS)
+
+    @given(st.fixed_dictionaries(SMALL_TRAIN_FIELDS))
     @settings(max_examples=25)
     def test_small_configs_train_or_raise_a_program_error(self, kwargs):
         # no shape reaches the CLI as a traceback: each of these exits 2
