@@ -10,14 +10,13 @@ Three branches over per-pixel spectra:
               target_extractor output
 
 All ten components view column slices of one (4, n) parameter block
-(rows: values, grads, Adam m and v), laid out in COMPONENT_ORDER (also
-the checkpoint order). Each branch's components are a contiguous run of
-columns, so a branch takes its Adam step as one slice. Each branch's step
-gradient is built here, by agreement_backward, private_backward and
-ensemble_backward; the harness only draws batches, steps and logs.
+(rows: values, grads, Adam m and v), laid out in the order of the
+BRANCHES table (COMPONENT_ORDER, also the checkpoint order). Each
+branch's components are a contiguous run of columns, so a branch takes
+its Adam step as one slice. Each branch's step gradient is built here,
+by agreement_backward, private_backward and ensemble_backward; the
+harness only draws batches, steps and logs.
 """
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -25,54 +24,54 @@ from .agreement import logitnorm_ce
 from .disagreement import dcor_penalty, symmetric_kl
 from .nn import Mlp, n_params, softmax_ce
 
-COMPONENT_ORDER = (
-    "source_extractor",
-    "target_extractor",
-    "shared_encoder",
-    "source_head",
-    "target_head",
-    "private_extractor",
-    "private_encoder",
-    "private_head",
-    "ensemble_encoder",
-    "ensemble_head",
-)
+# the model's structure: each branch's components in parameter and
+# checkpoint order, with their layer widths named as build's parameters
+BRANCHES = {
+    "agreement": {
+        "source_extractor": ("bands_source", "hidden_dim", "feat_dim"),
+        "target_extractor": ("bands_target", "hidden_dim", "feat_dim"),
+        "shared_encoder": ("feat_dim", "hidden_dim", "enc_dim"),
+        "source_head": ("enc_dim", "classes_source"),
+        "target_head": ("enc_dim", "classes_target"),
+    },
+    "private": {
+        "private_extractor": ("bands_target", "hidden_dim", "feat_dim"),
+        "private_encoder": ("feat_dim", "hidden_dim", "enc_dim"),
+        "private_head": ("enc_dim", "classes_target"),
+    },
+    "ensemble": {
+        "ensemble_encoder": ("feat_dim", "hidden_dim", "enc_dim"),
+        "ensemble_head": ("enc_dim", "classes_target"),
+    },
+}
+COMPONENT_ORDER = tuple(name for names in BRANCHES.values() for name in names)
 
 
 class ModelBundle:
     """Every component network, built from a {name: dims} layout. `params`
     is the one (4, n) float64 block of the whole trainable state; each
-    component's block and `agreement`, `private` and `ensemble` are column
-    slices of it. rng draws the weights in COMPONENT_ORDER, so a single
-    seed reproduces the full initialization; without one every parameter
-    is zero (checkpoint loading)."""
+    component's block and each branch's (`agreement`, `private`,
+    `ensemble`) are column slices of it. rng draws the weights in
+    COMPONENT_ORDER, so a single seed reproduces the full initialization;
+    without one every parameter is zero (checkpoint loading)."""
 
     def __init__(self, layout, rng=None):
-        bounds = [0, *accumulate(n_params(layout[n]) for n in COMPONENT_ORDER)]
-        self.params = np.zeros((4, bounds[-1]))
-        for name, lo, hi in zip(COMPONENT_ORDER, bounds, bounds[1:]):
-            setattr(self, name, Mlp(layout[name], self.params[:, lo:hi], rng))
-        start = dict(zip(COMPONENT_ORDER, bounds))
-        private, ensemble = start["private_extractor"], start["ensemble_encoder"]
-        self.agreement = self.params[:, :private]
-        self.private = self.params[:, private:ensemble]
-        self.ensemble = self.params[:, ensemble:]
+        n = sum(n_params(layout[name]) for name in COMPONENT_ORDER)
+        self.params = np.zeros((4, n))
+        hi = 0
+        for branch, names in BRANCHES.items():
+            start = hi
+            for name in names:
+                lo, hi = hi, hi + n_params(layout[name])
+                setattr(self, name, Mlp(layout[name], self.params[:, lo:hi], rng))
+            setattr(self, branch, self.params[:, start:hi])
 
     @classmethod
     def build(cls, bands_source, bands_target, classes_source, classes_target,
               feat_dim, hidden_dim, enc_dim, rng=None):
-        return cls({
-            "source_extractor": [bands_source, hidden_dim, feat_dim],
-            "target_extractor": [bands_target, hidden_dim, feat_dim],
-            "shared_encoder": [feat_dim, hidden_dim, enc_dim],
-            "source_head": [enc_dim, classes_source],
-            "target_head": [enc_dim, classes_target],
-            "private_extractor": [bands_target, hidden_dim, feat_dim],
-            "private_encoder": [feat_dim, hidden_dim, enc_dim],
-            "private_head": [enc_dim, classes_target],
-            "ensemble_encoder": [feat_dim, hidden_dim, enc_dim],
-            "ensemble_head": [enc_dim, classes_target],
-        }, rng)
+        widths = locals()
+        return cls({name: [widths[w] for w in dims] for names in BRANCHES.values()
+                    for name, dims in names.items()}, rng)
 
     def layout(self):
         return {name: list(getattr(self, name).dims) for name in COMPONENT_ORDER}

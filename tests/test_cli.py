@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xscene
 from xscene.cli import main
 from xscene.data import SceneDataset, load_csv, save_csv
 from xscene.harness import Run, evaluate, save_checkpoint
@@ -337,3 +340,19 @@ class TestAblateCommand:
             [str(r["row"]), r["name"],
              *(f"{r[key]:.2f}" for key in ("oa", "aa", "kappa"))]
             for r in records]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_xscene_exits_2_with_one_error_line(self, tmp_path):
+        # `python -m xscene` runs cli.main in a fresh interpreter and passes
+        # its return code to the process exit status
+        src = os.path.dirname(os.path.dirname(xscene.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "xscene", "eval",
+             "--model", str(tmp_path / "missing.bin"),
+             "--data", str(tmp_path / "missing.csv")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

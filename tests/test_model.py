@@ -4,15 +4,12 @@ import pytest
 from xscene.agreement import gradvac_update, logitnorm_ce
 from xscene.disagreement import (dcor_penalty, log_softmax, smoothed_distances,
                                  symmetric_kl)
-from xscene.model import (COMPONENT_ORDER, ModelBundle, agreement_backward,
-                          ensemble_backward, predict, private_backward)
-from xscene.nn import adam_step, softmax_ce
+from xscene.model import (BRANCHES, COMPONENT_ORDER, ModelBundle,
+                          agreement_backward, ensemble_backward, predict,
+                          private_backward)
+from xscene.nn import Mlp, adam_step, softmax_ce
 
 from oracles import central_differences
-
-# each branch's contiguous run of components
-BRANCHES = {"agreement": COMPONENT_ORDER[:5], "private": COMPONENT_ORDER[5:8],
-            "ensemble": COMPONENT_ORDER[8:]}
 
 
 def forward_source(bundle, x):
@@ -301,20 +298,27 @@ class TestStructure:
         assert np.array_equal(a.params, b.params)
 
     def test_branch_views_tile_the_bundle_vector(self):
-        # column i of every row holds i: each branch block, and each of its
-        # components in COMPONENT_ORDER, must read back its own run of them
+        # column i of every row holds i: each branch block must start at its
+        # first component's block and end at its last's, and each of its
+        # components, in the model's table order, must read back its own run
         bundle = tiny_bundle(seed=41)
         n = bundle.params.shape[1]
         assert bundle.params.shape == (4, n) and bundle.params.dtype == np.float64
         bundle.params[:] = np.arange(n)
+        # every network the bundle holds is in exactly one branch
+        held = [name for name, v in vars(bundle).items() if isinstance(v, Mlp)]
+        listed = [name for names in BRANCHES.values() for name in names]
+        assert sorted(listed) == sorted(held) and len(set(listed)) == len(listed)
         tiles = [getattr(bundle, branch) for branch in BRANCHES]
         assert np.array_equal(np.concatenate(tiles, axis=1), bundle.params)
         for branch, names in BRANCHES.items():
+            block = getattr(bundle, branch)
             parts = [getattr(bundle, name).params for name in names]
-            assert np.array_equal(np.concatenate(parts, axis=1),
-                                  getattr(bundle, branch))
-            for block in [getattr(bundle, branch), *parts]:
-                assert np.shares_memory(block, bundle.params)
+            assert block[0, 0] == parts[0][0, 0]
+            assert block[0, -1] == parts[-1][0, -1]
+            assert np.array_equal(np.concatenate(parts, axis=1), block)
+            for view in [block, *parts]:
+                assert np.shares_memory(view, bundle.params)
 
     @pytest.mark.parametrize("branch", list(BRANCHES))
     def test_adam_on_one_branch_leaves_the_others_bit_identical(self, branch):
