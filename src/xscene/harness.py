@@ -39,9 +39,11 @@ EVAL_BLOCK_ROWS = 4096
 TOGGLES = ("use_gradvac", "use_logitnorm", "use_ensemble", "use_dir")
 
 # the hyperparameters of those components are held fixed, not studied:
-# Adam's weight decay, GradVac's EMA rate, LogitNorm's tau, and the
-# distillation temperatures of the agreement and private teachers; so are
-# the network widths (extractor features, hidden layers, encoder outputs)
+# Adam's learning rate and weight decay, GradVac's EMA rate, LogitNorm's
+# tau, and the distillation temperatures of the agreement and private
+# teachers; so are the network widths (extractor features, hidden layers,
+# encoder outputs)
+LR = 5e-4
 WEIGHT_DECAY = 5e-3
 EMA_BETA = 0.1
 LOGITNORM_TAU = 2.0
@@ -53,7 +55,6 @@ FEAT_DIM, HIDDEN_DIM, ENC_DIM = 32, 64, 32
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = at_least(0, default=0)
-    lr: float = 5e-4
     batch_size: int = at_least(1, default=64)
     epochs_agree: int = at_least(0, default=40)
     epochs_disagree: int = at_least(0, default=20)
@@ -67,8 +68,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.lr <= 0.0:
-            raise InputError(f"lr must be positive, got {self.lr}")
         if self.use_dir and self.batch_size < 2:
             raise InputError("use_dir needs batch_size >= 2: distance "
                              "correlation compares the rows of a batch")
@@ -203,7 +202,7 @@ def _run_agreement_phase(run, source):
             g, figures = gradvac_update(g_s, g_t, alpha, cfg.use_gradvac)
             g_t += g  # g_t is the shared encoder's gradient buffer
             step += 1
-            adam_step(bundle.agreement, cfg.lr, weight_decay=WEIGHT_DECAY, t=step)
+            adam_step(bundle.agreement, LR, weight_decay=WEIGHT_DECAY, t=step)
             run.log({"phase": "agree", "step": step, "alpha": alpha,
                      "loss_s": loss_s, "loss_t": loss_t, **figures})
             alpha = ema_update(alpha, figures["phi_raw"], EMA_BETA)
@@ -220,7 +219,7 @@ def _run_private_phase(run):
     for t, idx in enumerate(run.batches(cfg.epochs_disagree), start=1):
         loss_ce, dcor = private_backward(bundle, split.spectra[idx],
                                          split.labels[idx], shared_dist, idx)
-        adam_step(bundle.private, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
+        adam_step(bundle.private, LR, weight_decay=WEIGHT_DECAY, t=t)
         run.log({
             "phase": "disagree", "step": t, "loss_ce": loss_ce, "dcor": dcor,
             "loss": loss_ce if dcor is None else loss_ce + dcor,
@@ -246,7 +245,7 @@ def _run_ensemble_phase(run):
         loss_ce, e1, e2 = ensemble_backward(
             bundle, base_all[idx], split.labels[idx],
             (agree_lp[idx], TEMP_AGREE), (disagree_lp[idx], TEMP_DISAGREE))
-        adam_step(bundle.ensemble, cfg.lr, weight_decay=WEIGHT_DECAY, t=t)
+        adam_step(bundle.ensemble, LR, weight_decay=WEIGHT_DECAY, t=t)
         run.log({
             "phase": "ensemble", "step": t, "loss_ce": loss_ce, "e_en1": e1,
             "e_en2": e2, "e_en": e1 + e2, "loss": loss_ce + (e1 + e2),

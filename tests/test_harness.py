@@ -42,11 +42,10 @@ def quick_cfg(**overrides):
 class TestConfigIo:
     def test_defaults_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 3, "lr": 1e-3,
+        path.write_text(json.dumps({"seed": 3,
                                     "synth": {"seed": 9, "noise_sigma": 0.2}}))
         cfg = load_config(path)
         assert cfg.seed == 3
-        assert cfg.lr == 1e-3
         assert cfg.synth.seed == 9
         assert cfg.synth.noise_sigma == 0.2
         assert cfg.batch_size == 64  # untouched default
@@ -61,7 +60,7 @@ class TestConfigIo:
                     "phi_mag_threshold", "dcor_weight", "ensemble_weight",
                     "source_weight", "target_weight", "weight_decay", "beta",
                     "tau", "temp_agree", "temp_disagree", "feat_dim",
-                    "hidden_dim", "enc_dim"):
+                    "hidden_dim", "enc_dim", "lr"):
             with pytest.raises(InputError, match=f"unknown config key '{key}'"):
                 config_from_dict({key: 1.0})
 
@@ -70,17 +69,31 @@ class TestConfigIo:
             config_from_dict({"synth": {"bands": 10}})
 
     def test_invalid_values_rejected(self):
-        for raw in ({"lr": 0.0}, {"lr": -1e-3},
-                    {"use_dir": True, "batch_size": 1},
-                    # shots that leave the evaluation split empty
-                    {"shots": 60}, {"shots": 7, "synth": {"samples_per_class_target": 7}},
-                    # wrong JSON types and non-finite floats
-                    {"use_dir": "no"}, {"use_gradvac": 1}, {"lr": float("nan")},
-                    {"lr": True}, {"epochs_agree": "3"},
-                    {"batch_size": 64.0}, {"shots": False},
-                    {"synth": {"bands_source": 48.5}},
-                    {"synth": {"noise_sigma": None}}):
-            with pytest.raises(InputError):
+        for raw, message in (
+                ({"use_dir": True, "batch_size": 1},
+                 "use_dir needs batch_size >= 2: distance correlation "
+                 "compares the rows of a batch"),
+                # shots that leave the evaluation split empty
+                ({"shots": 60}, "shots=60 leaves no evaluation rows: each "
+                                "target class has 60 samples"),
+                ({"shots": 7, "synth": {"samples_per_class_target": 7}},
+                 "shots=7 leaves no evaluation rows: each target class has "
+                 "7 samples"),
+                # wrong JSON types and non-finite floats
+                ({"use_dir": "no"}, "use_dir must be a bool, got 'no'"),
+                ({"use_gradvac": 1}, "use_gradvac must be a bool, got 1"),
+                ({"synth": {"noise_sigma": float("nan")}},
+                 "noise_sigma must be a finite number, got nan"),
+                ({"synth": {"conflict_strength": True}},
+                 "conflict_strength must be a finite number, got True"),
+                ({"epochs_agree": "3"}, "epochs_agree must be an int, got '3'"),
+                ({"batch_size": 64.0}, "batch_size must be an int, got 64.0"),
+                ({"shots": False}, "shots must be an int, got False"),
+                ({"synth": {"bands_source": 48.5}},
+                 "bands_source must be an int, got 48.5"),
+                ({"synth": {"noise_sigma": None}},
+                 "noise_sigma must be a finite number, got None")):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 config_from_dict(raw)
 
     # the fields' lower bounds are in test_every_lower_bound_names_its_key
@@ -115,10 +128,12 @@ class TestConfigIo:
             config_from_dict({"synth": raw} if prefix else raw)
 
     def test_ints_accepted_for_float_fields(self):
-        cfg = config_from_dict({"lr": 1, "synth": {"noise_sigma": 0}})
-        assert cfg.lr == 1 and cfg.synth.noise_sigma == 0
+        synth = config_from_dict(
+            {"synth": {"noise_sigma": 0, "conflict_strength": 1}}).synth
+        assert synth.noise_sigma == 0 and synth.conflict_strength == 1
         # stored as floats, so no int past the float range reaches training
-        assert type(cfg.lr) is float and type(cfg.synth.noise_sigma) is float
+        assert type(synth.noise_sigma) is float
+        assert type(synth.conflict_strength) is float
 
     def test_checked_when_built(self):
         # dataclasses.replace builds a new config, so it is checked too
@@ -133,7 +148,8 @@ class TestConfigIo:
             TrainConfig(use_dir="no")
         with pytest.raises(InputError, match="use_gradvac must be a bool, got 1"):
             TrainConfig(use_gradvac=1)
-        assert type(TrainConfig(lr=1).lr) is float
+        assert type(SynthConfig(noise_sigma=1).noise_sigma) is float
+        assert type(SynthConfig(conflict_strength=1).conflict_strength) is float
         with pytest.raises(InputError, match="batch_size must be an int, got 64.0"):
             dataclasses.replace(TrainConfig(), batch_size=64.0)
 
@@ -226,7 +242,7 @@ class TestTrainDeterminism:
 
 
 # small configs over every TrainConfig and SynthConfig field, at most one epoch
-# per phase; some are invalid, some diverge
+# per phase; some are invalid
 SMALL_SYNTH_FIELDS = dict(
     bands_source=st.integers(1, 8), bands_target=st.integers(1, 8),
     classes_source=st.integers(2, 4), classes_target=st.integers(2, 4),
@@ -234,12 +250,12 @@ SMALL_SYNTH_FIELDS = dict(
     samples_per_class_target=st.integers(2, 8), noise_sigma=st.floats(0.0, 1.0),
     conflict_strength=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
 SMALL_TRAIN_FIELDS = dict(
-    seed=st.integers(0, 2 ** 32), lr=st.floats(1e-4, 1e6),
-    batch_size=st.integers(1, 8), epochs_agree=st.integers(0, 1),
-    epochs_disagree=st.integers(0, 1), epochs_ensemble=st.integers(0, 1),
-    shots=st.integers(1, 3), use_gradvac=st.booleans(),
-    use_logitnorm=st.booleans(), use_ensemble=st.booleans(),
-    use_dir=st.booleans(), synth=st.builds(SynthConfig, **SMALL_SYNTH_FIELDS))
+    seed=st.integers(0, 2 ** 32), batch_size=st.integers(1, 8),
+    epochs_agree=st.integers(0, 1), epochs_disagree=st.integers(0, 1),
+    epochs_ensemble=st.integers(0, 1), shots=st.integers(1, 3),
+    use_gradvac=st.booleans(), use_logitnorm=st.booleans(),
+    use_ensemble=st.booleans(), use_dir=st.booleans(),
+    synth=st.builds(SynthConfig, **SMALL_SYNTH_FIELDS))
 
 
 class TestTrainProperty:
@@ -261,14 +277,21 @@ class TestTrainProperty:
 
 
 class TestDivergence:
-    # lr=1e6 is a valid config value, but training overflows; the run must
-    # stop at that step without printing a numpy warning
+    def test_weight_decay_shrinks_every_step(self):
+        # decoupled weight decay multiplies each weight by 1 - LR *
+        # WEIGHT_DECAY every step: inside (0, 1) it shrinks a weight and keeps
+        # its sign, where a factor below -1 grows it while it stays finite
+        assert 0.0 < harness.LR * harness.WEIGHT_DECAY < 1.0
+
+    # at a learning rate of 1e6 training overflows; the run must stop at
+    # that step without printing a numpy warning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverged_run_raises_naming_phase_step_and_key(self):
+    def test_diverged_run_raises_naming_phase_step_and_key(self, monkeypatch):
+        monkeypatch.setattr(harness, "LR", 1e6)
         with pytest.raises(DivergenceError,
                            match=r"^agree step \d+: (\w+ is (nan|inf|-inf)|"
                                  r"(overflow|invalid value) encountered in \w+)$"):
-            train(quick_cfg(lr=1e6))
+            train(quick_cfg())
 
     def test_floating_point_error_names_the_step_it_hit(self, monkeypatch):
         # two steps of this phase logged, the third overflows; the records
